@@ -217,37 +217,4 @@ std::unique_ptr<fuzzy::FuzzyController> make_flc2(
       .build();
 }
 
-std::unique_ptr<fuzzy::SugenoController> make_sugeno_flc2(
-    const Flc2Params& params) {
-  std::vector<fuzzy::LinguisticVariable> inputs;
-  inputs.push_back(make_correction_input_variable(params));
-  inputs.push_back(make_request_type_variable(params));
-  inputs.push_back(make_counter_state_variable(params));
-
-  // Crisp levels: core centres of the A/R output terms (shoulders at 0.8).
-  auto level = [](const std::string& term) {
-    if (term == "A") return 0.8;
-    if (term == "WA") return 0.3;
-    if (term == "NRNA") return 0.0;
-    if (term == "WR") return -0.3;
-    return -0.8;  // "R"
-  };
-
-  const auto& table = frb2_consequents();
-  std::vector<fuzzy::SugenoRule> rules;
-  rules.reserve(table.size());
-  std::size_t n = 0;
-  for (std::size_t cv = 0; cv < 3; ++cv)
-    for (std::size_t rq = 0; rq < 3; ++rq)
-      for (std::size_t cs = 0; cs < 3; ++cs) {
-        fuzzy::SugenoRule r;
-        r.antecedents = {cv, rq, cs};
-        r.constant = level(table[n++]);
-        rules.push_back(std::move(r));
-      }
-  return std::make_unique<fuzzy::SugenoController>(
-      "FLC2-sugeno", std::move(inputs), std::move(rules),
-      fuzzy::TNorm::kProduct);
-}
-
 }  // namespace facsp::cac

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "fuzzy/controller.h"
-#include "fuzzy/sugeno.h"
 
 namespace facsp::cac {
 
@@ -128,13 +127,5 @@ std::unique_ptr<fuzzy::FuzzyController> make_flc2(
     const Flc2Params& params = {},
     fuzzy::InferenceOptions inference = {},
     fuzzy::Defuzzifier defuzz = fuzzy::Defuzzifier{});
-
-/// A Takagi-Sugeno re-statement of FLC2 (extension): same (Cv, Rq, Cs)
-/// inputs and the 27 Table 2 antecedents, each Mamdani consequent term
-/// replaced by its crisp core centre (A=+0.8, WA=+0.3, NRNA=0, WR=-0.3,
-/// R=-0.8).  No output integration — the "fast path" comparator used by
-/// the inference ablation.
-std::unique_ptr<fuzzy::SugenoController> make_sugeno_flc2(
-    const Flc2Params& params = {});
 
 }  // namespace facsp::cac

@@ -84,12 +84,26 @@ RunResult Experiment::run_single(int n, std::uint64_t replication) const {
 SweepResult Experiment::run(const SweepConfig& sweep) const {
   FACSP_EXPECTS(!sweep.n_values.empty());
   FACSP_EXPECTS(sweep.replications >= 1);
-  // Delegates to the declarative sweep layer on a single thread (the
-  // SweepConfig::threads knob stays ignored here, as documented).  A
+  // The legacy (N, replication) grid as a one-policy SweepSpec.  A
   // one-thread SweepRunner executes inline and reduces in the same
   // (n, replication) order as the old nested loop, so results are
   // bit-identical to the historical serial path.
-  return run_legacy_sweep(scenario_, factory_, label_, sweep, /*threads=*/1);
+  SweepSpec spec;
+  spec.base = scenario_;
+  spec.policy_axis({PolicyChoice{label_, factory_}});
+  spec.n_axis(sweep.n_values);
+  spec.replications = sweep.replications;
+  spec.ci_level = sweep.ci_level;
+  spec.threads = 1;
+  const ResultTable table = SweepRunner(std::move(spec)).run();
+
+  SweepResult out;
+  out.policy_name = label_;
+  out.points.reserve(table.rows.size());
+  for (const ResultRow& row : table.rows)
+    out.points.push_back({row.n, row.acceptance_percent, row.dropping_percent,
+                          row.utilization_percent, row.completion_percent});
+  return out;
 }
 
 PolicyFactory make_facs_p_factory(cac::FacsPConfig config) {

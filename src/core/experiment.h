@@ -28,8 +28,8 @@ namespace facsp::core {
 /// replication's network (SCC needs the geometry) and a per-replication
 /// RNG factory (randomised policies draw their own streams).
 ///
-/// Thread-safety contract: ParallelSweepRunner invokes the factory from
-/// worker threads, once per (N, replication) cell, possibly concurrently.
+/// Thread-safety contract: SweepRunner (core/sweep.h) invokes the factory
+/// from worker threads, once per (N, replication) cell, possibly concurrently.
 /// Factories must therefore be safe to call concurrently: capture
 /// configuration by value and only build fresh policy objects (as every
 /// make_*_factory() below does); never close over mutable shared state.
@@ -42,10 +42,6 @@ struct SweepConfig {
   std::vector<int> n_values;  ///< x axis: number of requesting connections
   int replications = 20;
   double ci_level = 0.95;
-  /// Worker threads for ParallelSweepRunner (0 = hardware concurrency).
-  /// A pure throughput knob: results are bit-identical for every value.
-  /// The serial Experiment::run ignores it.
-  int threads = 0;
 
   /// The paper's x grid: 10, 20, ..., 100.
   static SweepConfig paper_grid(int replications = 20);
@@ -63,9 +59,8 @@ struct SweepPoint {
 /// Scalar metrics of one (n, replication) run, in the units the sweep
 /// aggregates (percentages).  The single definition of "which numbers a
 /// sweep reduces": every path extracts cells with from_run() and
-/// SweepRunner::run (core/sweep.h) — which Experiment::run and
-/// ParallelSweepRunner delegate to — performs the one reduction, so the
-/// paths cannot drift apart.
+/// SweepRunner::run (core/sweep.h) — which Experiment::run delegates to —
+/// performs the one reduction, so the paths cannot drift apart.
 struct CellMetrics {
   int n = 0;
   std::uint64_t replication = 0;
@@ -101,8 +96,8 @@ class Experiment {
   /// Run the full sweep.
   SweepResult run(const SweepConfig& sweep) const;
 
-  /// Run a single (N, replication) cell — used by tests, examples and the
-  /// parallel sweep runner.  Every piece of per-run state (driver, network,
+  /// Run a single (N, replication) cell — used by tests, examples and
+  /// SweepRunner.  Every piece of per-run state (driver, network,
   /// RNG streams, policy, inference scratch) is built locally, so concurrent
   /// calls from different threads are safe given the PolicyFactory contract
   /// above.

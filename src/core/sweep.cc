@@ -300,33 +300,4 @@ ResultTable SweepRunner::run(std::vector<CellMetrics>* cells) const {
   return table;
 }
 
-SweepResult run_legacy_sweep(const ScenarioConfig& scenario,
-                             const PolicyFactory& factory,
-                             const std::string& label,
-                             const SweepConfig& sweep, int threads,
-                             std::vector<CellMetrics>* cells) {
-  SweepSpec spec;
-  spec.base = scenario;
-  spec.policy_axis({PolicyChoice{label, factory}});
-  spec.n_axis(sweep.n_values);
-  spec.replications = sweep.replications;
-  spec.ci_level = sweep.ci_level;
-  spec.threads = threads;
-  const ResultTable table = SweepRunner(std::move(spec)).run(cells);
-
-  SweepResult out;
-  out.policy_name = label;
-  out.points.reserve(table.rows.size());
-  for (const ResultRow& row : table.rows) {
-    SweepPoint point;
-    point.n = row.n;
-    point.acceptance_percent = row.acceptance_percent;
-    point.dropping_percent = row.dropping_percent;
-    point.utilization_percent = row.utilization_percent;
-    point.completion_percent = row.completion_percent;
-    out.points.push_back(point);
-  }
-  return out;
-}
-
 }  // namespace facsp::core

@@ -172,8 +172,7 @@ struct ResultTable {
 /// run() fans the (grid cell, replication) matrix across a sim::ThreadPool
 /// and reduces serially in row-major order — the same SummaryStats::add
 /// sequence a nested serial loop would perform, hence bit-identical results
-/// for every thread count.  Subsumes Experiment::run and
-/// core::ParallelSweepRunner, which are now thin wrappers over this.
+/// for every thread count.  Experiment::run is a one-thread run of this.
 class SweepRunner {
  public:
   explicit SweepRunner(SweepSpec spec);
@@ -199,16 +198,5 @@ class SweepRunner {
   SweepSpec spec_;
   std::vector<ResolvedCell> rows_;
 };
-
-/// Compatibility shim behind Experiment::run and ParallelSweepRunner::run:
-/// runs the legacy (N, replication) grid through SweepRunner and repackages
-/// the ResultTable as a SweepResult.  `threads` overrides the SweepConfig
-/// knob (the serial Experiment::run passes 1).  When `cells` is non-null it
-/// receives per-cell metrics in (n-major, replication) order.
-SweepResult run_legacy_sweep(const ScenarioConfig& scenario,
-                             const PolicyFactory& factory,
-                             const std::string& label,
-                             const SweepConfig& sweep, int threads,
-                             std::vector<CellMetrics>* cells = nullptr);
 
 }  // namespace facsp::core

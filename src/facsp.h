@@ -16,11 +16,9 @@
 #include "fuzzy/membership.h"   // triangular / trapezoidal / shoulders
 #include "fuzzy/rule_parser.h"  // textual IF-THEN rules
 #include "fuzzy/rulebase.h"     // validated rule sets
-#include "fuzzy/sugeno.h"       // Takagi-Sugeno extension
 #include "fuzzy/variable.h"     // linguistic variables
 
 // Discrete-event simulation
-#include "sim/batch_means.h"  // output analysis for correlated streams
 #include "sim/event_queue.h"  // stable cancellable event set
 #include "sim/rng.h"          // named deterministic streams
 #include "sim/simulator.h"    // the run loop
@@ -47,7 +45,6 @@
 #include "cac/guard_channel.h"  // classical baselines
 #include "cac/policy.h"         // AdmissionPolicy interface
 #include "cac/scc.h"            // Shadow Cluster Concept baseline
-#include "cac/threshold.h"      // complete partitioning
 
 // Experiments
 #include "core/config_io.h"    // scenario files

@@ -16,7 +16,6 @@ struct ServiceMetrics {
   obs::Counter& decided;
   obs::Counter& shed;
   obs::Gauge& pending;
-  obs::Gauge& active_sessions;
 
   static ServiceMetrics& get() {
     static ServiceMetrics m{
@@ -24,9 +23,6 @@ struct ServiceMetrics {
         obs::Registry::instance().counter("net.decided"),
         obs::Registry::instance().counter("net.shed"),
         obs::Registry::instance().gauge("net.pending"),
-        // Same name (and therefore the same gauge) the in-process serving
-        // loop updates — registry parity between the two front-ends.
-        obs::Registry::instance().gauge("serve.active_sessions"),
     };
     return m;
   }
@@ -58,9 +54,10 @@ AdmissionService::AdmissionService(const serve::ServerConfig& config,
   for (int s = 0; s < config_.shards; ++s) {
     shards_.push_back(std::make_unique<NetShard>(config_, s));
     shards_.back()->core.reserve_windows(reserve_seconds);
+    cores_.push_back(&shards_.back()->core);
   }
-  telemetry_.reserve(reserve_seconds);
-  latency_.reserve(reserve_seconds);
+  result_.telemetry.reserve(reserve_seconds);
+  result_.latency.reserve(reserve_seconds);
 }
 
 AdmissionService::Submit AdmissionService::submit(
@@ -150,34 +147,9 @@ void AdmissionService::process_shard(NetShard& s) {
 }
 
 void AdmissionService::finalize_second(std::int64_t sec) {
-  serve::TelemetryRow merged;
-  merged.window = sec;
-  second_lat_.reset();
-  for (const auto& s : shards_) {
-    s->core.finish_second(sec);
-    FACSP_ENSURES(s->core.window().rows().back().window == sec);
-    merged.merge(s->core.window().rows().back());
-    second_lat_.merge(s->core.second_hist());
-  }
-  total_decisions_ += merged.decisions;
-  total_admitted_ += merged.admitted;
-  telemetry_.push_back(merged);
-  if (obs::metrics_enabled())
-    ServiceMetrics::get().active_sessions.set(merged.active_sessions);
-
-  serve::LatencyRow lat;
-  lat.window = sec;
-  lat.samples = second_lat_.count();
-  if (lat.samples > 0) {
-    lat.p50_ns = second_lat_.percentile_ns(0.50);
-    lat.p95_ns = second_lat_.percentile_ns(0.95);
-    lat.p99_ns = second_lat_.percentile_ns(0.99);
-    lat.p999_ns = second_lat_.percentile_ns(0.999);
-    lat.mean_ns = second_lat_.mean_ns();
-    lat.max_ns = second_lat_.max_ns();
-  }
-  latency_.push_back(lat);
-  overall_.merge(second_lat_);
+  for (const auto& s : shards_) s->core.finish_second(sec);
+  const serve::TelemetryRow& merged =
+      serve::append_second(result_, sec, cores_);
   if (second_hook_) second_hook_(sec, merged);
 }
 
@@ -227,17 +199,6 @@ void AdmissionService::drain() {
     next_second_ = S + 1;
   }
   drained_ = true;
-}
-
-serve::ServerResult AdmissionService::result() const {
-  serve::ServerResult r;
-  r.window_s = 1.0;
-  r.telemetry = telemetry_;
-  r.latency = latency_;
-  r.overall = overall_;
-  r.total_decisions = total_decisions_;
-  r.total_admitted = total_admitted_;
-  return r;
 }
 
 }  // namespace facsp::net

@@ -19,9 +19,9 @@
 //     watermark passes the boundary, which closes the same batch earlier
 //     in wall time but with identical contents, since any later same-shard
 //     arrival is at or past the watermark;
-//   * a simulated second is finalized — per-shard finish_second, fixed
-//     shard-order merge, exactly DecisionServer::run's loop — when the
-//     watermark enters a later second, so every batch of a second is
+//   * a simulated second is finalized — per-shard finish_second, then the
+//     fixed shard-order serve::append_second DecisionServer::run calls —
+//     when the watermark enters a later second, so every batch of a second is
 //     decided before its row is sealed;
 //   * arrivals below the watermark are rejected (kTimeOrder), never
 //     silently reordered, and arrivals more than `max_skew_s` above it
@@ -115,17 +115,17 @@ class AdmissionService {
 
   /// Finalized rows so far (grows as the watermark advances).
   const std::vector<serve::TelemetryRow>& telemetry() const noexcept {
-    return telemetry_;
+    return result_.telemetry;
   }
   /// Last finalized row, or nullptr before the first finalized second.
   const serve::TelemetryRow* latest_row() const noexcept {
-    return telemetry_.empty() ? nullptr : &telemetry_.back();
+    return result_.telemetry.empty() ? nullptr : &result_.telemetry.back();
   }
 
   /// Merged result in the decision server's shape (telemetry + latency +
   /// overall histogram + totals).  wall_s is left 0 — the event loop owns
   /// the wall clock.  Meaningful once drained.
-  serve::ServerResult result() const;
+  const serve::ServerResult& result() const noexcept { return result_; }
 
  private:
   struct NetShard {
@@ -146,6 +146,7 @@ class AdmissionService {
 
   serve::ServerConfig config_;
   std::vector<std::unique_ptr<NetShard>> shards_;
+  std::vector<const serve::ShardCore*> cores_;  ///< shards_[i]->core
   Callbacks cb_;
   SecondHook second_hook_;
 
@@ -160,12 +161,7 @@ class AdmissionService {
   std::int64_t next_second_ = 0; ///< first not-yet-finalized second
   bool drained_ = false;
 
-  std::vector<serve::TelemetryRow> telemetry_;
-  std::vector<serve::LatencyRow> latency_;
-  serve::LatencyHistogram second_lat_;
-  serve::LatencyHistogram overall_;
-  std::int64_t total_decisions_ = 0;
-  std::int64_t total_admitted_ = 0;
+  serve::ServerResult result_;
 };
 
 }  // namespace facsp::net

@@ -1,4 +1,4 @@
-#include "serve/latency_histogram.h"
+#include "obs/histogram.h"
 
 #include <algorithm>
 #include <bit>
@@ -6,17 +6,17 @@
 
 #include "common/expects.h"
 
-namespace facsp::serve {
+namespace facsp::obs {
 
 namespace {
 
 /// Values at or above this saturate into the final bucket.
 constexpr std::uint64_t kSaturation =
-    (LatencyHistogram::kSubBuckets * 2) << LatencyHistogram::kMaxShift;
+    (LocalHistogram::kSubBuckets * 2) << LocalHistogram::kMaxShift;
 
 }  // namespace
 
-std::size_t LatencyHistogram::bucket_index(std::uint64_t ns) noexcept {
+std::size_t LocalHistogram::bucket_index(std::uint64_t ns) noexcept {
   if (ns >= kSaturation) return kBucketCount - 1;
   // Below 2 * kSubBuckets every value has its own exact bucket.
   if (ns < kSubBuckets * 2) return static_cast<std::size_t>(ns);
@@ -29,7 +29,7 @@ std::size_t LatencyHistogram::bucket_index(std::uint64_t ns) noexcept {
          static_cast<std::size_t>(sub - kSubBuckets);
 }
 
-std::uint64_t LatencyHistogram::bucket_upper_bound(std::uint64_t ns) noexcept {
+std::uint64_t LocalHistogram::bucket_upper_bound(std::uint64_t ns) noexcept {
   if (ns >= kSaturation) return kSaturation;  // sentinel for the overflow bin
   if (ns < kSubBuckets * 2) return ns;
   const int top = std::bit_width(ns) - 1;
@@ -38,14 +38,14 @@ std::uint64_t LatencyHistogram::bucket_upper_bound(std::uint64_t ns) noexcept {
   return ((sub + 1) << shift) - 1;
 }
 
-void LatencyHistogram::record_n(std::uint64_t ns, std::uint64_t n) noexcept {
+void LocalHistogram::record_n(std::uint64_t ns, std::uint64_t n) noexcept {
   counts_[bucket_index(ns)] += n;
   count_ += n;
   sum_ += ns * n;
   max_ = std::max(max_, ns);
 }
 
-std::uint64_t LatencyHistogram::percentile_ns(double q) const {
+std::uint64_t LocalHistogram::percentile_ns(double q) const {
   FACSP_EXPECTS(count_ > 0);
   FACSP_EXPECTS(q >= 0.0 && q <= 1.0);
   const std::uint64_t rank = std::max<std::uint64_t>(
@@ -64,18 +64,18 @@ std::uint64_t LatencyHistogram::percentile_ns(double q) const {
   return max_;  // unreachable: counts_ sums to count_ >= rank
 }
 
-void LatencyHistogram::merge(const LatencyHistogram& other) noexcept {
+void LocalHistogram::merge(const LocalHistogram& other) noexcept {
   for (std::size_t i = 0; i < kBucketCount; ++i) counts_[i] += other.counts_[i];
   count_ += other.count_;
   sum_ += other.sum_;
   max_ = std::max(max_, other.max_);
 }
 
-void LatencyHistogram::reset() noexcept {
+void LocalHistogram::reset() noexcept {
   counts_.fill(0);
   count_ = 0;
   sum_ = 0;
   max_ = 0;
 }
 
-}  // namespace facsp::serve
+}  // namespace facsp::obs

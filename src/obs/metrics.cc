@@ -1,10 +1,7 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <ostream>
-#include <vector>
 
 #include "common/error.h"
 #include "core/config_io.h"
@@ -37,25 +34,20 @@ void set_metrics_enabled(bool enabled) noexcept {
 }
 
 std::uint64_t Histogram::percentile(double q) const noexcept {
-  const std::uint64_t total = count();
-  if (total == 0 || !(q >= 0.0 && q <= 1.0)) return 0;
-  const std::uint64_t rank = std::max<std::uint64_t>(
-      1,
-      static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total))));
-  std::uint64_t seen = 0;
+  if (!(q >= 0.0 && q <= 1.0)) return 0;
+  const LocalHistogram s = snapshot();
+  return s.count() == 0 ? 0 : s.percentile_ns(q);
+}
+
+LocalHistogram Histogram::snapshot() const noexcept {
+  LocalHistogram s;
   for (std::size_t i = 0; i < kBucketCount; ++i) {
-    seen += buckets_[i].load(std::memory_order_relaxed);
-    if (seen >= rank) {
-      // Same index -> upper-bound arithmetic as
-      // serve::LatencyHistogram::percentile_ns (geometry reuse).
-      constexpr std::uint64_t kSub = serve::LatencyHistogram::kSubBuckets;
-      if (i < kSub * 2) return i;
-      const std::size_t shift = i / kSub - 1;
-      const std::uint64_t sub = i % kSub + kSub;
-      return ((sub + 1) << shift) - 1;
-    }
+    s.counts_[i] = buckets_[i].load(std::memory_order_relaxed);
+    s.count_ += s.counts_[i];
   }
-  return max();  // concurrent recording moved the rank past the scan
+  s.sum_ = sum();
+  s.max_ = max();
+  return s;
 }
 
 void Histogram::reset() noexcept {

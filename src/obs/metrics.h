@@ -40,7 +40,7 @@
 #include <string>
 #include <string_view>
 
-#include "serve/latency_histogram.h"
+#include "obs/histogram.h"
 
 namespace facsp::obs {
 
@@ -83,19 +83,17 @@ class Gauge {
 };
 
 /// Concurrent log-linear histogram of non-negative integer samples
-/// (durations in ns, batch sizes, ...).  Reuses serve::LatencyHistogram's
-/// bucket geometry verbatim — bucket_index / bucket_upper_bound are the
-/// same functions, so the <=1/16 relative quantisation error bound and the
-/// exact-below-32 property carry over (tests/obs/test_metrics.cc pins the
-/// two geometries against each other).  Buckets are atomics, making
-/// record() safe from any number of threads.
+/// (durations in ns, batch sizes, ...) on LocalHistogram's bucket geometry
+/// (obs/histogram.h), so the <=1/16 relative quantisation error bound and
+/// the exact-below-32 property hold here too.  Buckets are atomics, making
+/// record() safe from any number of threads; percentiles are read from a
+/// plain snapshot().
 class Histogram {
  public:
-  static constexpr std::size_t kBucketCount =
-      serve::LatencyHistogram::kBucketCount;
+  static constexpr std::size_t kBucketCount = LocalHistogram::kBucketCount;
 
   void record(std::uint64_t v) noexcept {
-    buckets_[serve::LatencyHistogram::bucket_index(v)].fetch_add(
+    buckets_[LocalHistogram::bucket_index(v)].fetch_add(
         1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
@@ -121,11 +119,15 @@ class Histogram {
                   : static_cast<double>(sum()) / static_cast<double>(n);
   }
 
-  /// Upper bound of the bucket holding the ceil(q * count)-th smallest
-  /// sample — same rank statistic and quantisation as
-  /// serve::LatencyHistogram::percentile_ns.  Returns 0 when empty (a
-  /// snapshot of an untouched histogram must not throw).
+  /// LocalHistogram::percentile_ns of a snapshot(), except that it returns
+  /// 0 when empty or q is outside [0, 1] (a snapshot of an untouched
+  /// histogram must not throw).
   std::uint64_t percentile(double q) const noexcept;
+
+  /// Plain copy of the current values.  Under concurrent recording each
+  /// bucket is read individually; the copy's count is the sum of the
+  /// copied buckets, so its percentiles are always well defined.
+  LocalHistogram snapshot() const noexcept;
 
   void reset() noexcept;
 

@@ -202,6 +202,40 @@ void ShardCore::finish_second(std::int64_t second) {
   row.active_sessions = static_cast<std::int64_t>(expiries_.size());
 }
 
+const TelemetryRow& append_second(ServerResult& result, std::int64_t second,
+                                  std::span<const ShardCore* const> cores) {
+  // Fixed-order merge: shard 0, 1, 2, ... regardless of which thread
+  // finished first — this is what makes telemetry thread-count-invariant.
+  TelemetryRow merged;
+  merged.window = second;
+  obs::LocalHistogram lat_hist;
+  for (const ShardCore* core : cores) {
+    FACSP_ENSURES(core->window().rows().back().window == second);
+    merged.merge(core->window().rows().back());
+    lat_hist.merge(core->second_hist());
+  }
+  result.total_decisions += merged.decisions;
+  result.total_admitted += merged.admitted;
+  result.telemetry.push_back(merged);
+  if (obs::metrics_enabled())
+    ServeMetrics::get().active_sessions.set(merged.active_sessions);
+
+  LatencyRow lat;
+  lat.window = second;
+  lat.samples = lat_hist.count();
+  if (lat.samples > 0) {
+    lat.p50_ns = lat_hist.percentile_ns(0.50);
+    lat.p95_ns = lat_hist.percentile_ns(0.95);
+    lat.p99_ns = lat_hist.percentile_ns(0.99);
+    lat.p999_ns = lat_hist.percentile_ns(0.999);
+    lat.mean_ns = lat_hist.mean_ns();
+    lat.max_ns = lat_hist.max_ns();
+  }
+  result.latency.push_back(lat);
+  result.overall.merge(lat_hist);
+  return result.telemetry.back();
+}
+
 std::size_t batch_end(std::span<const cac::AdmissionRequest> arrivals,
                       std::size_t i, double batch_window_s,
                       int batch_max) noexcept {
@@ -275,6 +309,7 @@ void DecisionServer::build_shards() {
           kShardIdStride * static_cast<cellular::ConnectionId>(s + 1) + 1);
     }
     shard->core.reserve_windows(static_cast<std::size_t>(duration_s_));
+    cores_.push_back(&shard->core);
     shards_.push_back(std::move(shard));
   }
 }
@@ -305,7 +340,6 @@ ServerResult DecisionServer::run() {
   std::unique_ptr<sim::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<sim::ThreadPool>(threads);
 
-  LatencyHistogram second_lat;
   const auto wall_start = std::chrono::steady_clock::now();
   for (std::int64_t sec = 0; sec < duration_s_; ++sec) {
     if (pool) {
@@ -323,37 +357,8 @@ ServerResult DecisionServer::run() {
         run_second(*shards_[s], sec);
       }
     }
-
-    // Fixed-order merge: shard 0, 1, 2, ... regardless of which thread
-    // finished first — this is what makes telemetry thread-count-invariant.
-    TelemetryRow merged;
-    merged.window = sec;
-    second_lat.reset();
-    for (const auto& shard : shards_) {
-      FACSP_ENSURES(shard->core.window().rows().back().window == sec);
-      merged.merge(shard->core.window().rows().back());
-      second_lat.merge(shard->core.second_hist());
-    }
-    result.total_decisions += merged.decisions;
-    result.total_admitted += merged.admitted;
-    result.telemetry.push_back(merged);
-    if (obs::metrics_enabled())
-      ServeMetrics::get().active_sessions.set(merged.active_sessions);
+    const TelemetryRow& merged = append_second(result, sec, cores_);
     if (second_hook_) second_hook_(sec, merged);
-
-    LatencyRow lat;
-    lat.window = sec;
-    lat.samples = second_lat.count();
-    if (lat.samples > 0) {
-      lat.p50_ns = second_lat.percentile_ns(0.50);
-      lat.p95_ns = second_lat.percentile_ns(0.95);
-      lat.p99_ns = second_lat.percentile_ns(0.99);
-      lat.p999_ns = second_lat.percentile_ns(0.999);
-      lat.mean_ns = second_lat.mean_ns();
-      lat.max_ns = second_lat.max_ns();
-    }
-    result.latency.push_back(lat);
-    result.overall.merge(second_lat);
   }
   const auto wall_elapsed = std::chrono::steady_clock::now() - wall_start;
   result.wall_s =
@@ -471,9 +476,9 @@ void write_summary_json(const ServerConfig& config, const ServerResult& result,
      << ", \"threads\": " << config.threads
      << ", \"simd\": " << (simd ? "true" : "false")
      << ", \"latency_histogram\": {\"sub_bucket_bits\": "
-     << LatencyHistogram::kSubBucketBits
-     << ", \"max_shift\": " << LatencyHistogram::kMaxShift
-     << ", \"buckets\": " << LatencyHistogram::kBucketCount << "}},\n"
+     << obs::LocalHistogram::kSubBucketBits
+     << ", \"max_shift\": " << obs::LocalHistogram::kMaxShift
+     << ", \"buckets\": " << obs::LocalHistogram::kBucketCount << "}},\n"
      << "  \"duration_s\": " << result.telemetry.size() << ",\n"
      << "  \"total_decisions\": " << result.total_decisions << ",\n"
      << "  \"total_admitted\": " << result.total_admitted << ",\n"

@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "core/scenario.h"
-#include "serve/latency_histogram.h"
+#include "obs/histogram.h"
 #include "serve/request_stream.h"
 #include "serve/rolling_window.h"
 #include "serve/trace.h"
@@ -102,7 +102,7 @@ struct ServerResult {
   /// Wall-clock latency per second (separate CSV; non-deterministic).
   std::vector<LatencyRow> latency;
   /// All decision latencies over the whole run.
-  LatencyHistogram overall;
+  obs::LocalHistogram overall;
   std::int64_t total_decisions = 0;
   std::int64_t total_admitted = 0;
   /// Wall-clock duration of the serving loop.
@@ -157,7 +157,9 @@ class ShardCore {
 
   RollingWindow& window() noexcept { return window_; }
   const RollingWindow& window() const noexcept { return window_; }
-  const LatencyHistogram& second_hist() const noexcept { return second_hist_; }
+  const obs::LocalHistogram& second_hist() const noexcept {
+    return second_hist_;
+  }
   /// Sessions currently holding bandwidth (size of the expiry heap).
   std::size_t active_sessions() const noexcept { return expiries_.size(); }
   /// The shard's cell (live request streams need the layout and the centre
@@ -177,13 +179,22 @@ class ShardCore {
   std::unique_ptr<cellular::CellularNetwork> net_;
   std::unique_ptr<cac::AdmissionPolicy> policy_;
   RollingWindow window_;
-  LatencyHistogram second_hist_;  ///< reset at each second's first batch
+  obs::LocalHistogram second_hist_;  ///< reset at each second's first batch
   std::vector<Expiry> expiries_;  ///< min-heap on `at`
   std::vector<cac::AdmissionDecision> decisions_;
   double batch_window_s_;
   int batch_max_;
   std::int64_t current_second_ = -1;
 };
+
+/// Seal simulated second `second` into `result`: merge each core's row and
+/// second_hist() in the given (fixed) order, add the merged row to the
+/// totals and the telemetry, append the second's LatencyRow and merge its
+/// latencies into `overall`.  Every core must have finished `second`.
+/// DecisionServer and the socket front-end both seal seconds through this,
+/// which is what keeps their telemetry identical.  Returns the merged row.
+const TelemetryRow& append_second(ServerResult& result, std::int64_t second,
+                                  std::span<const ShardCore* const> cores);
 
 /// Greedy batching step shared by the serving loop and the socket
 /// front-end: for time-sorted `arrivals` with an open batch starting at
@@ -230,6 +241,7 @@ class DecisionServer {
   bool replay_ = false;
   std::int64_t duration_s_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<const ShardCore*> cores_;  ///< shards_[i]->core, merge order
   SecondHook second_hook_;
 };
 

@@ -1,7 +1,7 @@
 // Small fixed-size worker pool for embarrassingly parallel simulation work.
 //
 // The pool is a throughput device only: callers must not let scheduling
-// order affect results.  The intended pattern (see core::ParallelSweepRunner)
+// order affect results.  The intended pattern (see core::SweepRunner::run)
 // is "each index writes its own pre-allocated slot, reduce serially
 // afterwards", which keeps results bit-identical for any thread count.
 #pragma once

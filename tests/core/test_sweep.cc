@@ -3,6 +3,8 @@
 //
 //   * the old paper grid expressed as a SweepSpec reproduces the PR 3
 //     golden per-cell metrics bit-identically at threads {1, 2, 8};
+//   * every registry policy and catalog workload run as a SweepSpec matches
+//     the serial Experiment::run bit for bit at threads {1, 2, 8};
 //   * a multi-axis policy x scenario x N sweep serialises byte-for-byte
 //     identically for serial and parallel execution.
 #include "core/sweep.h"
@@ -186,35 +188,76 @@ TEST(SweepRunner, PaperGridSpecReproducesGoldenCellsAtEveryThreadCount) {
   }
 }
 
+// Bit-identical means exact double equality on every aggregate — no
+// tolerance.
+void expect_same_stats(const sim::SummaryStats& a, const sim::SummaryStats& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.variance(), b.variance());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  EXPECT_EQ(a.ci_half_width(0.95), b.ci_half_width(0.95));
+}
+
+void expect_same_rows(const ResultTable& table, const SweepResult& serial) {
+  ASSERT_EQ(table.rows.size(), serial.points.size());
+  for (std::size_t i = 0; i < table.rows.size(); ++i) {
+    SCOPED_TRACE("n=" + std::to_string(serial.points[i].n));
+    const ResultRow& row = table.rows[i];
+    const SweepPoint& point = serial.points[i];
+    EXPECT_EQ(row.n, point.n);
+    expect_same_stats(row.acceptance_percent, point.acceptance_percent);
+    expect_same_stats(row.dropping_percent, point.dropping_percent);
+    expect_same_stats(row.utilization_percent, point.utilization_percent);
+    expect_same_stats(row.completion_percent, point.completion_percent);
+  }
+}
+
 TEST(SweepRunner, PaperGridSpecMatchesExperimentRunBitIdentically) {
-  // The historical serial path vs the same grid expressed declaratively:
-  // every aggregate must be bit-equal (EXPECT_EQ on doubles, no tolerance).
-  const SweepResult serial = Experiment(paper_scenario(), make_facs_p_factory(),
-                                        "facs-p")
-                                 .run(SweepConfig::paper_grid(3));
-  for (const int threads : {1, 2, 8}) {
-    SweepSpec spec = SweepSpec::paper_grid(3);
-    spec.threads = threads;
-    const ResultTable table = SweepRunner(spec).run();
-    ASSERT_EQ(table.rows.size(), serial.points.size());
-    for (std::size_t i = 0; i < table.rows.size(); ++i) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " n=" + std::to_string(serial.points[i].n));
-      const ResultRow& row = table.rows[i];
-      const SweepPoint& point = serial.points[i];
-      EXPECT_EQ(row.n, point.n);
-      EXPECT_EQ(row.acceptance_percent.mean(),
-                point.acceptance_percent.mean());
-      EXPECT_EQ(row.acceptance_percent.variance(),
-                point.acceptance_percent.variance());
-      EXPECT_EQ(row.acceptance_percent.ci_half_width(0.95),
-                point.acceptance_percent.ci_half_width(0.95));
-      EXPECT_EQ(row.dropping_percent.mean(), point.dropping_percent.mean());
-      EXPECT_EQ(row.utilization_percent.mean(),
-                point.utilization_percent.mean());
-      EXPECT_EQ(row.completion_percent.mean(),
-                point.completion_percent.mean());
+  // The historical serial path vs the same grid expressed declaratively,
+  // at every thread count.  Inputs: the paper grid, every registry policy
+  // (facs-p exercises the per-cell inference scratch, fgc the per-cell
+  // policy RNG stream) and the catalog workloads, shrunk (shorter
+  // window/holding) so the matrix stays ctest-cheap while the workload
+  // *shape* (arrival process, spatial map) is untouched.
+  struct Input {
+    std::string label;
+    std::string policy;
+    ScenarioConfig scenario;
+    SweepConfig sweep;
+  };
+  SweepConfig small;
+  small.n_values = {5, 12, 20};
+  small.replications = 4;
+  std::vector<Input> inputs = {
+      {"paper-grid", "facs-p", paper_scenario(), SweepConfig::paper_grid(3)}};
+  for (const std::string& policy : policy_names())
+    inputs.push_back({"quick-paper", policy, quick_scenario(), small});
+  for (const char* name :
+       {"bursty-onoff", "hotspot-ring2", "flash-crowd", "mix-shift"}) {
+    ScenarioConfig scen = workload::catalog_scenario(name);
+    scen.traffic.mean_holding_s = 120.0;
+    inputs.push_back({name, "facs-p", scen, small});
+  }
+
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.policy + " on " + in.label);
+    const SweepResult serial =
+        Experiment(in.scenario, policy_factory_by_name(in.policy), in.policy)
+            .run(in.sweep);
+    EXPECT_EQ(serial.policy_name, in.policy);
+    SweepSpec spec;
+    spec.base = in.scenario;
+    spec.policy_axis({in.policy});
+    spec.n_axis(in.sweep.n_values);
+    spec.replications = in.sweep.replications;
+    for (const int threads : {1, 2, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      spec.threads = threads;
+      expect_same_rows(SweepRunner(spec).run(), serial);
     }
+    // Two runs with the same seed agree.
+    expect_same_rows(SweepRunner(spec).run(), serial);
   }
 }
 

@@ -3,7 +3,6 @@
 // determinism — swept across (policy, load) combinations.
 #include <gtest/gtest.h>
 
-#include "cac/threshold.h"
 #include "core/experiment.h"
 #include "core/paper.h"
 
@@ -15,13 +14,6 @@ struct PolicyCase {
   PolicyFactory (*make)();
 };
 
-PolicyFactory make_cp() {
-  return [](const cellular::CellularNetwork&, sim::RngFactory&) {
-    return std::unique_ptr<cac::AdmissionPolicy>(
-        std::make_unique<cac::CompletePartitioningPolicy>());
-  };
-}
-
 const PolicyCase kPolicies[] = {
     {"FACSP", [] { return make_facs_p_factory(); }},
     {"FACS", [] { return make_facs_factory(); }},
@@ -29,7 +21,6 @@ const PolicyCase kPolicies[] = {
     {"GC", [] { return make_guard_channel_factory(8.0); }},
     {"FGC", [] { return make_fractional_guard_factory(8.0); }},
     {"CS", [] { return make_complete_sharing_factory(); }},
-    {"CP", [] { return make_cp(); }},
 };
 
 class PolicyInvariants

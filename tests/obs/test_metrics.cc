@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "serve/latency_histogram.h"
 
 namespace facsp::obs {
 namespace {
@@ -93,29 +92,6 @@ TEST(ObsHistogram, CountSumMeanMaxAreExact) {
   EXPECT_EQ(h.sum(), 60u);
   EXPECT_EQ(h.max(), 30u);
   EXPECT_DOUBLE_EQ(h.mean(), 20.0);
-}
-
-TEST(ObsHistogram, GeometryMatchesServeLatencyHistogram) {
-  // The obs histogram must reuse serve::LatencyHistogram's bucket layout
-  // verbatim: identical bucket count and identical quantised percentiles
-  // for identical data, across exact, log-linear and saturated ranges.
-  static_assert(Histogram::kBucketCount ==
-                serve::LatencyHistogram::kBucketCount);
-  Histogram obs_hist;
-  serve::LatencyHistogram serve_hist;
-  std::vector<std::uint64_t> samples;
-  for (std::uint64_t v = 0; v < 64; ++v) samples.push_back(v);
-  for (std::uint64_t v = 1; v < (1ull << 42); v = v * 3 + 7)
-    samples.push_back(v);
-  for (const std::uint64_t v : samples) {
-    obs_hist.record(v);
-    serve_hist.record(v);
-  }
-  for (const double q : {0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0})
-    EXPECT_EQ(obs_hist.percentile(q), serve_hist.percentile_ns(q)) << q;
-  EXPECT_EQ(obs_hist.count(), serve_hist.count());
-  EXPECT_EQ(obs_hist.max(), serve_hist.max_ns());
-  EXPECT_EQ(obs_hist.sum(), serve_hist.sum_ns());
 }
 
 TEST(ObsMetrics, GlobalSwitchDefaultsOff) {

@@ -183,6 +183,11 @@ TEST(DecisionServer, RenderingHasStableShape) {
         "\"mean\"", "\"metadata\"", "\"scenario\"", "\"simd\"",
         "\"latency_histogram\"", "\"sub_bucket_bits\""})
     EXPECT_NE(summary.find(key), std::string::npos) << key;
+  // The histogram geometry is part of the summary format, values included.
+  EXPECT_NE(summary.find("\"latency_histogram\": {\"sub_bucket_bits\": 4, "
+                         "\"max_shift\": 37, \"buckets\": 624}"),
+            std::string::npos)
+      << summary;
 
   const sim::Figure fig = telemetry_figure(result);
   ASSERT_EQ(fig.series().size(), 4u);

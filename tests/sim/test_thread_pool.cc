@@ -54,7 +54,7 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
 }
 
 TEST(ThreadPool, ParallelForSlotWritesAreRaceFree) {
-  // The ParallelSweepRunner pattern: each index owns one slot; the reduction
+  // The SweepRunner pattern: each index owns one slot; the reduction
   // afterwards must see every write.  (The TSan CI job gives this test its
   // teeth.)
   ThreadPool pool(8);
