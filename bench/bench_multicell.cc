@@ -40,6 +40,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 #include "cac/policy.h"
 #include "core/config_io.h"
+#include "core/experiment.h"
 #include "core/multicell.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"

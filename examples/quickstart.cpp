@@ -39,14 +39,7 @@ void decide_and_report(cac::FacsPPolicy& policy, cellular::BaseStation& bs,
       req.speed_kmh, req.angle_deg, decision.score,
       std::string(to_string(decision.verdict)).c_str(),
       decision.admitted ? "ADMIT" : "reject");
-  if (decision.admitted) {
-    cellular::Connection conn;
-    conn.id = req.id;
-    conn.service = req.service;
-    conn.bandwidth = req.bandwidth;
-    bs.allocate(conn, 0.0);
-    policy.on_admitted(req, bs);
-  }
+  if (decision.admitted) cac::admit(policy, bs, req);
 }
 
 }  // namespace

@@ -11,6 +11,22 @@ void AdmissionPolicy::decide_batch(std::span<const AdmissionRequest> reqs,
   for (std::size_t i = 0; i < reqs.size(); ++i) out[i] = decide(reqs[i], bs);
 }
 
+bool admit(AdmissionPolicy& policy, cellular::BaseStation& bs,
+           const AdmissionRequest& req) {
+  if (bs.holds(req.id)) return false;
+  cellular::Connection conn;
+  conn.id = req.id;
+  conn.service = req.service;
+  conn.bandwidth = req.bandwidth;
+  conn.priority = req.priority;
+  conn.origin = req.kind;
+  if (!bs.allocate(conn, req.now,
+                   /*via_handoff=*/req.kind == cellular::RequestKind::kHandoff))
+    return false;
+  policy.on_admitted(req, bs);
+  return true;
+}
+
 Verdict verdict_from_score(double score) noexcept {
   if (score > 0.45) return Verdict::kAccept;
   if (score > 0.15) return Verdict::kWeakAccept;

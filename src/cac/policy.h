@@ -1,11 +1,13 @@
 // Admission-policy interface shared by FACS-P, FACS, SCC and the classical
-// baselines.  The session driver builds an AdmissionRequest per new call or
-// handoff, asks the policy to decide, and notifies it of lifecycle events so
-// stateful policies (SCC's shadow clusters, FACS-P's RTC/NRTC counters) stay
-// current.
+// baselines.  Every runtime (single-cell simulator, multi-cell barrier,
+// decision server, socket path) builds an AdmissionRequest per new call or
+// handoff, asks the policy to decide (one at a time or as a batch), and
+// applies each admission through cac::admit — the one place that re-checks
+// capacity, allocates on the base station and notifies the policy.  The
+// remaining lifecycle hooks keep stateful policies (SCC's shadow clusters,
+// FACS-P's RTC/NRTC counters) current.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <string_view>
 
@@ -13,7 +15,6 @@
 #include "cellular/connection.h"
 #include "cellular/mobility.h"
 #include "cellular/service.h"
-#include "common/expects.h"
 #include "sim/event_queue.h"
 
 namespace facsp::cac {
@@ -78,14 +79,15 @@ class AdmissionPolicy {
   virtual std::string_view name() const noexcept = 0;
 
   /// Decide whether `req` may be admitted to `bs`.  Must not mutate the BS;
-  /// the caller allocates on success and then calls on_admitted().
+  /// the caller applies an admission through cac::admit().
   virtual AdmissionDecision decide(const AdmissionRequest& req,
                                    const cellular::BaseStation& bs) = 0;
 
   /// Decide a batch of independent requests against one base station,
-  /// writing out[i] for reqs[i].  Decisions are taken as-if sequential but
-  /// without allocation/admission between them (no on_admitted() runs), so
-  /// this suits scoring sweeps and benches rather than the live event loop.
+  /// writing out[i] for reqs[i].  Every decision sees the same load
+  /// snapshot (no on_admitted() runs between them), so a burst can
+  /// over-admit; the decision server and the multi-cell barrier apply each
+  /// admission through cac::admit, which demotes what no longer fits.
   /// The default loops decide(); the fuzzy policies reuse one inference
   /// scratch across the whole batch.
   virtual void decide_batch(std::span<const AdmissionRequest> reqs,
@@ -123,55 +125,13 @@ class AdmissionPolicy {
   virtual void reset() {}
 };
 
-/// Forwarding shell that lets the concrete policy be installed *after* the
-/// consumer holding the AdmissionPolicy& was built.  SessionDriver owns the
-/// network but takes the policy by reference, while policy factories need
-/// the network — so the driver is constructed around an empty DeferredPolicy
-/// whose `inner` is filled from the factory once the driver's network
-/// exists (see Experiment::run_single and core::MultiCellEngine).
-///
-/// Contract: `inner` must be installed before the first lifecycle call.
-/// Only name() and reset() tolerate the empty state (both can legitimately
-/// run during two-phase construction); every other entry point asserts,
-/// turning a misordered setup into a diagnosable ContractViolation rather
-/// than a null-pointer call.
-class DeferredPolicy final : public AdmissionPolicy {
- public:
-  std::unique_ptr<AdmissionPolicy> inner;
-
-  std::string_view name() const noexcept override {
-    return inner ? inner->name() : "deferred";
-  }
-  AdmissionDecision decide(const AdmissionRequest& req,
-                           const cellular::BaseStation& bs) override {
-    FACSP_EXPECTS(inner != nullptr);
-    return inner->decide(req, bs);
-  }
-  void decide_batch(std::span<const AdmissionRequest> reqs,
-                    const cellular::BaseStation& bs,
-                    std::span<AdmissionDecision> out) override {
-    FACSP_EXPECTS(inner != nullptr);
-    inner->decide_batch(reqs, bs, out);
-  }
-  void on_admitted(const AdmissionRequest& req,
-                   const cellular::BaseStation& bs) override {
-    FACSP_EXPECTS(inner != nullptr);
-    inner->on_admitted(req, bs);
-  }
-  void on_released(cellular::ConnectionId id, cellular::ServiceClass service,
-                   const cellular::BaseStation& bs) override {
-    FACSP_EXPECTS(inner != nullptr);
-    inner->on_released(id, service, bs);
-  }
-  void on_mobility(cellular::ConnectionId id,
-                   const cellular::MobileState& state,
-                   sim::SimTime now) override {
-    FACSP_EXPECTS(inner != nullptr);
-    inner->on_mobility(id, state, now);
-  }
-  void reset() override {
-    if (inner) inner->reset();
-  }
-};
+/// Apply an admitted request to `bs`: the one admission step every runtime
+/// shares.  Returns false and changes nothing when `bs` already holds
+/// `req.id` or the call no longer fits (batched decisions see one load
+/// snapshot, and socket clients choose their own ids).  Otherwise allocates
+/// the request's bandwidth at `req.now` — via_handoff for kHandoff — then
+/// calls policy.on_admitted(req, bs) and returns true.
+bool admit(AdmissionPolicy& policy, cellular::BaseStation& bs,
+           const AdmissionRequest& req);
 
 }  // namespace facsp::cac

@@ -24,19 +24,6 @@
 
 namespace facsp::core {
 
-/// Builds a fresh policy for one replication.  The factory receives the
-/// replication's network (SCC needs the geometry) and a per-replication
-/// RNG factory (randomised policies draw their own streams).
-///
-/// Thread-safety contract: SweepRunner (core/sweep.h) invokes the factory
-/// from worker threads, once per (N, replication) cell, possibly concurrently.
-/// Factories must therefore be safe to call concurrently: capture
-/// configuration by value and only build fresh policy objects (as every
-/// make_*_factory() below does); never close over mutable shared state.
-/// The policy *instances* a factory returns are used by one worker only.
-using PolicyFactory = std::function<std::unique_ptr<cac::AdmissionPolicy>(
-    const cellular::CellularNetwork& network, sim::RngFactory& rng)>;
-
 /// Sweep parameters shared by the figure benches.
 struct SweepConfig {
   std::vector<int> n_values;  ///< x axis: number of requesting connections

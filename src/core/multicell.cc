@@ -79,7 +79,6 @@ MultiCellEngine::MultiCellEngine(const ScenarioConfig& scenario,
                                  std::uint64_t replication)
     : scenario_(scenario) {
   scenario_.validate();
-  FACSP_EXPECTS(static_cast<bool>(factory));
 
   coords_ = spiral_coords(scenario_.multicell.cells);
   index_.reserve(coords_.size());
@@ -110,13 +109,9 @@ MultiCellEngine::MultiCellEngine(const ScenarioConfig& scenario,
     cell_scenario.seed = cell_seed;
 
     Shard sh;
-    sh.policy = std::make_unique<cac::DeferredPolicy>();
     sh.driver = std::make_unique<SessionDriver>(
-        cell_scenario, *sh.policy, replication,
+        cell_scenario, factory, replication,
         kCellIdOffset * static_cast<cellular::ConnectionId>(k));
-    sim::RngFactory policy_rng(
-        sim::hash_seed(cell_seed, "policy", replication));
-    sh.policy->inner = factory(sh.driver->network(), policy_rng);
     shards_.push_back(std::move(sh));
   }
 }
@@ -204,30 +199,15 @@ void MultiCellEngine::route_epoch(sim::SimTime t_end) {
 
   // Phase 2 — batched admission: every destination cell's pending inbound
   // handovers of this drain become ONE decide_batch call against its centre
-  // BS (one load snapshot per batch; allocation re-checks capacity, so an
+  // BS (SessionDriver::admit_inbound; cac::admit re-checks capacity, so an
   // over-admitting burst degrades into drops, never negative counters).
   // Ascending cell order — the same order the historical all-cells sweep
   // processed non-empty inboxes in.
   for (const int t : touched_) {
     Shard& sh = shards_[static_cast<std::size_t>(t)];
-    sh.requests.clear();
-    for (const SessionDriver::CellArrival& a : sh.inbox)
-      sh.requests.push_back(sh.driver->inbound_request(a));
-    sh.decisions.resize(sh.inbox.size());
-    sh.policy->decide_batch(sh.requests, sh.driver->network().center(),
-                            sh.decisions);
-    for (std::size_t i = 0; i < sh.inbox.size(); ++i) {
-      const SessionDriver::CellArrival& a = sh.inbox[i];
-      const bool ok = sh.decisions[i].admitted &&
-                      sh.driver->admit_inbound(a, sh.requests[i]);
-      if (a.measured) sh.driver->metrics().record_handoff(a.conn.service, ok);
-      if (ok) {
-        ++es.admitted;
-      } else {
-        ++es.dropped;
-        if (a.measured) sh.driver->metrics().record_drop(a.conn.service);
-      }
-    }
+    const std::size_t admitted = sh.driver->admit_inbound(sh.inbox);
+    es.admitted += admitted;
+    es.dropped += sh.inbox.size() - admitted;
     sh.inbox.clear();  // restore the invariant for the next barrier
   }
 

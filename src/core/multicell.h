@@ -1,8 +1,9 @@
 // Multi-cell sharded simulation: the scenario's world replicated into C
-// shards on a super hex grid, one SessionDriver + admission policy +
-// RNG-stream family per shard, driven in bulk-synchronous epochs over a
-// sim::ThreadPool with explicit inter-cell handovers exchanged at the
-// epoch barriers.
+// shards on a super hex grid, one SessionDriver (which owns the shard's
+// admission policy and RNG-stream family) per shard, driven in
+// bulk-synchronous epochs over a sim::ThreadPool with explicit inter-cell
+// handovers exchanged at the epoch barriers.  The engine itself holds no
+// policy: it routes, and each destination driver admits.
 //
 // Execution model (event-driven since PR 10)
 //
@@ -20,12 +21,13 @@
 //     barrier:   departures are routed serially in fixed (cell, event)
 //                order to the hex neighbour matching the exit heading —
 //                or complete if they fall off the super-grid edge — and
-//                each destination cell's pending arrivals are coalesced
-//                into ONE cac::AdmissionPolicy::decide_batch call against
+//                each destination cell's pending arrivals go to its
+//                driver's admit_inbound: ONE decide_batch call against
 //                its centre base station (the zero-allocation batch path
-//                carrying real traffic).  Admitted sessions re-materialise
-//                in the destination at the epoch boundary; rejected or
-//                over-admitted ones are dropped (handoff failure).
+//                carrying real traffic), then cac::admit per admission.
+//                Admitted sessions re-materialise in the destination at
+//                the epoch boundary; rejected or over-admitted ones are
+//                dropped (handoff failure).
 //
 // Epoch cost is therefore proportional to ACTIVE shards, not grid size: a
 // 1000-cell grid with one busy neighbourhood drains a handful of shards per
@@ -40,7 +42,7 @@
 // sim.epoch_max_s]; conservation invariants hold but byte goldens don't.
 //
 // Determinism: the parallel phase is share-nothing (each shard owns its
-// driver, policy, scratch and RNG streams, seeded from
+// driver, and the driver its policy, scratch and RNG streams, seeded from
 // hash_seed(seed, "cell", cell_id) — cell 0 keeps the legacy roots), and
 // the barrier phase is serial in a fixed order (ascending cell id over the
 // drain list), so results are bit-identical for every thread count.  With
@@ -57,9 +59,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cac/policy.h"
 #include "cellular/hexgrid.h"
-#include "core/experiment.h"
 #include "core/scenario.h"
 #include "core/session.h"
 
@@ -136,13 +136,9 @@ class MultiCellEngine {
 
  private:
   struct Shard {
-    std::unique_ptr<cac::DeferredPolicy> policy;
     std::unique_ptr<SessionDriver> driver;
     std::vector<SessionDriver::CellDeparture> outbox;  ///< filled during drain
     std::vector<SessionDriver::CellArrival> inbox;     ///< filled at barrier
-    // Reused across epochs: steady-state barriers allocate nothing.
-    std::vector<cac::AdmissionRequest> requests;
-    std::vector<cac::AdmissionDecision> decisions;
     std::uint64_t handoffs_out = 0;
     std::uint64_t handoffs_in = 0;
     std::uint64_t left_world = 0;

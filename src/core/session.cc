@@ -13,18 +13,18 @@ using cellular::ConnectionState;
 using cellular::RequestKind;
 
 SessionDriver::SessionDriver(const ScenarioConfig& scenario,
-                             cac::AdmissionPolicy& policy,
+                             const PolicyFactory& factory,
                              std::uint64_t replication,
                              cellular::ConnectionId id_offset)
     : scenario_(scenario),
-      policy_(policy),
-      // The driver's streams live under their own "driver" component, while
-      // Experiment::run_single seeds the policy's RngFactory under "policy":
-      // two distinct top-level components of the same (seed, replication)
-      // pair, so a policy's draws can never alias the traffic/mobility
-      // streams no matter what stream names either side picks.
+      // The driver's streams live under their own "driver" component and
+      // the policy's under "policy": two distinct top-level components of
+      // the same (seed, replication) pair, so a policy's draws can never
+      // alias the traffic/mobility streams no matter what stream names
+      // either side picks.
       rng_(sim::hash_seed(scenario.seed, "driver", replication)) {
   scenario_.validate();
+  FACSP_EXPECTS(static_cast<bool>(factory));
   network_ = std::make_unique<cellular::CellularNetwork>(
       scenario_.rings, scenario_.cell_radius_m, scenario_.capacity_bu);
   // Centre generator first, then one per remaining cell with positive
@@ -55,6 +55,9 @@ SessionDriver::SessionDriver(const ScenarioConfig& scenario,
       scenario_.mobility, rng_.stream("mobility"));
   predictor_ = std::make_unique<cellular::DirectionPredictor>(
       scenario_.predictor, rng_.stream("predictor"));
+  sim::RngFactory policy_rng(
+      sim::hash_seed(scenario_.seed, "policy", replication));
+  policy_ = factory(*network_, policy_rng);
 }
 
 cac::AdmissionRequest SessionDriver::make_request(
@@ -93,7 +96,7 @@ void SessionDriver::handle_arrival(const cellular::CallRequest& call,
   s.measured = measured;
 
   const auto req = make_request(s.conn, s.state, RequestKind::kNew, *bs);
-  const auto decision = policy_.decide(req, *bs);
+  const auto decision = policy_->decide(req, *bs);
   if (measured)
     metrics_.record_new_call(call.service, call.priority,
                              decision.admitted);
@@ -101,25 +104,28 @@ void SessionDriver::handle_arrival(const cellular::CallRequest& call,
     return;  // blocked; nothing was allocated
   }
 
-  const bool ok = bs->allocate(s.conn, sim_.now(), /*via_handoff=*/false);
+  const bool ok = cac::admit(*policy_, *bs, req);
   FACSP_ENSURES(ok);  // decide() verified can_fit under the same event
-  policy_.on_admitted(req, *bs);
-  s.conn.state = ConnectionState::kActive;
-  s.conn.start_time = sim_.now();
+  start_session(std::move(s), sim_.now());
+}
 
-  const ConnectionId id = call.id;
-  s.completion = sim_.schedule_in(call.holding_time,
+void SessionDriver::start_session(Session s, sim::SimTime start_time) {
+  s.conn.state = ConnectionState::kActive;
+  s.conn.start_time = start_time;
+  const ConnectionId id = s.conn.id;
+  s.completion = sim_.schedule_at(start_time + s.conn.holding_time,
                                   [this, id] { handle_completion(id); });
   if (scenario_.enable_mobility)
-    s.next_move = sim_.schedule_in(scenario_.mobility_update_s,
+    s.next_move = sim_.schedule_at(start_time + scenario_.mobility_update_s,
                                    [this, id] { handle_mobility(id); });
-  sessions_.emplace(id, std::move(s));
+  const bool inserted = sessions_.emplace(id, std::move(s)).second;
+  FACSP_ENSURES(inserted);  // generators and shards mint disjoint ids
 }
 
 void SessionDriver::finish(Session& s, ConnectionState final_state) {
   if (s.conn.state == ConnectionState::kActive && s.serving != nullptr) {
     s.serving->release(s.conn.id, sim_.now());
-    policy_.on_released(s.conn.id, s.conn.service, *s.serving);
+    policy_->on_released(s.conn.id, s.conn.service, *s.serving);
   }
   sim_.cancel(s.completion);
   sim_.cancel(s.next_move);
@@ -146,7 +152,7 @@ SessionDriver::CellDeparture SessionDriver::depart(Session& s) {
   d.measured = s.measured;
   if (s.conn.state == ConnectionState::kActive && s.serving != nullptr) {
     s.serving->release(s.conn.id, sim_.now());
-    policy_.on_released(s.conn.id, s.conn.service, *s.serving);
+    policy_->on_released(s.conn.id, s.conn.service, *s.serving);
   }
   sim_.cancel(s.completion);
   sim_.cancel(s.next_move);
@@ -163,7 +169,7 @@ void SessionDriver::handle_completion(ConnectionId id) {
 void SessionDriver::do_handoff(Session& s, cellular::BaseStation& target) {
   const auto req =
       make_request(s.conn, s.state, RequestKind::kHandoff, target);
-  const auto decision = policy_.decide(req, target);
+  const auto decision = policy_->decide(req, target);
   if (s.measured) metrics_.record_handoff(s.conn.service, decision.admitted);
   if (!decision.admitted) {
     finish(s, ConnectionState::kDropped);
@@ -171,10 +177,9 @@ void SessionDriver::do_handoff(Session& s, cellular::BaseStation& target) {
   }
   // Release on the source, then allocate on the target.
   s.serving->release(s.conn.id, sim_.now());
-  policy_.on_released(s.conn.id, s.conn.service, *s.serving);
-  const bool ok = target.allocate(s.conn, sim_.now(), /*via_handoff=*/true);
+  policy_->on_released(s.conn.id, s.conn.service, *s.serving);
+  const bool ok = cac::admit(*policy_, target, req);
   FACSP_ENSURES(ok);
-  policy_.on_admitted(req, target);
   s.serving = &target;
   ++s.conn.handoff_count;
 }
@@ -185,7 +190,7 @@ void SessionDriver::handle_mobility(ConnectionId id) {
   Session& s = it->second;
 
   mobility_->advance(s.state, scenario_.mobility_update_s);
-  policy_.on_mobility(id, s.state, sim_.now());
+  policy_->on_mobility(id, s.state, sim_.now());
 
   cellular::BaseStation* here =
       network_->station_covering(s.state.position);
@@ -210,51 +215,45 @@ void SessionDriver::handle_mobility(ConnectionId id) {
                                  [this, id] { handle_mobility(id); });
 }
 
-cac::AdmissionRequest SessionDriver::inbound_request(
-    const CellArrival& arrival) {
-  cellular::BaseStation* bs =
-      network_->station_covering(arrival.state.position);
-  FACSP_ENSURES(bs != nullptr);  // entry_fraction keeps entries in-cell
-  auto req = make_request(arrival.conn, arrival.state, RequestKind::kHandoff,
-                          *bs);
-  req.now = arrival.when;
-  return req;
-}
+std::size_t SessionDriver::admit_inbound(std::span<const CellArrival> inbox) {
+  cellular::BaseStation& bs = network_->center();
+  batch_requests_.clear();
+  for (const CellArrival& a : inbox) {
+    // entry_fraction keeps every entry point inside the centre cell.
+    FACSP_ENSURES(network_->station_covering(a.state.position) == &bs);
+    auto req = make_request(a.conn, a.state, RequestKind::kHandoff, bs);
+    req.now = a.when;
+    batch_requests_.push_back(req);
+  }
+  batch_decisions_.resize(inbox.size());
+  policy_->decide_batch(batch_requests_, bs, batch_decisions_);
 
-bool SessionDriver::admit_inbound(const CellArrival& arrival,
-                                  const cac::AdmissionRequest& req) {
-  cellular::BaseStation* bs =
-      network_->station_covering(arrival.state.position);
-  FACSP_ENSURES(bs != nullptr);
-
-  Session s;
-  s.conn = arrival.conn;
-  s.state = arrival.state;
-  s.measured = arrival.measured;
-  if (!bs->allocate(s.conn, arrival.when, /*via_handoff=*/true))
-    return false;  // the batch over-admitted past physical capacity
-  policy_.on_admitted(req, *bs);
-  s.serving = bs;
-  s.conn.state = ConnectionState::kActive;
-  s.conn.start_time = arrival.when;
-  s.conn.holding_time = arrival.remaining_holding_s;
-  ++s.conn.handoff_count;
-
-  const ConnectionId id = s.conn.id;
-  s.completion =
-      sim_.schedule_at(arrival.when + arrival.remaining_holding_s,
-                       [this, id] { handle_completion(id); });
-  if (scenario_.enable_mobility)
-    s.next_move = sim_.schedule_at(arrival.when + scenario_.mobility_update_s,
-                                   [this, id] { handle_mobility(id); });
-  const bool inserted = sessions_.emplace(id, std::move(s)).second;
-  FACSP_ENSURES(inserted);  // shard id namespaces are disjoint
-  return true;
+  std::size_t admitted = 0;
+  for (std::size_t i = 0; i < inbox.size(); ++i) {
+    const CellArrival& a = inbox[i];
+    const bool ok = batch_decisions_[i].admitted &&
+                    cac::admit(*policy_, bs, batch_requests_[i]);
+    if (a.measured) {
+      metrics_.record_handoff(a.conn.service, ok);
+      if (!ok) metrics_.record_drop(a.conn.service);
+    }
+    if (!ok) continue;
+    ++admitted;
+    Session s;
+    s.conn = a.conn;
+    s.conn.holding_time = a.remaining_holding_s;
+    ++s.conn.handoff_count;
+    s.state = a.state;
+    s.serving = &bs;
+    s.measured = a.measured;
+    start_session(std::move(s), a.when);
+  }
+  return admitted;
 }
 
 void SessionDriver::begin(int n_requests) {
   FACSP_EXPECTS(n_requests >= 0);
-  policy_.reset();
+  policy_->reset();
   network_->start_metrics(0.0);
 
   for (std::size_t g = 0; g < traffic_.size(); ++g) {

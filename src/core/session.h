@@ -3,15 +3,18 @@
 // call holding, mobility, handoff between cells, and metric collection.
 //
 // The driver can run a whole replication in one call (run()) or be driven
-// incrementally (begin() + advance_until()) by the multi-cell engine
-// (core/multicell.h), which shards one driver per super-grid cell and
-// exchanges inter-cell handovers between them at epoch boundaries.
+// incrementally (begin() + advance_until() + admit_inbound()) by the
+// multi-cell engine (core/multicell.h), which shards one driver per
+// super-grid cell and exchanges inter-cell handovers between them at epoch
+// boundaries.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "cac/policy.h"
 #include "cellular/metrics.h"
@@ -31,18 +34,33 @@ struct RunResult {
   std::uint64_t events = 0;         ///< DES events fired
 };
 
-/// Drives one simulation run.  Owns the network, simulator and per-run
-/// random streams; the admission policy is borrowed (reset() is called at
-/// the start of the run).
+/// Builds a fresh policy for one run.  The factory receives the run's
+/// network (SCC needs the geometry) and a per-run RNG factory (randomised
+/// policies draw their own streams).
+///
+/// Thread-safety contract: SweepRunner (core/sweep.h) invokes the factory
+/// from worker threads, once per (N, replication) cell, possibly concurrently.
+/// Factories must therefore be safe to call concurrently: capture
+/// configuration by value and only build fresh policy objects (as every
+/// make_*_factory() in core/experiment.h does); never close over mutable
+/// shared state.  The policy *instances* a factory returns are used by one
+/// worker only.
+using PolicyFactory = std::function<std::unique_ptr<cac::AdmissionPolicy>(
+    const cellular::CellularNetwork& network, sim::RngFactory& rng)>;
+
+/// Drives one simulation run.  Owns the network, simulator, per-run random
+/// streams and the admission policy (built from the factory once the
+/// network exists; reset() at the start of the run).
 class SessionDriver {
  public:
   /// `replication` seeds the run's random streams (common random numbers:
   /// the same (scenario.seed, replication) pair generates the same workload
-  /// for every policy).  `id_offset` shifts every generated connection id —
-  /// the multi-cell engine gives each shard a disjoint id namespace so
-  /// sessions migrating between shards can never collide (0 keeps the
-  /// historical single-world ids).
-  SessionDriver(const ScenarioConfig& scenario, cac::AdmissionPolicy& policy,
+  /// for every policy).  The policy's RngFactory is rooted at
+  /// hash_seed(scenario.seed, "policy", replication).  `id_offset` shifts
+  /// every generated connection id — the multi-cell engine gives each shard
+  /// a disjoint id namespace so sessions migrating between shards can never
+  /// collide (0 keeps the historical single-world ids).
+  SessionDriver(const ScenarioConfig& scenario, const PolicyFactory& factory,
                 std::uint64_t replication, cellular::ConnectionId id_offset = 0);
 
   /// Simulate `n_requests` new-call requests and run until every admitted
@@ -97,22 +115,17 @@ class SessionDriver {
   /// Snapshot of the run's metrics so far (final when idle()).
   RunResult result() const;
 
-  /// The admission request an inbound handover presents to the base station
-  /// covering its entry position.  Consumes one direction-predictor draw,
-  /// exactly like any other handoff request.
-  cac::AdmissionRequest inbound_request(const CellArrival& arrival);
+  /// Admit a barrier's inbound handovers, in inbox order: one handoff
+  /// request per arrival (one direction-predictor draw each), ONE
+  /// decide_batch call against the centre BS, then cac::admit per admitted
+  /// request — a burst decided on one load snapshot can over-admit, and
+  /// what no longer fits is dropped.  Records each attempt (and drop) of a
+  /// measured call and starts the admitted sessions at their `when`.
+  /// Returns the number admitted.
+  std::size_t admit_inbound(std::span<const CellArrival> inbox);
 
-  /// Complete an *admitted* inbound handover: allocate on the covering BS,
-  /// create the session, schedule its completion/mobility events.  Returns
-  /// false — and changes nothing — when the call no longer physically fits
-  /// (batched decisions are taken against one load snapshot, so a burst can
-  /// over-admit); the caller records the drop.  Does not record metrics:
-  /// the engine attributes the handoff attempt to this cell's collector.
-  bool admit_inbound(const CellArrival& arrival,
-                     const cac::AdmissionRequest& req);
-
-  /// Mutable metrics access for the inter-cell layer (handoff attempts,
-  /// drops and left-world completions are attributed per cell).
+  /// Mutable metrics access for the inter-cell layer (left-world
+  /// completions are attributed per cell).
   cellular::MetricsCollector& metrics() noexcept { return metrics_; }
 
   /// Currently active (admitted, not yet finished) sessions in this world.
@@ -131,6 +144,9 @@ class SessionDriver {
   };
 
   void handle_arrival(const cellular::CallRequest& req, bool measured);
+  /// Activate an admitted session at `start_time`: schedule its completion
+  /// (start_time + holding_time) and first move, then register it.
+  void start_session(Session s, sim::SimTime start_time);
   void handle_completion(cellular::ConnectionId id);
   void handle_mobility(cellular::ConnectionId id);
   void do_handoff(Session& s, cellular::BaseStation& target);
@@ -152,8 +168,8 @@ class SessionDriver {
   };
 
   ScenarioConfig scenario_;
-  cac::AdmissionPolicy& policy_;
   std::unique_ptr<cellular::CellularNetwork> network_;
+  std::unique_ptr<cac::AdmissionPolicy> policy_;
   sim::Simulator sim_;
   sim::RngFactory rng_;
   /// One spawner per cell with positive spatial weight (just the centre
@@ -164,6 +180,10 @@ class SessionDriver {
   cellular::MetricsCollector metrics_;
   std::unordered_map<cellular::ConnectionId, Session> sessions_;
   DepartureSink departure_sink_;
+  // admit_inbound's batch buffers, reused: steady-state barriers allocate
+  // nothing.
+  std::vector<cac::AdmissionRequest> batch_requests_;
+  std::vector<cac::AdmissionDecision> batch_decisions_;
 };
 
 }  // namespace facsp::core

@@ -78,9 +78,7 @@ struct ExpiryLater {
 
 ShardCore::ShardCore(const ServerConfig& config, int shard_index)
     : rng_(sim::hash_seed(config.scenario.seed, "serve-cell",
-                          static_cast<std::uint64_t>(shard_index))),
-      batch_window_s_(config.batch_window_s),
-      batch_max_(config.batch_max) {
+                          static_cast<std::uint64_t>(shard_index))) {
   net_ = std::make_unique<cellular::CellularNetwork>(
       config.scenario.rings, config.scenario.cell_radius_m,
       config.scenario.capacity_bu);
@@ -155,33 +153,19 @@ std::span<const cac::AdmissionDecision> ShardCore::process_batch(
     const bool handoff = req.kind == cellular::RequestKind::kHandoff;
     (handoff ? row.handoff_attempts : row.new_attempts) += 1;
 
-    bool admitted = decisions_[k].admitted;
+    // decide_batch scores requests as-if independent; cac::admit re-checks
+    // physical capacity and demotes over-admissions.  A duplicate in-flight
+    // id (ids are client-controlled on the socket path) demotes the same way.
+    const bool admitted =
+        decisions_[k].admitted && cac::admit(*policy_, bs, req);
+    decisions_[k].admitted = admitted;  // demotion visible to the caller
     if (admitted) {
-      // decide_batch scores requests as-if independent; re-check physical
-      // capacity at apply time and demote over-admissions.  An id already
-      // holding bandwidth demotes the same way — ids are client-controlled
-      // on the socket path, so a duplicate in-flight id must degrade to a
-      // rejection, not trip allocate()'s precondition.
-      cellular::Connection conn;
-      conn.id = req.id;
-      conn.service = req.service;
-      conn.bandwidth = req.bandwidth;
-      conn.priority = req.priority;
-      conn.origin = req.kind;
-      admitted = !bs.holds(req.id) &&
-                 bs.allocate(conn, req.now, /*via_handoff=*/handoff);
-      if (admitted) {
-        policy_->on_admitted(req, bs);
-        expiries_.push_back({req.now + holding_s[k], req.id, req.service});
-        std::push_heap(expiries_.begin(), expiries_.end(), ExpiryLater{});
-      } else {
-        decisions_[k].admitted = false;  // demotion visible to the caller
-      }
-    }
-    if (admitted)
       ++row.admitted;
-    else
+      expiries_.push_back({req.now + holding_s[k], req.id, req.service});
+      std::push_heap(expiries_.begin(), expiries_.end(), ExpiryLater{});
+    } else {
       (handoff ? row.dropped_handoff : row.blocked_new) += 1;
+    }
   }
   if (metrics_on)
     ServeMetrics::get().admitted.add(

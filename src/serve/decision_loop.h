@@ -182,8 +182,6 @@ class ShardCore {
   obs::LocalHistogram second_hist_;  ///< reset at each second's first batch
   std::vector<Expiry> expiries_;  ///< min-heap on `at`
   std::vector<cac::AdmissionDecision> decisions_;
-  double batch_window_s_;
-  int batch_max_;
   std::int64_t current_second_ = -1;
 };
 

@@ -2,7 +2,8 @@
 // (verdict_from_score, cac/policy.h): the +/-0.15 and +/-0.45 boundaries
 // are the midpoints between the A/R term cores, and every policy's
 // AdmissionDecision goes through this function — so its edge behaviour is
-// pinned here instead of only indirectly through policy suites.
+// pinned here instead of only indirectly through policy suites.  Also the
+// shared admission step cac::admit: re-check, allocate, notify.
 #include "cac/policy.h"
 
 #include <gtest/gtest.h>
@@ -69,6 +70,98 @@ TEST(VerdictFromScore, NamesMatchThePaperAbbreviations) {
   EXPECT_EQ(to_string(Verdict::kNeutral), "NRNA");
   EXPECT_EQ(to_string(Verdict::kWeakReject), "WR");
   EXPECT_EQ(to_string(Verdict::kReject), "R");
+}
+
+// --- cac::admit --------------------------------------------------------------
+
+/// Admits everything and counts the on_admitted notifications.
+struct CountingPolicy final : AdmissionPolicy {
+  int admitted = 0;
+  std::string_view name() const noexcept override { return "counting"; }
+  AdmissionDecision decide(const AdmissionRequest&,
+                           const cellular::BaseStation&) override {
+    return {true, 1.0, Verdict::kAccept};
+  }
+  void on_admitted(const AdmissionRequest&,
+                   const cellular::BaseStation&) override {
+    ++admitted;
+  }
+};
+
+cellular::BaseStation make_bs() {
+  return cellular::BaseStation(0, cellular::HexCoord{0, 0},
+                               cellular::Point{0.0, 0.0}, /*capacity=*/40.0);
+}
+
+AdmissionRequest make_req(cellular::ConnectionId id,
+                          cellular::ServiceClass service,
+                          cellular::RequestKind kind) {
+  AdmissionRequest req;
+  req.id = id;
+  req.service = service;
+  req.bandwidth = cellular::service_bandwidth(service);
+  req.kind = kind;
+  req.now = 5.0;
+  return req;
+}
+
+TEST(Admit, FittingNewRequestAllocatesAndNotifiesOnce) {
+  CountingPolicy policy;
+  cellular::BaseStation bs = make_bs();
+  const AdmissionRequest req = make_req(1, cellular::ServiceClass::kVideo,
+                                        cellular::RequestKind::kNew);
+  EXPECT_TRUE(admit(policy, bs, req));
+  EXPECT_EQ(policy.admitted, 1);
+  EXPECT_TRUE(bs.holds(1));
+  EXPECT_EQ(bs.load().used, req.bandwidth);
+  EXPECT_EQ(bs.load().rt_count, 1u);
+  EXPECT_EQ(bs.load().handoff_count, 0u);
+}
+
+TEST(Admit, HandoffRequestCountsAsHandoff) {
+  CountingPolicy policy;
+  cellular::BaseStation bs = make_bs();
+  EXPECT_TRUE(admit(policy, bs,
+                    make_req(2, cellular::ServiceClass::kText,
+                             cellular::RequestKind::kHandoff)));
+  EXPECT_EQ(bs.load().handoff_count, 1u);
+  EXPECT_EQ(bs.load().nrt_count, 1u);
+}
+
+TEST(Admit, OverCapacityRequestChangesNothing) {
+  CountingPolicy policy;
+  cellular::BaseStation bs = make_bs();
+  for (cellular::ConnectionId id = 1; id <= 4; ++id)
+    ASSERT_TRUE(admit(policy, bs,
+                      make_req(id, cellular::ServiceClass::kVideo,
+                               cellular::RequestKind::kNew)));
+  const cellular::LoadState before = bs.load();
+  EXPECT_FALSE(admit(policy, bs,
+                     make_req(5, cellular::ServiceClass::kText,
+                              cellular::RequestKind::kHandoff)));
+  EXPECT_EQ(policy.admitted, 4);
+  EXPECT_FALSE(bs.holds(5));
+  EXPECT_EQ(bs.load().used, before.used);
+  EXPECT_EQ(bs.load().rt_count, before.rt_count);
+  EXPECT_EQ(bs.load().nrt_count, before.nrt_count);
+  EXPECT_EQ(bs.load().handoff_count, before.handoff_count);
+}
+
+TEST(Admit, IdAlreadyHeldIsRefusedWithoutThrowing) {
+  // The socket path's duplicate in-flight id: a rejection, not a
+  // ContractViolation from BaseStation::allocate.
+  CountingPolicy policy;
+  cellular::BaseStation bs = make_bs();
+  const AdmissionRequest req = make_req(7, cellular::ServiceClass::kVoice,
+                                        cellular::RequestKind::kNew);
+  ASSERT_TRUE(admit(policy, bs, req));
+  const cellular::LoadState before = bs.load();
+  bool again = true;
+  EXPECT_NO_THROW(again = admit(policy, bs, req));
+  EXPECT_FALSE(again);
+  EXPECT_EQ(policy.admitted, 1);
+  EXPECT_EQ(bs.load().used, before.used);
+  EXPECT_EQ(bs.load().rt_count, before.rt_count);
 }
 
 }  // namespace

@@ -18,13 +18,11 @@
 
 #include <cmath>
 
-#include "cac/policy.h"
 #include "common/error.h"
 #include "core/paper.h"
 #include "obs/metrics.h"
 #include "core/report.h"
 #include "core/sweep.h"
-#include "sim/rng.h"
 #include "workload/catalog.h"
 
 namespace facsp::core {
@@ -54,10 +52,7 @@ TEST(MultiCellEngine, OneCellRunIsTheSessionDriverRunBitForBit) {
   const ScenarioConfig scen = paper_scenario();
   for (const std::uint64_t rep : {0ull, 1ull, 2ull}) {
     SCOPED_TRACE("rep=" + std::to_string(rep));
-    cac::DeferredPolicy policy;
-    SessionDriver driver(scen, policy, rep);
-    sim::RngFactory rng(sim::hash_seed(scen.seed, "policy", rep));
-    policy.inner = make_facs_p_factory()(driver.network(), rng);
+    SessionDriver driver(scen, make_facs_p_factory(), rep);
     const RunResult direct = driver.run(60);
 
     MultiCellEngine engine(scen, make_facs_p_factory(), rep);
@@ -96,6 +91,32 @@ TEST(MultiCellEngine, OneCellRunReproducesPaperGridGoldenCells) {
     EXPECT_EQ(m.dropping_percent, g.dropping);
     EXPECT_EQ(m.utilization_percent, g.utilization);
     EXPECT_EQ(m.completion_percent, g.completion);
+  }
+}
+
+TEST(MultiCellEngine, ShardPolicySeedRootsArePinned) {
+  // Every shard's policy draws from hash_seed(cell seed, "policy",
+  // replication).  Only cell 0 is covered by the single-world goldens, so
+  // these per-cell counters of a 7-cell storm under the randomised
+  // fractional guard pin the other six roots too.
+  struct Golden {
+    std::uint64_t accepted_new, handoff_attempts, handoff_successes, dropped;
+  };
+  constexpr Golden kGolden[] = {
+      {40, 41, 41, 0}, {40, 25, 25, 0}, {39, 25, 25, 0}, {39, 19, 19, 0},
+      {38, 24, 24, 0}, {39, 28, 27, 1}, {40, 24, 24, 0},
+  };
+  MultiCellEngine engine(storm_scenario(), make_fractional_guard_factory(8.0),
+                         1);
+  const MultiCellResult r = engine.run(40);
+  ASSERT_EQ(r.cells.size(), std::size(kGolden));
+  for (std::size_t k = 0; k < r.cells.size(); ++k) {
+    SCOPED_TRACE("cell=" + std::to_string(k));
+    const cellular::MetricsCollector& m = r.cells[k].run.metrics;
+    EXPECT_EQ(m.accepted_new(), kGolden[k].accepted_new);
+    EXPECT_EQ(m.handoff_attempts(), kGolden[k].handoff_attempts);
+    EXPECT_EQ(m.handoff_successes(), kGolden[k].handoff_successes);
+    EXPECT_EQ(m.dropped(), kGolden[k].dropped);
   }
 }
 

@@ -1,7 +1,7 @@
 // Edge cases and failure-injection for the session driver.
 #include <gtest/gtest.h>
 
-#include "cac/guard_channel.h"
+#include "core/experiment.h"
 #include "core/paper.h"
 #include "core/session.h"
 #include "facsp.h"  // umbrella header must compile and suffice on its own
@@ -22,8 +22,7 @@ TEST(SessionEdge, SingleCellNetworkHasNoHandoffTargets) {
   auto scen = base();
   scen.rings = 0;
   scen.traffic.fixed_speed_kmh = 100.0;
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 0);
+  SessionDriver driver(scen, make_complete_sharing_factory(), 0);
   const RunResult r = driver.run(30);
   EXPECT_EQ(r.metrics.handoff_attempts(), 0u);
   EXPECT_EQ(r.metrics.dropped(), 0u);
@@ -33,8 +32,7 @@ TEST(SessionEdge, SingleCellNetworkHasNoHandoffTargets) {
 TEST(SessionEdge, StationaryUsersNeverHandOff) {
   auto scen = base();
   scen.traffic.fixed_speed_kmh = 0.0;
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 1);
+  SessionDriver driver(scen, make_complete_sharing_factory(), 1);
   const RunResult r = driver.run(25);
   EXPECT_EQ(r.metrics.handoff_attempts(), 0u);
   EXPECT_EQ(r.metrics.dropped(), 0u);
@@ -46,8 +44,7 @@ TEST(SessionEdge, TinyCellProducesManyHandoffs) {
   scen.rings = 2;
   scen.traffic.fixed_speed_kmh = 60.0;
   scen.traffic.mean_holding_s = 120.0;
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 2);
+  SessionDriver driver(scen, make_complete_sharing_factory(), 2);
   const RunResult r = driver.run(20);
   EXPECT_GT(r.metrics.handoff_attempts(), 20u);
 }
@@ -55,8 +52,7 @@ TEST(SessionEdge, TinyCellProducesManyHandoffs) {
 TEST(SessionEdge, HorizonCutsTheRunShort) {
   auto scen = base();
   scen.horizon_s = 50.0;  // well inside the arrival window
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 3);
+  SessionDriver driver(scen, make_complete_sharing_factory(), 3);
   const RunResult r = driver.run(50);
   // Only arrivals before the horizon were processed.
   EXPECT_LT(r.metrics.offered_new(), 50u);
@@ -66,8 +62,7 @@ TEST(SessionEdge, HorizonCutsTheRunShort) {
 TEST(SessionEdge, CapacityOneCellStillConsistent) {
   auto scen = base();
   scen.capacity_bu = 1.0;  // only single text calls fit
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 4);
+  SessionDriver driver(scen, make_complete_sharing_factory(), 4);
   const RunResult r = driver.run(40);
   EXPECT_EQ(r.metrics.accepted_new(),
             r.metrics.completed() + r.metrics.dropped());
@@ -84,8 +79,7 @@ TEST(SessionEdge, AllVideoMixSaturatesInFourCalls) {
   scen.traffic.mix = cellular::TrafficMix{0.0, 0.0, 1.0};
   scen.traffic.arrival_window_s = 1.0;   // effectively simultaneous
   scen.traffic.mean_holding_s = 1000.0;  // nobody leaves
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 5);
+  SessionDriver driver(scen, make_complete_sharing_factory(), 5);
   const RunResult r = driver.run(10);
   // 40 BU / 10 BU per video = exactly 4 admissions.
   EXPECT_EQ(r.metrics.accepted_new(), 4u);
@@ -94,8 +88,7 @@ TEST(SessionEdge, AllVideoMixSaturatesInFourCalls) {
 TEST(SessionEdge, VeryShortHoldingTimesChurnCleanly) {
   auto scen = base();
   scen.traffic.mean_holding_s = 1.0;
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 6);
+  SessionDriver driver(scen, make_complete_sharing_factory(), 6);
   const RunResult r = driver.run(60);
   // Practically no overlap: everything admitted and completed.
   EXPECT_GT(r.metrics.acceptance_percent(), 95.0);
@@ -113,8 +106,12 @@ TEST(SessionEdge, RejectingPolicyLeavesCellEmpty) {
     }
   };
   auto scen = base();
-  RejectAll policy;
-  SessionDriver driver(scen, policy, 7);
+  SessionDriver driver(
+      scen,
+      [](const cellular::CellularNetwork&, sim::RngFactory&) {
+        return std::make_unique<RejectAll>();
+      },
+      7);
   const RunResult r = driver.run(30);
   EXPECT_EQ(r.metrics.accepted_new(), 0u);
   EXPECT_DOUBLE_EQ(r.metrics.acceptance_percent(), 0.0);
@@ -124,15 +121,14 @@ TEST(SessionEdge, RejectingPolicyLeavesCellEmpty) {
 TEST(SessionEdge, ThrowingScenarioIsRejectedUpFront) {
   auto scen = base();
   scen.capacity_bu = -1.0;
-  cac::CompleteSharingPolicy policy;
-  EXPECT_THROW(SessionDriver(scen, policy, 0), ConfigError);
+  EXPECT_THROW(SessionDriver(scen, make_complete_sharing_factory(), 0),
+               ConfigError);
 }
 
 TEST(SessionEdge, DurationCoversLastEventNotHorizon) {
   auto scen = base();
   scen.horizon_s = 1e6;  // far beyond any activity
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 8);
+  SessionDriver driver(scen, make_complete_sharing_factory(), 8);
   const RunResult r = driver.run(10);
   // Active period is the arrival window plus holding tails, nowhere near
   // the horizon.

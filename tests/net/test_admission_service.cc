@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "serve/decision_loop.h"
 #include "workload/catalog.h"
 
