@@ -11,7 +11,6 @@ int main() {
 
   std::cout << "=== Ablation: defuzzification method (FACS-P) ===\n";
   const auto scenario = core::paper_scenario();
-  const auto sweep = core::SweepConfig::paper_grid(replications());
 
   const fuzzy::DefuzzMethod methods[] = {
       fuzzy::DefuzzMethod::kCentroid,
@@ -27,8 +26,9 @@ int main() {
     cac::FacsPConfig cfg;
     cfg.defuzz_method = m;
     const std::string label = fuzzy::to_string(m);
-    core::Experiment exp(scenario, core::make_facs_p_factory(cfg), label);
-    const auto s = exp.run(sweep).acceptance_series();
+    const auto s = core::metric_series(
+        run_sweep(scenario, {label, core::make_facs_p_factory(cfg)}),
+        &core::ResultRow::acceptance_percent, label);
     auto& dst = fig.add_series(label);
     for (std::size_t i = 0; i < s.size(); ++i)
       dst.add(s.x(i), s.y(i), s.ci(i).value_or(0.0));

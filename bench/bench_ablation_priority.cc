@@ -14,26 +14,26 @@ int main() {
   std::cout << "=== Ablation: FACS-P real-time priority weight ===\n";
   const auto scenario = core::paper_scenario();
   const double weights[] = {1.0, 1.3, 1.6, 2.0};
-  const auto sweep = core::SweepConfig::paper_grid(replications());
 
   sim::Figure fig("A1 — acceptance vs N for priority weights (FACS-P)", "N",
                   "percentage of accepted calls");
   sim::Figure drops("A1b — handoff dropping vs N for priority weights", "N",
                     "dropping probability (%)");
   std::vector<sim::Series> acc;
-  const auto facs =
-      core::Experiment(scenario, core::make_facs_factory(), "FACS")
-          .run(sweep)
-          .acceptance_series();
+  const auto facs = core::metric_series(
+      run_sweep(scenario, {"FACS", core::make_facs_factory()}),
+      &core::ResultRow::acceptance_percent, "FACS");
 
   for (double w : weights) {
     cac::FacsPConfig cfg;
     cfg.weights.real_time = w;
     const std::string label = "w_rt=" + std::to_string(w).substr(0, 3);
-    core::Experiment exp(scenario, core::make_facs_p_factory(cfg), label);
-    const auto result = exp.run(sweep);
-    const auto s = result.acceptance_series();
-    const auto d = result.dropping_series();
+    const auto table =
+        run_sweep(scenario, {label, core::make_facs_p_factory(cfg)});
+    const auto s = core::metric_series(
+        table, &core::ResultRow::acceptance_percent, label);
+    const auto d =
+        core::metric_series(table, &core::ResultRow::dropping_percent, label);
     auto& dst = fig.add_series(label);
     for (std::size_t i = 0; i < s.size(); ++i)
       dst.add(s.x(i), s.y(i), s.ci(i).value_or(0.0));

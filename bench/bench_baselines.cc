@@ -13,9 +13,8 @@ int main() {
   // dropping comparison is the point of this bench.
   auto scenario = core::paper_scenario();
   scenario.spatial.kind = workload::SpatialKind::kUniform;
-  const auto sweep = core::SweepConfig::paper_grid(replications());
 
-  const std::vector<NamedPolicy> policies = {
+  const std::vector<core::PolicyChoice> policies = {
       {"FACS-P", core::make_facs_p_factory()},
       {"CS", core::make_complete_sharing_factory()},
       {"GC(8)", core::make_guard_channel_factory(8.0)},
@@ -28,10 +27,11 @@ int main() {
                        "dropping probability (%)");
   std::vector<sim::Series> acc, drops;
   for (const auto& p : policies) {
-    core::Experiment exp(scenario, p.factory, p.name);
-    const auto result = exp.run(sweep);
-    const auto a = result.acceptance_series();
-    const auto d = result.dropping_series();
+    const auto table = run_sweep(scenario, p);
+    const auto a = core::metric_series(
+        table, &core::ResultRow::acceptance_percent, p.name);
+    const auto d =
+        core::metric_series(table, &core::ResultRow::dropping_percent, p.name);
     auto& adst = acc_fig.add_series(p.name);
     for (std::size_t i = 0; i < a.size(); ++i)
       adst.add(a.x(i), a.y(i), a.ci(i).value_or(0.0));

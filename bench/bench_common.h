@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "core/experiment.h"
 #include "core/paper.h"
 #include "core/report.h"
+#include "core/sweep.h"
 #include "sim/timeseries.h"
 
 namespace facsp::bench {
@@ -28,23 +30,31 @@ inline int replications() {
   return 16;
 }
 
-struct NamedPolicy {
-  std::string name;
-  core::PolicyFactory factory;
-};
+/// Sweep one policy over `n_values` on `scenario`, replications() runs per
+/// N, on one thread.  One row per N, in `n_values` order.
+inline core::ResultTable run_sweep(
+    const core::ScenarioConfig& scenario, core::PolicyChoice policy,
+    std::vector<int> n_values = core::paper_n_values()) {
+  core::SweepSpec spec;
+  spec.base = scenario;
+  spec.policy_axis({std::move(policy)});
+  spec.n_axis(std::move(n_values));
+  spec.replications = replications();
+  spec.threads = 1;
+  return core::SweepRunner(std::move(spec)).run();
+}
 
 /// Run the full paper sweep for every policy and collect the acceptance
 /// series into a figure.
 inline sim::Figure run_acceptance_figure(
     const std::string& title, const core::ScenarioConfig& scenario,
-    const std::vector<NamedPolicy>& policies,
+    const std::vector<core::PolicyChoice>& policies,
     std::vector<sim::Series>* series_out = nullptr) {
-  const auto sweep = core::SweepConfig::paper_grid(replications());
   sim::Figure fig(title, "N", "percentage of accepted calls");
   for (const auto& p : policies) {
     const auto t0 = std::chrono::steady_clock::now();
-    core::Experiment exp(scenario, p.factory, p.name);
-    const auto series = exp.run(sweep).acceptance_series();
+    const auto series = core::metric_series(
+        run_sweep(scenario, p), &core::ResultRow::acceptance_percent, p.name);
     const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                         std::chrono::steady_clock::now() - t0)
                         .count();

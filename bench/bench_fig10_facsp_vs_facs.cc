@@ -54,17 +54,12 @@ int main() {
 
   // Extended metric backing the paper's claim: on-going-call protection.
   {
-    core::SweepConfig heavy;
-    heavy.n_values = {80};
-    heavy.replications = replications();
-    const auto drops_fp =
-        core::Experiment(scenario, core::make_facs_p_factory(), "FACS-P")
-            .run(heavy)
-            .dropping_series();
-    const auto drops_f =
-        core::Experiment(scenario, core::make_facs_factory(), "FACS")
-            .run(heavy)
-            .dropping_series();
+    const auto drops_fp = core::metric_series(
+        run_sweep(scenario, {"FACS-P", core::make_facs_p_factory()}, {80}),
+        &core::ResultRow::dropping_percent, "FACS-P");
+    const auto drops_f = core::metric_series(
+        run_sweep(scenario, {"FACS", core::make_facs_factory()}, {80}),
+        &core::ResultRow::dropping_percent, "FACS");
     core::ShapeCheck c;
     c.description =
         "FACS-P handoff dropping <= FACS at heavy load (on-going QoS)";

@@ -12,16 +12,16 @@ int main() {
 
   std::cout << "=== Fig. 8 reproduction: FACS-P, speed as a parameter ===\n";
   const double speeds[] = {4.0, 10.0, 30.0, 60.0};
-  const auto sweep = core::SweepConfig::paper_grid(replications());
 
   sim::Figure fig("Fig. 8 — acceptance vs N for different speeds (FACS-P)",
                   "N", "percentage of accepted calls");
   std::vector<sim::Series> series;
   for (double v : speeds) {
     const auto scenario = core::paper_scenario_fixed_speed(v);
-    core::Experiment exp(scenario, core::make_facs_p_factory(),
-                         std::to_string(static_cast<int>(v)) + " km/h");
-    const auto s = exp.run(sweep).acceptance_series();
+    const std::string label = std::to_string(static_cast<int>(v)) + " km/h";
+    const auto s = core::metric_series(
+        run_sweep(scenario, {label, core::make_facs_p_factory()}),
+        &core::ResultRow::acceptance_percent, label);
     auto& dst = fig.add_series(s.name());
     for (std::size_t i = 0; i < s.size(); ++i)
       dst.add(s.x(i), s.y(i), s.ci(i).value_or(0.0));

@@ -15,7 +15,8 @@ int main() {
 
   std::cout << "=== Future work: priority of requesting connections ===\n";
   const auto scenario = core::paper_scenario();
-  core::SweepConfig sweep = core::SweepConfig::paper_grid(replications());
+  const std::vector<int> n_values = core::paper_n_values();
+  const int reps = replications();
 
   // Per-priority acceptance needs run_single (the sweep aggregates only
   // the headline metric), so collect manually.
@@ -30,9 +31,9 @@ int main() {
   core::Experiment fp(scenario, core::make_facs_p_factory(), "FACS-P");
 
   double overall_gap_sum = 0.0;
-  for (int n : sweep.n_values) {
+  for (int n : n_values) {
     sim::SummaryStats high, norm, low, pr_all, fp_all;
-    for (int rep = 0; rep < sweep.replications; ++rep) {
+    for (int rep = 0; rep < reps; ++rep) {
       const auto run = pr.run_single(n, rep);
       high.add(run.metrics.acceptance_percent(cellular::UserPriority::kHigh));
       norm.add(
@@ -75,9 +76,9 @@ int main() {
     core::ShapeCheck c;
     c.description =
         "aggregate acceptance stays close to priority-blind FACS-P";
-    c.passed = overall_gap_sum / sweep.n_values.size() < 8.0;
+    c.passed = overall_gap_sum / n_values.size() < 8.0;
     c.details = "mean |FACS-PR - FACS-P| = " +
-                std::to_string(overall_gap_sum / sweep.n_values.size());
+                std::to_string(overall_gap_sum / n_values.size());
     checks.push_back(c);
   }
 

@@ -19,28 +19,25 @@ int main() {
   scenario.traffic.arrival_window_s = 6000.0;  // quasi-stationary
   scenario.traffic.mean_holding_s = 300.0;
 
-  core::SweepConfig sweep;
-  sweep.n_values = {40, 80, 120, 160, 200, 240, 280, 320};
-  sweep.replications = replications();
-
-  core::Experiment exp(scenario, core::make_complete_sharing_factory(), "CS");
-  const auto sim_result = exp.run(sweep);
+  const auto sim_result =
+      run_sweep(scenario, {"CS", core::make_complete_sharing_factory()},
+                {40, 80, 120, 160, 200, 240, 280, 320});
 
   sim::Figure fig("simulated vs analytic acceptance (complete sharing)",
                   "N", "percentage of accepted calls");
   auto& sim_series = fig.add_series("simulated");
   auto& kr_series = fig.add_series("Kaufman-Roberts");
   double worst_gap = 0.0;
-  for (const auto& point : sim_result.points) {
+  for (const auto& row : sim_result.rows) {
     const double lambda =
-        point.n / scenario.traffic.arrival_window_s;
+        row.n / scenario.traffic.arrival_window_s;
     const auto kr = cellular::KaufmanRoberts::for_paper_mix(
         40, scenario.traffic.mix, lambda, scenario.traffic.mean_holding_s);
-    sim_series.add(point.n, point.acceptance_percent.mean(),
-                   point.acceptance_percent.ci_half_width());
-    kr_series.add(point.n, kr.acceptance_percent());
+    sim_series.add(row.n, row.acceptance_percent.mean(),
+                   row.acceptance_percent.ci_half_width());
+    kr_series.add(row.n, kr.acceptance_percent());
     worst_gap = std::max(worst_gap,
-                         std::abs(point.acceptance_percent.mean() -
+                         std::abs(row.acceptance_percent.mean() -
                                   kr.acceptance_percent()));
   }
 

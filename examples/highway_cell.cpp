@@ -10,9 +10,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <utility>
 
-#include "core/experiment.h"
 #include "core/paper.h"
+#include "core/report.h"
+#include "core/sweep.h"
 
 using namespace facsp;
 
@@ -33,20 +35,23 @@ int main(int argc, char** argv) {
       {"highway (100 km/h)", 100.0},
   };
 
-  core::SweepConfig sweep;
-  sweep.n_values = {20, 40, 60, 80, 100};
-  sweep.replications = reps;
-
   sim::Figure fig("acceptance by population", "N",
                   "percentage of accepted calls");
   std::printf("%-22s %10s %10s %10s\n", "population", "accept@40",
               "accept@100", "drop%@100");
   for (const auto& pop : populations) {
-    auto scenario = core::paper_scenario_fixed_speed(pop.speed_kmh);
-    core::Experiment exp(scenario, core::make_facs_p_factory(), pop.label);
-    const auto result = exp.run(sweep);
-    const auto acc = result.acceptance_series();
-    const auto drop = result.dropping_series();
+    core::SweepSpec spec;
+    spec.base = core::paper_scenario_fixed_speed(pop.speed_kmh);
+    spec.policy_axis(
+        {core::PolicyChoice{pop.label, core::make_facs_p_factory()}});
+    spec.n_axis({20, 40, 60, 80, 100});
+    spec.replications = reps;
+    spec.threads = 1;
+    const auto table = core::SweepRunner(std::move(spec)).run();
+    const auto acc = core::metric_series(
+        table, &core::ResultRow::acceptance_percent, pop.label);
+    const auto drop = core::metric_series(
+        table, &core::ResultRow::dropping_percent, pop.label);
     std::printf("%-22s %9.1f%% %9.1f%% %9.2f%%\n", pop.label, acc.y_at(40),
                 acc.y_at(100), drop.y_at(100));
     auto& dst = fig.add_series(pop.label);

@@ -19,7 +19,6 @@ struct FacsConfig {
   Flc2Params flc2{};
   fuzzy::InferenceOptions inference{};
   fuzzy::DefuzzMethod defuzz_method = fuzzy::DefuzzMethod::kCentroid;
-  int defuzz_resolution = 256;
   /// Admit when the crisp A/R exceeds this (0 = the NRNA centre).
   double accept_threshold = 0.28;
   /// Handoffs carry on-going calls, so even FACS favours them mildly

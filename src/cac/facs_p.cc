@@ -4,22 +4,14 @@
 
 namespace facsp::cac {
 
-namespace {
-
-fuzzy::Defuzzifier make_defuzz(fuzzy::DefuzzMethod m, int resolution) {
-  return fuzzy::Defuzzifier(m, resolution);
-}
-
-}  // namespace
-
 FacsPPolicy::FacsPPolicy(const FacsPConfig& config)
     : FuzzyCacBase(
           make_flc1(config.flc1, config.inference,
-                    make_defuzz(config.defuzz_method,
-                                config.defuzz_resolution)),
+                    fuzzy::Defuzzifier(config.defuzz_method,
+                                       kPolicyDefuzzResolution)),
           make_flc2(config.flc2, config.inference,
-                    make_defuzz(config.defuzz_method,
-                                config.defuzz_resolution)),
+                    fuzzy::Defuzzifier(config.defuzz_method,
+                                       kPolicyDefuzzResolution)),
           config.accept_threshold, config.handoff_score_bonus),
       config_(config) {}
 

@@ -27,7 +27,6 @@ struct FacsPConfig {
   PriorityWeights weights{};
   fuzzy::InferenceOptions inference{};
   fuzzy::DefuzzMethod defuzz_method = fuzzy::DefuzzMethod::kCentroid;
-  int defuzz_resolution = 256;
   /// Admit when the crisp A/R exceeds this (0 = the NRNA centre).
   double accept_threshold = 0.08;
   /// Score bonus for handoff continuations of on-going calls (stronger than

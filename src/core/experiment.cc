@@ -7,32 +7,8 @@
 #include "common/error.h"
 #include "common/expects.h"
 #include "core/multicell.h"
-#include "core/sweep.h"
 
 namespace facsp::core {
-
-SweepConfig SweepConfig::paper_grid(int replications) {
-  SweepConfig c;
-  for (int n = 10; n <= 100; n += 10) c.n_values.push_back(n);
-  c.replications = replications;
-  return c;
-}
-
-namespace {
-
-sim::Series stats_series(const std::string& name,
-                         const std::vector<SweepPoint>& points,
-                         const sim::SummaryStats SweepPoint::* member,
-                         double ci_level) {
-  sim::Series s(name);
-  for (const auto& p : points) {
-    const sim::SummaryStats& st = p.*member;
-    s.add(p.n, st.mean(), st.ci_half_width(ci_level));
-  }
-  return s;
-}
-
-}  // namespace
 
 CellMetrics CellMetrics::from_run(int n, std::uint64_t replication,
                                   const RunResult& run) {
@@ -44,21 +20,6 @@ CellMetrics CellMetrics::from_run(int n, std::uint64_t replication,
   m.utilization_percent = 100.0 * run.center_utilization;
   m.completion_percent = 100.0 * run.metrics.completion_ratio();
   return m;
-}
-
-sim::Series SweepResult::acceptance_series(double ci_level) const {
-  return stats_series(policy_name, points, &SweepPoint::acceptance_percent,
-                      ci_level);
-}
-
-sim::Series SweepResult::dropping_series(double ci_level) const {
-  return stats_series(policy_name, points, &SweepPoint::dropping_percent,
-                      ci_level);
-}
-
-sim::Series SweepResult::completion_series(double ci_level) const {
-  return stats_series(policy_name, points, &SweepPoint::completion_percent,
-                      ci_level);
 }
 
 Experiment::Experiment(ScenarioConfig scenario, PolicyFactory factory,
@@ -79,31 +40,6 @@ RunResult Experiment::run_single(int n, std::uint64_t replication) const {
   // the PR 3 golden-cell tests enforce that equivalence on every run.
   MultiCellEngine engine(scenario_, factory_, replication);
   return engine.run(n).aggregate;
-}
-
-SweepResult Experiment::run(const SweepConfig& sweep) const {
-  FACSP_EXPECTS(!sweep.n_values.empty());
-  FACSP_EXPECTS(sweep.replications >= 1);
-  // The legacy (N, replication) grid as a one-policy SweepSpec.  A
-  // one-thread SweepRunner executes inline and reduces in the same
-  // (n, replication) order as the old nested loop, so results are
-  // bit-identical to the historical serial path.
-  SweepSpec spec;
-  spec.base = scenario_;
-  spec.policy_axis({PolicyChoice{label_, factory_}});
-  spec.n_axis(sweep.n_values);
-  spec.replications = sweep.replications;
-  spec.ci_level = sweep.ci_level;
-  spec.threads = 1;
-  const ResultTable table = SweepRunner(std::move(spec)).run();
-
-  SweepResult out;
-  out.policy_name = label_;
-  out.points.reserve(table.rows.size());
-  for (const ResultRow& row : table.rows)
-    out.points.push_back({row.n, row.acceptance_percent, row.dropping_percent,
-                          row.utilization_percent, row.completion_percent});
-  return out;
 }
 
 PolicyFactory make_facs_p_factory(cac::FacsPConfig config) {

@@ -1,6 +1,8 @@
-// Experiment harness: replicated sweeps over "number of requesting
-// connections" (the x-axis of every figure), aggregated with confidence
-// intervals, for any admission policy.
+// Experiment harness: one (policy, scenario) pair simulated at a given number
+// of requesting connections and replication, plus the canonical policy
+// factories and the name-keyed policy registry.  Replicated sweeps over N
+// (the x-axis of every figure) and any other axis are SweepSpec/SweepRunner
+// runs (core/sweep.h).
 #pragma once
 
 #include <cstdint>
@@ -19,35 +21,13 @@
 #include "core/scenario.h"
 #include "core/session.h"
 #include "sim/rng.h"
-#include "sim/stats.h"
-#include "sim/timeseries.h"
 
 namespace facsp::core {
 
-/// Sweep parameters shared by the figure benches.
-struct SweepConfig {
-  std::vector<int> n_values;  ///< x axis: number of requesting connections
-  int replications = 20;
-  double ci_level = 0.95;
-
-  /// The paper's x grid: 10, 20, ..., 100.
-  static SweepConfig paper_grid(int replications = 20);
-};
-
-/// Aggregate of one (policy, N) cell of a sweep.
-struct SweepPoint {
-  int n = 0;
-  sim::SummaryStats acceptance_percent;
-  sim::SummaryStats dropping_percent;
-  sim::SummaryStats utilization_percent;
-  sim::SummaryStats completion_percent;
-};
-
 /// Scalar metrics of one (n, replication) run, in the units the sweep
 /// aggregates (percentages).  The single definition of "which numbers a
-/// sweep reduces": every path extracts cells with from_run() and
-/// SweepRunner::run (core/sweep.h) — which Experiment::run delegates to —
-/// performs the one reduction, so the paths cannot drift apart.
+/// sweep reduces": SweepRunner::run (core/sweep.h) extracts every cell with
+/// from_run() before its one reduction.
 struct CellMetrics {
   int n = 0;
   std::uint64_t replication = 0;
@@ -60,28 +40,12 @@ struct CellMetrics {
                               const RunResult& run);
 };
 
-/// Result of a full sweep for one policy.
-struct SweepResult {
-  std::string policy_name;
-  std::vector<SweepPoint> points;
-
-  /// Acceptance-percentage series (mean +/- CI) for figure rendering.
-  sim::Series acceptance_series(double ci_level = 0.95) const;
-  /// Handoff-dropping series (extended metric).
-  sim::Series dropping_series(double ci_level = 0.95) const;
-  /// Completion-ratio series: % of admitted calls not dropped mid-call.
-  sim::Series completion_series(double ci_level = 0.95) const;
-};
-
-/// Runs replicated sweeps.  Policies are compared under common random
-/// numbers: replication r uses the same workload for every policy.
+/// Runs one policy on one scenario.  Policies are compared under common
+/// random numbers: replication r uses the same workload for every policy.
 class Experiment {
  public:
   Experiment(ScenarioConfig scenario, PolicyFactory factory,
              std::string policy_label);
-
-  /// Run the full sweep.
-  SweepResult run(const SweepConfig& sweep) const;
 
   /// Run a single (N, replication) cell — used by tests, examples and
   /// SweepRunner.  Every piece of per-run state (driver, network,

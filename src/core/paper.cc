@@ -34,4 +34,10 @@ ScenarioConfig paper_scenario_fixed_angle(double angle_deg,
   return s;
 }
 
+std::vector<int> paper_n_values() {
+  std::vector<int> ns;
+  for (int n = 10; n <= 100; n += 10) ns.push_back(n);
+  return ns;
+}
+
 }  // namespace facsp::core

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/experiment.h"
 #include "core/scenario.h"
@@ -20,5 +21,8 @@ ScenarioConfig paper_scenario_fixed_speed(double speed_kmh,
 /// Fig. 9 variant: every user's |angle to BS| is `angle_deg` (random sign).
 ScenarioConfig paper_scenario_fixed_angle(double angle_deg,
                                           std::uint64_t seed = 42);
+
+/// The x axis of Figs. 7-10: N = 10, 20, ..., 100 requesting connections.
+std::vector<int> paper_n_values();
 
 }  // namespace facsp::core

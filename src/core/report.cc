@@ -112,11 +112,15 @@ bool ordered_at(const std::vector<const sim::Series*>& series, double x_probe,
   return true;
 }
 
-double mean_y(const sim::Series& s) {
-  FACSP_EXPECTS(s.size() > 0);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < s.size(); ++i) sum += s.y(i);
-  return sum / static_cast<double>(s.size());
+sim::Series metric_series(const ResultTable& table,
+                          const sim::SummaryStats ResultRow::* metric,
+                          std::string name) {
+  sim::Series s(std::move(name));
+  for (const ResultRow& row : table.rows) {
+    const sim::SummaryStats& st = row.*metric;
+    s.add(row.n, st.mean(), st.ci_half_width(table.ci_level));
+  }
+  return s;
 }
 
 void write_csv(const sim::Figure& figure, const std::string& path) {

@@ -33,8 +33,13 @@ bool is_non_increasing(const sim::Series& s, double slack = 1e-9);
 bool ordered_at(const std::vector<const sim::Series*>& series, double x_probe,
                 double slack = 0.0);
 
-/// Mean of a series' y values.
-double mean_y(const sim::Series& s);
+/// One metric column of a sweep as a figure series named `name`: one point
+/// per row, x = row.n, y = the metric's mean, ci = its half-width at the
+/// table's ci_level.  Meant for tables whose rows differ only in N (a
+/// one-policy N sweep).
+sim::Series metric_series(const ResultTable& table,
+                          const sim::SummaryStats ResultRow::* metric,
+                          std::string name);
 
 /// Write a figure's CSV next to the bench output.  Throws facsp::Error on
 /// I/O failure.

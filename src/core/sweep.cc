@@ -118,9 +118,7 @@ SweepSpec SweepSpec::paper_grid(int replications) {
   SweepSpec spec;
   spec.base = paper_scenario();
   spec.policy_axis({"facs-p"});
-  std::vector<int> ns;
-  for (int n = 10; n <= 100; n += 10) ns.push_back(n);
-  spec.n_axis(std::move(ns));
+  spec.n_axis(paper_n_values());
   spec.replications = replications;
   return spec;
 }

@@ -22,9 +22,8 @@
 // Determinism: cells are seeded via hash_seed(scenario.seed, component,
 // replication), so a cell's result depends only on (scenario, policy, n,
 // replication) — never on which worker ran it or when.  SweepRunner::run is
-// bit-identical for every thread count, and the paper grid expressed as a
-// SweepSpec reproduces the serial Experiment::run bit for bit
-// (ctest-enforced in tests/core/test_sweep.cc).
+// bit-identical for every thread count and to a nested serial loop over
+// Experiment::run_single (ctest-enforced in tests/core/test_sweep.cc).
 //
 // See docs/experiments.md for worked examples.
 #pragma once
@@ -172,7 +171,7 @@ struct ResultTable {
 /// run() fans the (grid cell, replication) matrix across a sim::ThreadPool
 /// and reduces serially in row-major order — the same SummaryStats::add
 /// sequence a nested serial loop would perform, hence bit-identical results
-/// for every thread count.  Experiment::run is a one-thread run of this.
+/// for every thread count.
 class SweepRunner {
  public:
   explicit SweepRunner(SweepSpec spec);

@@ -85,7 +85,9 @@ Explanation FuzzyController::explain(
     std::span<const double> crisp_inputs) const {
   Explanation ex;
   ex.aggregated = engine_->infer_traced(crisp_inputs, ex.fired);
-  ex.crisp = defuzz_.defuzzify(ex.aggregated, output_);
+  std::vector<double> mu;
+  ex.crisp = defuzz_.defuzzify(ex.aggregated.activations,
+                               ex.aggregated.implication, output_, mu);
   ex.rule_text.reserve(ex.fired.size());
   for (const auto& f : ex.fired)
     ex.rule_text.push_back(to_string(rules_.rule(f.rule_index), inputs_,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -136,17 +135,6 @@ const char* to_string(DefuzzMethod m) noexcept {
   return "centroid";
 }
 
-DefuzzMethod defuzz_method_from_string(std::string_view name) {
-  if (name == "centroid") return DefuzzMethod::kCentroid;
-  if (name == "bisector") return DefuzzMethod::kBisector;
-  if (name == "mom") return DefuzzMethod::kMeanOfMaximum;
-  if (name == "som") return DefuzzMethod::kSmallestOfMaximum;
-  if (name == "lom") return DefuzzMethod::kLargestOfMaximum;
-  if (name == "wavg") return DefuzzMethod::kWeightedAverage;
-  throw ConfigError("unknown defuzzification method '" + std::string(name) +
-                    "' (expected centroid|bisector|mom|som|lom|wavg)");
-}
-
 Defuzzifier::Defuzzifier(DefuzzMethod method, int resolution, SNorm aggregation)
     : method_(method), resolution_(resolution), aggregation_(aggregation) {
   if (resolution_ < 8)
@@ -154,14 +142,10 @@ Defuzzifier::Defuzzifier(DefuzzMethod method, int resolution, SNorm aggregation)
 }
 
 void Defuzzifier::prime(const LinguisticVariable& output) {
-  if (method_ == DefuzzMethod::kWeightedAverage) {
-    // Weighted average reads only term core centres — no grid to precompute.
-    grid_.reset();
-    return;
-  }
+  // Weighted average reads only term core centres, but it is bound to its
+  // variable like every other method, so it gets the same grid.
   auto grid = std::make_shared<Grid>();
   grid->variable = &output;
-  grid->resolution = resolution_;
   grid->analytic_ok = ordered_adjacent_partition(output);
   const double lo = output.universe_lo();
   const double hi = output.universe_hi();
@@ -185,20 +169,15 @@ bool Defuzzifier::primed_for(const LinguisticVariable& output) const noexcept {
   // destroyed variable's address with a different term count, the stale
   // grid must not match.
   return grid_ != nullptr && grid_->variable == &output &&
-         grid_->resolution == resolution_ &&
          grid_->term_grades.size() == output.term_count() * grid_->ys.size();
-}
-
-double Defuzzifier::defuzzify(const OutputFuzzySet& set,
-                              const LinguisticVariable& output) const {
-  static thread_local std::vector<double> mu_scratch;
-  return defuzzify(set.activations, set.implication, output, mu_scratch);
 }
 
 double Defuzzifier::defuzzify(std::span<const double> activations,
                               Implication implication,
                               const LinguisticVariable& output,
                               std::vector<double>& mu_scratch) const {
+  FACSP_EXPECTS_MSG(primed_for(output), "defuzzifier is not primed for '"
+                                            << output.name() << "'");
   FACSP_EXPECTS(activations.size() == output.term_count());
   bool empty = true;
   for (double a : activations) {
@@ -211,35 +190,10 @@ double Defuzzifier::defuzzify(std::span<const double> activations,
 
   if (method_ == DefuzzMethod::kWeightedAverage)
     return weighted_average(activations, output);
-  const bool primed = primed_for(output);
   if (analytic_ && analytic_supported(method_, aggregation_, implication) &&
-      (primed ? grid_->analytic_ok : ordered_adjacent_partition(output)))
+      grid_->analytic_ok)
     return centroid_analytic(activations, implication, output);
-  if (primed)
-    return defuzzify_grid(*grid_, activations, implication, output,
-                          mu_scratch);
-  switch (method_) {
-    case DefuzzMethod::kCentroid:
-      return centroid(activations, implication, output);
-    case DefuzzMethod::kBisector:
-      return bisector(activations, implication, output, mu_scratch);
-    default:
-      return of_maximum(activations, implication, output);
-  }
-}
-
-double Defuzzifier::aggregate_at(std::span<const double> activations,
-                                 Implication impl,
-                                 const LinguisticVariable& output,
-                                 double y) const {
-  double acc = 0.0;
-  for (std::size_t k = 0; k < activations.size(); ++k) {
-    if (activations[k] <= 0.0) continue;
-    const double g =
-        apply_implication(impl, activations[k], output.term(k).mf.grade(y));
-    acc = apply_snorm(aggregation_, acc, g);
-  }
-  return acc;
+  return defuzzify_grid(*grid_, activations, implication, output, mu_scratch);
 }
 
 double Defuzzifier::defuzzify_grid(const Grid& grid,
@@ -249,8 +203,8 @@ double Defuzzifier::defuzzify_grid(const Grid& grid,
                                    std::vector<double>& mu_scratch) const {
   const std::size_t n = grid.ys.size();
   const double* const ys = grid.ys.data();
-  // Aggregate the clipped/scaled term columns into the sample buffer.  Term
-  // order matches the naive path, so the float accumulation is identical.
+  // Aggregate the clipped/scaled term columns into the sample buffer, in
+  // term order.
   mu_scratch.assign(n, 0.0);
   double* const mu = mu_scratch.data();
   for (std::size_t k = 0; k < activations.size(); ++k) {
@@ -320,9 +274,8 @@ bool Defuzzifier::analytic_supported(DefuzzMethod method, SNorm aggregation,
 
 bool Defuzzifier::analytic_applicable(const LinguisticVariable& output,
                                       Implication implication) const noexcept {
-  return analytic_ && analytic_supported(method_, aggregation_, implication) &&
-         (primed_for(output) ? grid_->analytic_ok
-                             : ordered_adjacent_partition(output));
+  return analytic_ && primed_for(output) && grid_->analytic_ok &&
+         analytic_supported(method_, aggregation_, implication);
 }
 
 double Defuzzifier::centroid_analytic(std::span<const double> activations,
@@ -363,78 +316,6 @@ double Defuzzifier::centroid_analytic(std::span<const double> activations,
   return moment / area;
 }
 
-double Defuzzifier::centroid(std::span<const double> activations,
-                             Implication impl,
-                             const LinguisticVariable& output) const {
-  const double lo = output.universe_lo();
-  const double hi = output.universe_hi();
-  const double dy = (hi - lo) / (resolution_ - 1);
-  double num = 0.0, den = 0.0;
-  for (int i = 0; i < resolution_; ++i) {
-    const double y = lo + i * dy;
-    // Trapezoidal quadrature: halve the end samples.
-    const double w = (i == 0 || i == resolution_ - 1) ? 0.5 : 1.0;
-    const double mu = aggregate_at(activations, impl, output, y) * w;
-    num += mu * y;
-    den += mu;
-  }
-  if (den <= 0.0) return 0.5 * (lo + hi);
-  return num / den;
-}
-
-double Defuzzifier::bisector(std::span<const double> activations,
-                             Implication impl,
-                             const LinguisticVariable& output,
-                             std::vector<double>& mu_scratch) const {
-  const double lo = output.universe_lo();
-  const double hi = output.universe_hi();
-  const double dy = (hi - lo) / (resolution_ - 1);
-  mu_scratch.resize(static_cast<std::size_t>(resolution_));
-  double total = 0.0;
-  for (int i = 0; i < resolution_; ++i) {
-    mu_scratch[i] = aggregate_at(activations, impl, output, lo + i * dy);
-    total += mu_scratch[i];
-  }
-  if (total <= 0.0) return 0.5 * (lo + hi);
-  double acc = 0.0;
-  for (int i = 0; i < resolution_; ++i) {
-    acc += mu_scratch[i];
-    if (acc >= 0.5 * total) return lo + i * dy;
-  }
-  return hi;
-}
-
-double Defuzzifier::of_maximum(std::span<const double> activations,
-                               Implication impl,
-                               const LinguisticVariable& output) const {
-  const double lo = output.universe_lo();
-  const double hi = output.universe_hi();
-  const double dy = (hi - lo) / (resolution_ - 1);
-  double max_mu = 0.0;
-  for (int i = 0; i < resolution_; ++i)
-    max_mu = std::max(max_mu,
-                      aggregate_at(activations, impl, output, lo + i * dy));
-  if (max_mu <= 0.0) return 0.5 * (lo + hi);
-
-  const double tol = 1e-9;
-  double first = hi, last = lo, sum = 0.0;
-  int count = 0;
-  for (int i = 0; i < resolution_; ++i) {
-    const double y = lo + i * dy;
-    if (aggregate_at(activations, impl, output, y) >= max_mu - tol) {
-      first = std::min(first, y);
-      last = std::max(last, y);
-      sum += y;
-      ++count;
-    }
-  }
-  switch (method_) {
-    case DefuzzMethod::kSmallestOfMaximum: return first;
-    case DefuzzMethod::kLargestOfMaximum: return last;
-    default: return sum / count;
-  }
-}
-
 double Defuzzifier::weighted_average(std::span<const double> activations,
                                      const LinguisticVariable& output) const {
   double num = 0.0, den = 0.0;
@@ -447,75 +328,6 @@ double Defuzzifier::weighted_average(std::span<const double> activations,
   if (den <= 0.0)
     return 0.5 * (output.universe_lo() + output.universe_hi());
   return num / den;
-}
-
-ResolutionTuning tune_centroid_resolution(const LinguisticVariable& output,
-                                          Implication implication,
-                                          SNorm aggregation,
-                                          double abs_error_bound,
-                                          int min_resolution,
-                                          int max_resolution) {
-  if (!Defuzzifier::analytic_supported(DefuzzMethod::kCentroid, aggregation,
-                                       implication) ||
-      !ordered_adjacent_partition(output))
-    throw ConfigError(
-        "tune_centroid_resolution: the analytic centroid is unavailable for "
-        "this (implication, aggregation, term layout); there is no exact "
-        "reference to tune against");
-  if (abs_error_bound <= 0.0)
-    throw ConfigError("tune_centroid_resolution: abs_error_bound must be > 0");
-  if (min_resolution < 8) min_resolution = 8;
-  if (max_resolution < min_resolution) max_resolution = min_resolution;
-
-  // Deterministic probe set: every term alone at a few heights, every
-  // adjacent pair, and pseudo-random mixtures from a fixed LCG.
-  const std::size_t terms = output.term_count();
-  std::vector<std::vector<double>> probes;
-  for (std::size_t k = 0; k < terms; ++k) {
-    for (const double h : {1.0, 0.6, 0.25}) {
-      std::vector<double> acts(terms, 0.0);
-      acts[k] = h;
-      probes.push_back(std::move(acts));
-    }
-    if (k + 1 < terms) {
-      std::vector<double> acts(terms, 0.0);
-      acts[k] = 0.8;
-      acts[k + 1] = 0.35;
-      probes.push_back(std::move(acts));
-    }
-  }
-  std::uint64_t state = 0x9e3779b97f4a7c15ull;
-  auto next_unit = [&state]() {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return static_cast<double>(state >> 11) * 0x1p-53;
-  };
-  for (int p = 0; p < 32; ++p) {
-    std::vector<double> acts(terms, 0.0);
-    for (std::size_t k = 0; k < terms; ++k) {
-      const double u = next_unit();
-      acts[k] = u < 0.5 ? 0.0 : 2.0 * (u - 0.5);  // ~half the terms silent
-    }
-    probes.push_back(std::move(acts));
-  }
-
-  Defuzzifier exact(DefuzzMethod::kCentroid, min_resolution, aggregation);
-  std::vector<double> reference(probes.size());
-  std::vector<double> mu;
-  for (std::size_t i = 0; i < probes.size(); ++i)
-    reference[i] = exact.defuzzify(probes[i], implication, output, mu);
-
-  for (int res = min_resolution;; res = std::min(res * 2, max_resolution)) {
-    Defuzzifier grid(DefuzzMethod::kCentroid, res, aggregation);
-    grid.set_analytic_centroid(false);
-    grid.prime(output);
-    double err = 0.0;
-    for (std::size_t i = 0; i < probes.size(); ++i)
-      err = std::max(err, std::abs(grid.defuzzify(probes[i], implication,
-                                                  output, mu) -
-                                   reference[i]));
-    if (err <= abs_error_bound) return {res, err, true};
-    if (res >= max_resolution) return {res, err, false};
-  }
 }
 
 }  // namespace facsp::fuzzy

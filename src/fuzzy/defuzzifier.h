@@ -5,25 +5,24 @@
 // (bench_ablation_defuzz) and for applications with different latency or
 // smoothness needs.
 //
-// Two evaluation paths produce identical results:
-//  * the naive path re-evaluates every output-term membership function at
-//    every grid sample (no setup, works for any variable);
-//  * the table-driven fast path reads precomputed per-term grade rows built
-//    by prime() — tight fused loops over flat arrays with zero allocations.
-// FuzzyController primes its defuzzifier at construction, so all controller
-// evaluations take the fast path.
-//
-// For the default configuration — centroid method, max aggregation, min or
-// product implication, and an output variable whose terms form an ordered
-// partition with only adjacent-pair support overlap (every paper variable) —
-// a third path computes the centroid *analytically*: each implicated term is
-// a concave min of affine functions (alpha cut + rising/falling edges), so
-// its area and first moment integrate in closed form, and the max envelope
-// decomposes by inclusion-exclusion as single-term integrals minus the
-// pairwise min over each adjacent overlap.  No grid, no O(resolution) work,
-// exact up to rounding.  Unsupported methods/norms/term layouts fall back to
-// the grid automatically; set_analytic_centroid(false) forces the grid path
-// (used by the grid-parity tests and the resolution auto-tuner).
+// A Defuzzifier serves exactly one output variable: prime() builds that
+// variable's sample tables, and defuzzify() with any other variable (or
+// before prime()) is a contract violation.  FuzzyController primes its
+// defuzzifier at construction.  Each integral method then has two paths:
+//  * the grid path reads the precomputed per-term grade rows — tight fused
+//    loops over flat arrays with zero allocations;
+//  * for the default configuration — centroid method, max aggregation, min
+//    or product implication, and an output variable whose terms form an
+//    ordered partition with only adjacent-pair support overlap (every paper
+//    variable) — the centroid is computed *analytically*: each implicated
+//    term is a concave min of affine functions (alpha cut + rising/falling
+//    edges), so its area and first moment integrate in closed form, and the
+//    max envelope decomposes by inclusion-exclusion as single-term integrals
+//    minus the pairwise min over each adjacent overlap.  No O(resolution)
+//    work, exact up to rounding.
+// Unsupported methods/norms/term layouts take the grid automatically;
+// set_analytic_centroid(false) forces the grid path (used by the
+// grid-vs-analytic cross-checks).
 #pragma once
 
 #include <memory>
@@ -44,9 +43,9 @@ enum class DefuzzMethod {
   kWeightedAverage,    ///< activation-weighted average of term core centers
 };
 
-/// Parse/format helpers (used by benches and the CLI of examples).
+/// Short method name ("centroid", "bisector", "mom", "som", "lom", "wavg"),
+/// printed by the defuzzification ablation bench.
 const char* to_string(DefuzzMethod m) noexcept;
-DefuzzMethod defuzz_method_from_string(std::string_view name);
 
 /// Numeric defuzzifier over a bounded output universe.
 ///
@@ -58,28 +57,24 @@ class Defuzzifier {
   explicit Defuzzifier(DefuzzMethod method = DefuzzMethod::kCentroid,
                        int resolution = 512, SNorm aggregation = SNorm::kMaximum);
 
-  /// Precompute the sample grid for `output`: the y value of every grid
-  /// point and each term's membership grade at those points.  The grid is
-  /// keyed by variable identity (address), so it is only used when
-  /// defuzzify() later receives the same variable; any other variable falls
-  /// back to the naive path.  `output` must outlive the grid (the
-  /// FuzzyController owns both).  Copies of a primed defuzzifier share the
-  /// immutable grid.
+  /// Bind the defuzzifier to `output` and precompute its sample grid: the y
+  /// value of every grid point and each term's membership grade at those
+  /// points.  The binding is by variable identity (address); `output` must
+  /// outlive it (the FuzzyController owns both).  Copies of a primed
+  /// defuzzifier share the immutable grid.
   void prime(const LinguisticVariable& output);
 
-  /// True when defuzzify(..., output) would take the table-driven path.
+  /// True when prime() was last called with this very variable.
   bool primed_for(const LinguisticVariable& output) const noexcept;
 
-  /// Crisp output for the aggregated set.  When no rule fired (empty set)
-  /// returns the midpoint of the universe — a neutral value; FACS-P's rule
-  /// bases are complete so this only happens for out-of-universe abuse.
-  double defuzzify(const OutputFuzzySet& set,
-                   const LinguisticVariable& output) const;
-
-  /// Allocation-free form: activations one per output term, `implication`
-  /// as applied by the inference engine, `mu_scratch` a reusable sample
-  /// buffer (scratch.mu of the InferenceScratch threaded through the
-  /// controller).  Zero heap allocations once primed and warm.
+  /// Crisp output for one evaluation: activations one per output term,
+  /// `implication` as applied by the inference engine, `mu_scratch` a
+  /// reusable sample buffer (scratch.mu of the InferenceScratch threaded
+  /// through the controller).  Requires primed_for(output) (throws
+  /// ContractViolation otherwise).  When no rule fired (empty set) returns
+  /// the midpoint of the universe — a neutral value; FACS-P's rule bases
+  /// are complete so this only happens for out-of-universe abuse.  Zero
+  /// heap allocations once `mu_scratch` is warm.
   double defuzzify(std::span<const double> activations,
                    Implication implication, const LinguisticVariable& output,
                    std::vector<double>& mu_scratch) const;
@@ -95,9 +90,9 @@ class Defuzzifier {
                                  Implication implication) noexcept;
 
   /// True when defuzzify(..., implication, output, ...) would take the
-  /// analytic path: analytic centroids enabled, the operator combination is
-  /// supported, and `output`'s terms form an ordered adjacent-overlap
-  /// partition.
+  /// analytic path: primed for `output`, analytic centroids enabled, the
+  /// operator combination supported, and `output`'s terms form an ordered
+  /// adjacent-overlap partition.
   bool analytic_applicable(const LinguisticVariable& output,
                            Implication implication) const noexcept;
 
@@ -112,30 +107,18 @@ class Defuzzifier {
   /// construction and shared by copies of the defuzzifier.
   struct Grid {
     const LinguisticVariable* variable = nullptr;  ///< identity key
-    int resolution = 0;
     std::vector<double> ys;           ///< y value of each grid point
     std::vector<double> term_grades;  ///< term-major: [term * resolution + i]
     bool analytic_ok = false;  ///< term layout admits the analytic centroid
   };
 
-  /// Aggregated membership at sample y (naive path).
-  double aggregate_at(std::span<const double> activations, Implication impl,
-                      const LinguisticVariable& output, double y) const;
-
   double defuzzify_grid(const Grid& grid, std::span<const double> activations,
                         Implication impl, const LinguisticVariable& output,
                         std::vector<double>& mu_scratch) const;
 
-  double centroid(std::span<const double> activations, Implication impl,
-                  const LinguisticVariable& output) const;
   double centroid_analytic(std::span<const double> activations,
                            Implication impl,
                            const LinguisticVariable& output) const;
-  double bisector(std::span<const double> activations, Implication impl,
-                  const LinguisticVariable& output,
-                  std::vector<double>& mu_scratch) const;
-  double of_maximum(std::span<const double> activations, Implication impl,
-                    const LinguisticVariable& output) const;
   double weighted_average(std::span<const double> activations,
                           const LinguisticVariable& output) const;
 
@@ -145,29 +128,5 @@ class Defuzzifier {
   bool analytic_ = true;
   std::shared_ptr<const Grid> grid_;
 };
-
-/// Result of tune_centroid_resolution().
-struct ResolutionTuning {
-  int resolution = 0;        ///< smallest probed grid meeting the bound
-  double max_abs_error = 0;  ///< worst |grid - analytic| observed at it
-  bool met_bound = false;    ///< false: even max_resolution missed the bound
-};
-
-/// Pick the smallest grid resolution whose centroid differs from the
-/// analytic (exact) centroid by at most `abs_error_bound` across a
-/// deterministic probe set of activation vectors (every term alone at
-/// several heights, every adjacent pair, and pseudo-random mixtures).
-/// Resolutions are probed doubling from max(8, min_resolution) up to
-/// max_resolution; if even that misses the bound, the result carries
-/// met_bound = false and the measured error so callers can decide.
-/// Throws facsp::ConfigError when the analytic centroid is unavailable for
-/// (output, implication, aggregation) — without an exact reference there is
-/// nothing to tune against.
-ResolutionTuning tune_centroid_resolution(const LinguisticVariable& output,
-                                          Implication implication,
-                                          SNorm aggregation,
-                                          double abs_error_bound,
-                                          int min_resolution = 8,
-                                          int max_resolution = 1 << 14);
 
 }  // namespace facsp::fuzzy

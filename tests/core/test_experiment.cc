@@ -8,6 +8,8 @@
 
 #include "common/error.h"
 #include "core/paper.h"
+#include "core/report.h"
+#include "core/sweep.h"
 
 namespace facsp::core {
 namespace {
@@ -19,12 +21,25 @@ ScenarioConfig quick_scenario() {
   return s;
 }
 
-TEST(SweepConfig, PaperGridIs10To100) {
-  const auto sweep = SweepConfig::paper_grid(5);
-  ASSERT_EQ(sweep.n_values.size(), 10u);
-  EXPECT_EQ(sweep.n_values.front(), 10);
-  EXPECT_EQ(sweep.n_values.back(), 100);
-  EXPECT_EQ(sweep.replications, 5);
+/// CS on the quick scenario swept over `n_values`.
+SweepSpec cs_sweep(std::vector<int> n_values, int replications) {
+  SweepSpec spec;
+  spec.base = quick_scenario();
+  spec.policy_axis({PolicyChoice{"CS", make_complete_sharing_factory()}});
+  spec.n_axis(std::move(n_values));
+  spec.replications = replications;
+  return spec;
+}
+
+TEST(SweepSpec, PaperGridIs10To100) {
+  const SweepSpec spec = SweepSpec::paper_grid(5);
+  ASSERT_EQ(spec.axes.size(), 2u);
+  const SweepAxis& n_axis = spec.axes[1];
+  EXPECT_EQ(n_axis.kind, SweepAxis::Kind::kN);
+  ASSERT_EQ(n_axis.n_values.size(), 10u);
+  EXPECT_EQ(n_axis.n_values.front(), 10);
+  EXPECT_EQ(n_axis.n_values.back(), 100);
+  EXPECT_EQ(spec.replications, 5);
 }
 
 TEST(Experiment, RunSingleProducesMetrics) {
@@ -34,30 +49,28 @@ TEST(Experiment, RunSingleProducesMetrics) {
 }
 
 TEST(Experiment, SweepAggregatesAllPoints) {
-  SweepConfig sweep;
-  sweep.n_values = {5, 15};
-  sweep.replications = 4;
-  Experiment exp(quick_scenario(), make_complete_sharing_factory(), "CS");
-  const SweepResult res = exp.run(sweep);
-  EXPECT_EQ(res.policy_name, "CS");
-  ASSERT_EQ(res.points.size(), 2u);
-  EXPECT_EQ(res.points[0].n, 5);
-  EXPECT_EQ(res.points[1].n, 15);
-  EXPECT_EQ(res.points[0].acceptance_percent.count(), 4u);
+  const ResultTable res = SweepRunner(cs_sweep({5, 15}, 4)).run();
+  ASSERT_EQ(res.rows.size(), 2u);
+  EXPECT_EQ(res.rows[0].coords.front(), "CS");
+  EXPECT_EQ(res.rows[0].n, 5);
+  EXPECT_EQ(res.rows[1].n, 15);
+  EXPECT_EQ(res.rows[0].acceptance_percent.count(), 4u);
   // Acceptance is a percentage.
-  EXPECT_GE(res.points[0].acceptance_percent.mean(), 0.0);
-  EXPECT_LE(res.points[0].acceptance_percent.mean(), 100.0);
+  EXPECT_GE(res.rows[0].acceptance_percent.mean(), 0.0);
+  EXPECT_LE(res.rows[0].acceptance_percent.mean(), 100.0);
 }
 
 TEST(Experiment, SeriesCarriesCi) {
-  SweepConfig sweep;
-  sweep.n_values = {10};
-  sweep.replications = 6;
-  Experiment exp(quick_scenario(), make_complete_sharing_factory(), "CS");
-  const auto series = exp.run(sweep).acceptance_series(0.95);
+  const ResultTable table = SweepRunner(cs_sweep({10}, 6)).run();
+  const auto series =
+      metric_series(table, &ResultRow::acceptance_percent, "CS");
+  EXPECT_EQ(series.name(), "CS");
   ASSERT_EQ(series.size(), 1u);
   EXPECT_DOUBLE_EQ(series.x(0), 10.0);
-  EXPECT_TRUE(series.ci(0).has_value());
+  EXPECT_EQ(series.y(0), table.rows[0].acceptance_percent.mean());
+  ASSERT_TRUE(series.ci(0).has_value());
+  EXPECT_EQ(*series.ci(0),
+            table.rows[0].acceptance_percent.ci_half_width(table.ci_level));
 }
 
 TEST(Experiment, CommonRandomNumbersAcrossPolicies) {
@@ -93,13 +106,8 @@ TEST(Experiment, AllCanonicalFactoriesProduceWorkingPolicies) {
 }
 
 TEST(Experiment, InvalidSweepRejected) {
-  Experiment exp(quick_scenario(), make_complete_sharing_factory(), "CS");
-  SweepConfig empty;
-  EXPECT_THROW(exp.run(empty), ContractViolation);
-  SweepConfig zero_reps;
-  zero_reps.n_values = {10};
-  zero_reps.replications = 0;
-  EXPECT_THROW(exp.run(zero_reps), ContractViolation);
+  EXPECT_THROW(SweepRunner(cs_sweep({}, 4)), ConfigError);
+  EXPECT_THROW(SweepRunner(cs_sweep({10}, 0)), ConfigError);
 }
 
 TEST(Experiment, DriverAndPolicySeedComponentsNeverAlias) {

@@ -67,11 +67,6 @@ TEST(OrderedAt, ChecksSeriesOrderingAtProbe) {
   EXPECT_TRUE(ordered_at({&s2, &s2b, &s3}, 50.0, 1.0));
 }
 
-TEST(MeanY, AveragesSeries) {
-  EXPECT_DOUBLE_EQ(mean_y(make_series("m", {{1, 10}, {2, 20}, {3, 30}})),
-                   20.0);
-}
-
 TEST(WriteCsv, RoundTripsThroughFile) {
   sim::Figure fig("t", "N", "pct");
   fig.add_series("a").add(1.0, 2.0);

@@ -4,12 +4,17 @@
 //   * the old paper grid expressed as a SweepSpec reproduces the PR 3
 //     golden per-cell metrics bit-identically at threads {1, 2, 8};
 //   * every registry policy and catalog workload run as a SweepSpec matches
-//     the serial Experiment::run bit for bit at threads {1, 2, 8};
+//     a nested serial loop over Experiment::run_single bit for bit at
+//     threads {1, 2, 8};
 //   * a multi-axis policy x scenario x N sweep serialises byte-for-byte
 //     identically for serial and parallel execution.
 #include "core/sweep.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "core/paper.h"
@@ -199,14 +204,50 @@ void expect_same_stats(const sim::SummaryStats& a, const sim::SummaryStats& b) {
   EXPECT_EQ(a.ci_half_width(0.95), b.ci_half_width(0.95));
 }
 
-void expect_same_rows(const ResultTable& table, const SweepResult& serial) {
-  ASSERT_EQ(table.rows.size(), serial.points.size());
+/// One N of the serial reference: the aggregates a sweep row must carry.
+struct SerialPoint {
+  int n = 0;
+  sim::SummaryStats acceptance_percent;
+  sim::SummaryStats blocking_percent;
+  sim::SummaryStats dropping_percent;
+  sim::SummaryStats utilization_percent;
+  sim::SummaryStats completion_percent;
+};
+
+/// The independent oracle: a nested (n, replication) loop over
+/// Experiment::run_single, reduced with CellMetrics::from_run and
+/// SummaryStats::add — no SweepRunner code involved.
+std::vector<SerialPoint> serial_sweep(const Experiment& exp,
+                                      const std::vector<int>& n_values,
+                                      int replications) {
+  std::vector<SerialPoint> points;
+  for (const int n : n_values) {
+    SerialPoint p;
+    p.n = n;
+    for (std::uint64_t r = 0; r < static_cast<std::uint64_t>(replications);
+         ++r) {
+      const CellMetrics m = CellMetrics::from_run(n, r, exp.run_single(n, r));
+      p.acceptance_percent.add(m.acceptance_percent);
+      p.blocking_percent.add(100.0 - m.acceptance_percent);
+      p.dropping_percent.add(m.dropping_percent);
+      p.utilization_percent.add(m.utilization_percent);
+      p.completion_percent.add(m.completion_percent);
+    }
+    points.push_back(p);
+  }
+  return points;
+}
+
+void expect_same_rows(const ResultTable& table,
+                      const std::vector<SerialPoint>& serial) {
+  ASSERT_EQ(table.rows.size(), serial.size());
   for (std::size_t i = 0; i < table.rows.size(); ++i) {
-    SCOPED_TRACE("n=" + std::to_string(serial.points[i].n));
+    SCOPED_TRACE("n=" + std::to_string(serial[i].n));
     const ResultRow& row = table.rows[i];
-    const SweepPoint& point = serial.points[i];
+    const SerialPoint& point = serial[i];
     EXPECT_EQ(row.n, point.n);
     expect_same_stats(row.acceptance_percent, point.acceptance_percent);
+    expect_same_stats(row.blocking_percent, point.blocking_percent);
     expect_same_stats(row.dropping_percent, point.dropping_percent);
     expect_same_stats(row.utilization_percent, point.utilization_percent);
     expect_same_stats(row.completion_percent, point.completion_percent);
@@ -214,43 +255,41 @@ void expect_same_rows(const ResultTable& table, const SweepResult& serial) {
 }
 
 TEST(SweepRunner, PaperGridSpecMatchesExperimentRunBitIdentically) {
-  // The historical serial path vs the same grid expressed declaratively,
-  // at every thread count.  Inputs: the paper grid, every registry policy
-  // (facs-p exercises the per-cell inference scratch, fgc the per-cell
-  // policy RNG stream) and the catalog workloads, shrunk (shorter
-  // window/holding) so the matrix stays ctest-cheap while the workload
-  // *shape* (arrival process, spatial map) is untouched.
+  // A nested serial loop vs the same grid expressed declaratively, at every
+  // thread count.  Inputs: the paper grid, every registry policy (facs-p
+  // exercises the per-cell inference scratch, fgc the per-cell policy RNG
+  // stream) and the catalog workloads, shrunk (shorter window/holding) so
+  // the matrix stays ctest-cheap while the workload *shape* (arrival
+  // process, spatial map) is untouched.
   struct Input {
     std::string label;
     std::string policy;
     ScenarioConfig scenario;
-    SweepConfig sweep;
+    std::vector<int> n_values;
+    int replications;
   };
-  SweepConfig small;
-  small.n_values = {5, 12, 20};
-  small.replications = 4;
+  const std::vector<int> small = {5, 12, 20};
   std::vector<Input> inputs = {
-      {"paper-grid", "facs-p", paper_scenario(), SweepConfig::paper_grid(3)}};
+      {"paper-grid", "facs-p", paper_scenario(), paper_n_values(), 3}};
   for (const std::string& policy : policy_names())
-    inputs.push_back({"quick-paper", policy, quick_scenario(), small});
+    inputs.push_back({"quick-paper", policy, quick_scenario(), small, 4});
   for (const char* name :
        {"bursty-onoff", "hotspot-ring2", "flash-crowd", "mix-shift"}) {
     ScenarioConfig scen = workload::catalog_scenario(name);
     scen.traffic.mean_holding_s = 120.0;
-    inputs.push_back({name, "facs-p", scen, small});
+    inputs.push_back({name, "facs-p", scen, small, 4});
   }
 
   for (const Input& in : inputs) {
     SCOPED_TRACE(in.policy + " on " + in.label);
-    const SweepResult serial =
-        Experiment(in.scenario, policy_factory_by_name(in.policy), in.policy)
-            .run(in.sweep);
-    EXPECT_EQ(serial.policy_name, in.policy);
+    const std::vector<SerialPoint> serial = serial_sweep(
+        Experiment(in.scenario, policy_factory_by_name(in.policy), in.policy),
+        in.n_values, in.replications);
     SweepSpec spec;
     spec.base = in.scenario;
     spec.policy_axis({in.policy});
-    spec.n_axis(in.sweep.n_values);
-    spec.replications = in.sweep.replications;
+    spec.n_axis(in.n_values);
+    spec.replications = in.replications;
     for (const int threads : {1, 2, 8}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       spec.threads = threads;

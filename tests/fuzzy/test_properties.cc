@@ -82,6 +82,8 @@ TEST_P(PaperControllerProperty, SomeRuleAlwaysFires) {
     const auto ex = flc->explain(in);
     EXPECT_FALSE(ex.fired.empty()) << GetParam().label;
     EXPECT_GT(ex.aggregated.height(), 0.0) << GetParam().label;
+    // explain() defuzzifies through the same primed path as evaluate().
+    EXPECT_EQ(ex.crisp, flc->evaluate(in)) << GetParam().label;
   }
 }
 

@@ -3,28 +3,35 @@
 // assert the *orderings* hold so regressions are caught by ctest.
 #include <gtest/gtest.h>
 
-#include "core/experiment.h"
 #include "core/paper.h"
 #include "core/report.h"
+#include "core/sweep.h"
 
 namespace facsp::core {
 namespace {
 
 constexpr int kReps = 6;  // enough for orderings, cheap enough for ctest
 
-SweepConfig coarse_sweep() {
-  SweepConfig s;
-  s.n_values = {10, 25, 50, 75, 100};
-  s.replications = kReps;
-  return s;
+/// One policy swept over N on one thread.
+ResultTable run_sweep(const ScenarioConfig& scen, PolicyFactory factory,
+                      const std::string& name, std::vector<int> n_values,
+                      int replications) {
+  SweepSpec spec;
+  spec.base = scen;
+  spec.policy_axis({PolicyChoice{name, std::move(factory)}});
+  spec.n_axis(std::move(n_values));
+  spec.replications = replications;
+  spec.threads = 1;
+  return SweepRunner(std::move(spec)).run();
 }
 
 sim::Series run_policy(const ScenarioConfig& scen, PolicyFactory factory,
                        const std::string& name,
-                       const SweepConfig& sweep = coarse_sweep()) {
-  return Experiment(scen, std::move(factory), name)
-      .run(sweep)
-      .acceptance_series();
+                       std::vector<int> n_values = {10, 25, 50, 75, 100},
+                       int replications = kReps) {
+  return metric_series(run_sweep(scen, std::move(factory), name,
+                                  std::move(n_values), replications),
+                       &ResultRow::acceptance_percent, name);
 }
 
 TEST(PaperShapes, AcceptanceDeclinesWithOfferedLoad) {
@@ -73,14 +80,11 @@ TEST(PaperShapes, Fig7SccFlatterThanFacsAndAboveAtHighLoad) {
 }
 
 TEST(PaperShapes, Fig8HigherSpeedHigherAcceptance) {
-  SweepConfig sweep;
-  sweep.n_values = {60};
-  sweep.replications = 10;
   std::vector<double> acceptance;
   for (double v : {4.0, 30.0, 60.0}) {
     const auto scen = paper_scenario_fixed_speed(v);
     acceptance.push_back(
-        run_policy(scen, make_facs_p_factory(), "FACS-P", sweep).y_at(60));
+        run_policy(scen, make_facs_p_factory(), "FACS-P", {60}, 10).y_at(60));
   }
   EXPECT_LT(acceptance[0], acceptance[1] + 2.0);
   EXPECT_LT(acceptance[1], acceptance[2] + 2.0);
@@ -88,14 +92,11 @@ TEST(PaperShapes, Fig8HigherSpeedHigherAcceptance) {
 }
 
 TEST(PaperShapes, Fig9SmallerAngleHigherAcceptance) {
-  SweepConfig sweep;
-  sweep.n_values = {50};
-  sweep.replications = 10;
   std::vector<double> acceptance;
   for (double angle : {0.0, 50.0, 90.0}) {
     const auto scen = paper_scenario_fixed_angle(angle);
     acceptance.push_back(
-        run_policy(scen, make_facs_p_factory(), "FACS-P", sweep).y_at(50));
+        run_policy(scen, make_facs_p_factory(), "FACS-P", {50}, 10).y_at(50));
   }
   EXPECT_GT(acceptance[0], acceptance[1] + 5.0);  // 0 deg clearly best
   EXPECT_GE(acceptance[1], acceptance[2] - 3.0);  // 50 >= 90 (within noise)
@@ -105,15 +106,12 @@ TEST(PaperShapes, FacsPProtectsOngoingCallsBetterThanFacs) {
   // The paper's motivation: FACS-P keeps the QoS of on-going connections.
   // Its handoff dropping must not exceed FACS's.
   const auto scen = paper_scenario();
-  SweepConfig sweep;
-  sweep.n_values = {80};
-  sweep.replications = 10;
-  const auto fp = Experiment(scen, make_facs_p_factory(), "FACS-P")
-                      .run(sweep)
-                      .dropping_series();
-  const auto f = Experiment(scen, make_facs_factory(), "FACS")
-                     .run(sweep)
-                     .dropping_series();
+  const auto fp =
+      metric_series(run_sweep(scen, make_facs_p_factory(), "FACS-P", {80}, 10),
+                    &ResultRow::dropping_percent, "FACS-P");
+  const auto f =
+      metric_series(run_sweep(scen, make_facs_factory(), "FACS", {80}, 10),
+                    &ResultRow::dropping_percent, "FACS");
   EXPECT_LE(fp.y_at(80), f.y_at(80) + 2.0);
 }
 

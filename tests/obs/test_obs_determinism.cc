@@ -75,7 +75,7 @@ TEST_F(ObsDeterminism, ServerTelemetryBytesUnchangedByObservability) {
   }
 }
 
-TEST_F(ObsDeterminism, SweepResultTableBytesUnchangedByObservability) {
+TEST_F(ObsDeterminism, SweepTableBytesUnchangedByObservability) {
   for (const int threads : {1, 4}) {
     obs::Tracer::clear();
     obs::set_metrics_enabled(false);
