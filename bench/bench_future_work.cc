@@ -27,8 +27,8 @@ int main() {
   auto& s_low = fig.add_series("low (FACS-PR)");
   auto& s_blind = fig.add_series("any (FACS-P)");
 
-  core::Experiment pr(scenario, core::make_facs_pr_factory(), "FACS-PR");
-  core::Experiment fp(scenario, core::make_facs_p_factory(), "FACS-P");
+  core::Experiment pr(scenario, core::make_facs_pr_factory());
+  core::Experiment fp(scenario, core::make_facs_p_factory());
 
   double overall_gap_sum = 0.0;
   for (int n : n_values) {

@@ -133,7 +133,7 @@ void BM_SccDecide(benchmark::State& state) {
     a.id = id;
     a.bandwidth = 2.7;
     a.mobile = {{100.0 * id, 50.0 * id}, 40.0, 30.0 * id};
-    policy.on_admitted(a, net.center());
+    policy.on_admitted(a);
   }
   cac::AdmissionRequest req;
   req.id = 99;
@@ -151,7 +151,7 @@ void BM_FullReplication(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   std::uint64_t rep = 0;
   for (auto _ : state) {
-    core::Experiment exp(scenario, factory, "FACS-P");
+    core::Experiment exp(scenario, factory);
     benchmark::DoNotOptimize(exp.run_single(n, rep++));
   }
   state.SetLabel("requests=" + std::to_string(n));

@@ -95,39 +95,9 @@ int usage(const char* argv0, FILE* dst) {
   return dst == stderr ? 2 : 0;
 }
 
-int parse_int(const std::string& v, const char* what) {
-  try {
-    std::size_t used = 0;
-    const int x = std::stoi(v, &used);
-    if (used != v.size()) throw std::invalid_argument("trailing characters");
-    return x;
-  } catch (const std::exception&) {
-    throw ConfigError(std::string("bad ") + what + " '" + v + "'");
-  }
-}
-
-double parse_double(const std::string& v, const char* what) {
-  try {
-    std::size_t used = 0;
-    const double x = std::stod(v, &used);
-    if (used != v.size()) throw std::invalid_argument("trailing characters");
-    return x;
-  } catch (const std::exception&) {
-    throw ConfigError(std::string("bad ") + what + " '" + v + "'");
-  }
-}
-
-std::uint64_t parse_u64(const std::string& v, const char* what) {
-  try {
-    if (v.empty() || v[0] == '-') throw std::invalid_argument("negative");
-    std::size_t used = 0;
-    const std::uint64_t x = std::stoull(v, &used);
-    if (used != v.size()) throw std::invalid_argument("trailing characters");
-    return x;
-  } catch (const std::exception&) {
-    throw ConfigError(std::string("bad ") + what + " '" + v + "'");
-  }
-}
+using core::parse_double;
+using core::parse_int;
+using core::parse_u64;
 
 int run(int argc, char** argv) {
   serve::ServerConfig config;

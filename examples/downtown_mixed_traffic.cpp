@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   std::printf("%-22s %8s %8s %8s %8s %9s %8s\n", "policy", "accept%",
               "text%", "voice%", "video%", "drop%", "util%");
   for (const auto& cand : candidates) {
-    core::Experiment exp(scenario, cand.factory, cand.label);
+    core::Experiment exp(scenario, cand.factory);
     sim::SummaryStats accept, text, voice, video, drop, util;
     for (int rep = 0; rep < reps; ++rep) {
       const auto run = exp.run_single(n, rep);

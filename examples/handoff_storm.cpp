@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   std::printf("%-22s %9s %11s %9s %11s\n", "policy", "accept%",
               "handoffs/call", "drop%", "completed%");
   for (const auto& cand : candidates) {
-    core::Experiment exp(scenario, cand.factory, cand.label);
+    core::Experiment exp(scenario, cand.factory);
     sim::SummaryStats accept, handoffs_per_call, drop, completed;
     for (int rep = 0; rep < reps; ++rep) {
       const auto run = exp.run_single(n, rep);

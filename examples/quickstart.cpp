@@ -63,8 +63,8 @@ int main() {
                                              3.0, 120.0));
 
   std::cout << "\nCell now holds " << bs.used() << "/" << bs.capacity()
-            << " BU (RTC=" << policy.counters(bs.id()).rt_bandwidth()
-            << " BU, NRTC=" << policy.counters(bs.id()).nrt_bandwidth()
+            << " BU (RTC=" << bs.load().rt_used
+            << " BU, NRTC=" << bs.load().nrt_used
             << " BU)\n\n";
 
   std::cout << "Load up with more real-time traffic...\n";

@@ -106,30 +106,9 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-int parse_int(const std::string& v, const char* what) {
-  try {
-    std::size_t used = 0;
-    const int x = std::stoi(v, &used);
-    if (used != v.size()) throw std::invalid_argument("trailing characters");
-    return x;
-  } catch (const std::exception&) {
-    throw ConfigError(std::string("bad ") + what + " '" + v + "'");
-  }
-}
-
-std::uint64_t parse_u64(const std::string& v, const char* what) {
-  // stoull silently accepts "7abc" and wraps "-1"; a seed typo must not
-  // silently reproduce the wrong cell.
-  try {
-    if (v.empty() || v[0] == '-') throw std::invalid_argument("negative");
-    std::size_t used = 0;
-    const std::uint64_t x = std::stoull(v, &used);
-    if (used != v.size()) throw std::invalid_argument("trailing characters");
-    return x;
-  } catch (const std::exception&) {
-    throw ConfigError(std::string("bad ") + what + " '" + v + "'");
-  }
-}
+using core::parse_double;
+using core::parse_int;
+using core::parse_u64;
 
 struct SweepAxisArg {
   std::string axis;
@@ -466,7 +445,8 @@ int run_trace(int argc, char** argv) {
     } else if (arg == "--rate")
       config.requests_per_s = parse_int(value("--rate"), "--rate");
     else if (arg == "--handoff-fraction")
-      config.handoff_fraction = std::stod(value("--handoff-fraction"));
+      config.handoff_fraction =
+          parse_double(value("--handoff-fraction"), "--handoff-fraction");
     else if (arg == "--shards")
       config.shards = parse_int(value("--shards"), "--shards");
     else if (arg == "--threads")
@@ -474,7 +454,8 @@ int run_trace(int argc, char** argv) {
     else if (arg == "--policy")
       config.policy = value("--policy");
     else if (arg == "--batch-window")
-      config.batch_window_s = std::stod(value("--batch-window"));
+      config.batch_window_s =
+          parse_double(value("--batch-window"), "--batch-window");
     else if (arg == "--batch-max")
       config.batch_max = parse_int(value("--batch-max"), "--batch-max");
     else if (arg == "--out")

@@ -7,13 +7,13 @@
 // paper's "priority of on-going connections": as protected load accumulates,
 // the effective Cs saturates earlier and the controller turns conservative
 // before the cell is physically full.
+//
+// The counters themselves are the base station's ledger
+// (cellular::LoadState: rt_used / nrt_used and their handoff parts); this
+// header holds only the weights and the one function that reads them.
 #pragma once
 
-#include <cstdint>
-#include <unordered_map>
-
-#include "cellular/connection.h"
-#include "cellular/service.h"
+#include "cellular/basestation.h"
 
 namespace facsp::cac {
 
@@ -28,50 +28,14 @@ struct PriorityWeights {
   double handoff_bonus = 1.2;
 };
 
-/// RTC/NRTC ledger for one base station.
-class DifferentiatedCounters {
- public:
-  explicit DifferentiatedCounters(PriorityWeights weights = {});
-
-  /// Register an admitted connection.
-  void add(cellular::ConnectionId id, cellular::ServiceClass service,
-           cellular::Bandwidth bw, bool via_handoff);
-
-  /// Remove a connection (release/handoff-out/completion).  Unknown ids are
-  /// ignored (the connection may predate a reset()).
-  void remove(cellular::ConnectionId id);
-
-  /// Raw counters.
-  cellular::Bandwidth rt_bandwidth() const noexcept { return rt_bw_; }
-  cellular::Bandwidth nrt_bandwidth() const noexcept { return nrt_bw_; }
-  std::uint32_t rt_count() const noexcept { return rt_n_; }
-  std::uint32_t nrt_count() const noexcept { return nrt_n_; }
-  cellular::Bandwidth total_bandwidth() const noexcept {
-    return rt_bw_ + nrt_bw_;
-  }
-
-  /// Priority-weighted occupancy: the effective "Counter state" FLC2 sees.
-  /// Always >= total_bandwidth() when weights >= 1.
-  cellular::Bandwidth effective_occupancy() const noexcept;
-
-  const PriorityWeights& weights() const noexcept { return weights_; }
-
-  void clear();
-
- private:
-  struct Entry {
-    cellular::Bandwidth bw;
-    bool real_time;
-    bool via_handoff;
-  };
-
-  PriorityWeights weights_;
-  std::unordered_map<cellular::ConnectionId, Entry> entries_;
-  cellular::Bandwidth rt_bw_ = 0.0;
-  cellular::Bandwidth nrt_bw_ = 0.0;
-  cellular::Bandwidth weighted_ = 0.0;
-  std::uint32_t rt_n_ = 0;
-  std::uint32_t nrt_n_ = 0;
-};
+/// Priority-weighted occupancy of one base station: the effective "Counter
+/// state" FLC2 sees.  Always >= load.used when every weight is >= 1.
+inline cellular::Bandwidth effective_occupancy(
+    const cellular::LoadState& load, const PriorityWeights& w) noexcept {
+  return w.real_time * (load.rt_used - load.rt_handoff_used) +
+         w.real_time * w.handoff_bonus * load.rt_handoff_used +
+         w.non_real_time * (load.nrt_used - load.nrt_handoff_used) +
+         w.non_real_time * w.handoff_bonus * load.nrt_handoff_used;
+}
 
 }  // namespace facsp::cac

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/error.h"
+
 namespace facsp::cac {
 
 FacsPPolicy::FacsPPolicy(const FacsPConfig& config)
@@ -13,25 +15,12 @@ FacsPPolicy::FacsPPolicy(const FacsPConfig& config)
                     fuzzy::Defuzzifier(config.defuzz_method,
                                        kPolicyDefuzzResolution)),
           config.accept_threshold, config.handoff_score_bonus),
-      config_(config) {}
-
-DifferentiatedCounters& FacsPPolicy::counters_mut(
-    cellular::BaseStationId bs) const {
-  if (last_counters_ != nullptr && last_bs_ == bs) return *last_counters_;
-  const auto it = counters_.find(bs);
-  DifferentiatedCounters& c =
-      it != counters_.end()
-          ? it->second
-          : counters_.emplace(bs, DifferentiatedCounters(config_.weights))
-                .first->second;
-  last_counters_ = &c;
-  last_bs_ = bs;
-  return c;
-}
-
-const DifferentiatedCounters& FacsPPolicy::counters(
-    cellular::BaseStationId bs) const {
-  return counters_mut(bs);
+      config_(config) {
+  const PriorityWeights& w = config_.weights;
+  if (w.real_time < 1.0 || w.non_real_time < 1.0 || w.handoff_bonus < 1.0)
+    throw ConfigError(
+        "priority weights must be >= 1 (they inflate, never deflate, "
+        "protected load)");
 }
 
 double FacsPPolicy::flc1_third_input(const AdmissionRequest& req) const {
@@ -42,25 +31,8 @@ double FacsPPolicy::counter_state(const AdmissionRequest& /*req*/,
                                   const cellular::BaseStation& bs) const {
   // Priority-weighted occupancy, saturated at the Cs universe top so FLC2's
   // "Full" term receives full membership once protected load dominates.
-  const double eff = counters_mut(bs.id()).effective_occupancy();
-  return std::min(eff, config_.flc2.cs_max);
-}
-
-void FacsPPolicy::on_admitted(const AdmissionRequest& req,
-                              const cellular::BaseStation& bs) {
-  counters_mut(bs.id()).add(req.id, req.service, req.bandwidth,
-                            req.kind == cellular::RequestKind::kHandoff);
-}
-
-void FacsPPolicy::on_released(cellular::ConnectionId id,
-                              cellular::ServiceClass /*service*/,
-                              const cellular::BaseStation& bs) {
-  counters_mut(bs.id()).remove(id);
-}
-
-void FacsPPolicy::reset() {
-  counters_.clear();
-  last_counters_ = nullptr;
+  return std::min(effective_occupancy(bs.load(), config_.weights),
+                  config_.flc2.cs_max);
 }
 
 }  // namespace facsp::cac

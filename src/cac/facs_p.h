@@ -5,14 +5,14 @@
 //   User (Sp, An, Sr) -> FLC1 -> Cv
 //   (Cv, Rq, Cs)      -> FLC2 -> Accept/Reject
 // with the admitted calls feeding the differentiated-service counters RTC
-// (voice+video) and NRTC (text).  The Counter state Cs presented to FLC2 is
-// the *priority-weighted* occupancy from those counters: real-time and
-// handoff-continuing on-going load is inflated by weights >= 1, so the
-// controller saturates earlier and protects the QoS of on-going calls —
-// producing Fig. 10's crossover against plain FACS.
+// (voice+video) and NRTC (text), which the base station keeps
+// (cellular::LoadState).  The Counter state Cs presented to FLC2 is the
+// *priority-weighted* occupancy of those counters (effective_occupancy in
+// cac/counters.h): real-time and handoff-continuing on-going load is
+// inflated by weights >= 1, so the controller saturates earlier and
+// protects the QoS of on-going calls — producing Fig. 10's crossover
+// against plain FACS.  The policy holds no per-call state of its own.
 #pragma once
-
-#include <unordered_map>
 
 #include "cac/counters.h"
 #include "cac/facs_flc.h"
@@ -34,25 +34,17 @@ struct FacsPConfig {
   double handoff_score_bonus = 0.30;
 };
 
-/// The proposed policy.  Maintains one RTC/NRTC counter pair per base
-/// station, updated through the on_admitted / on_released notifications
-/// (paper Fig. 4: the A/R output feeds the counters).
+/// The proposed policy.  Reads Cs from the target base station's RTC/NRTC
+/// load (paper Fig. 4: the A/R output feeds the counters, which
+/// cac::admit's allocation updates).
 class FacsPPolicy final : public FuzzyCacBase {
  public:
+  /// Throws facsp::ConfigError when a priority weight is below 1.
   explicit FacsPPolicy(const FacsPConfig& config = {});
 
   std::string_view name() const noexcept override { return "FACS-P"; }
 
-  void on_admitted(const AdmissionRequest& req,
-                   const cellular::BaseStation& bs) override;
-  void on_released(cellular::ConnectionId id, cellular::ServiceClass service,
-                   const cellular::BaseStation& bs) override;
-  void reset() override;
-
   const FacsPConfig& config() const noexcept { return config_; }
-
-  /// Counters of one base station (created on first use; exposed for tests).
-  const DifferentiatedCounters& counters(cellular::BaseStationId bs) const;
 
  protected:
   double flc1_third_input(const AdmissionRequest& req) const override;
@@ -60,18 +52,7 @@ class FacsPPolicy final : public FuzzyCacBase {
                        const cellular::BaseStation& bs) const override;
 
  private:
-  DifferentiatedCounters& counters_mut(cellular::BaseStationId bs) const;
-
   FacsPConfig config_;
-  /// Lazily populated; mutable so the const counter_state() can create an
-  /// empty ledger for a BS it has never seen.
-  mutable std::unordered_map<cellular::BaseStationId, DifferentiatedCounters>
-      counters_;
-  /// Last-BS memo: admission decisions hit the same cell repeatedly, so the
-  /// hash lookup is skipped on the hot path.  unordered_map never invalidates
-  /// value pointers on insert; reset() clears the memo with the map.
-  mutable DifferentiatedCounters* last_counters_ = nullptr;
-  mutable cellular::BaseStationId last_bs_ = 0;
 };
 
 }  // namespace facsp::cac

@@ -38,21 +38,6 @@ class FacsPrPolicy final : public AdmissionPolicy {
   AdmissionDecision decide(const AdmissionRequest& req,
                            const cellular::BaseStation& bs) override;
 
-  void on_admitted(const AdmissionRequest& req,
-                   const cellular::BaseStation& bs) override {
-    inner_.on_admitted(req, bs);
-  }
-  void on_released(cellular::ConnectionId id, cellular::ServiceClass service,
-                   const cellular::BaseStation& bs) override {
-    inner_.on_released(id, service, bs);
-  }
-  void on_mobility(cellular::ConnectionId id,
-                   const cellular::MobileState& state,
-                   sim::SimTime now) override {
-    inner_.on_mobility(id, state, now);
-  }
-  void reset() override { inner_.reset(); }
-
   const FacsPrConfig& config() const noexcept { return config_; }
 
   /// The effective accept threshold applied to a given priority.

@@ -23,7 +23,7 @@ bool admit(AdmissionPolicy& policy, cellular::BaseStation& bs,
   if (!bs.allocate(conn, req.now,
                    /*via_handoff=*/req.kind == cellular::RequestKind::kHandoff))
     return false;
-  policy.on_admitted(req, bs);
+  policy.on_admitted(req);
   return true;
 }
 

@@ -4,8 +4,10 @@
 // handoff, asks the policy to decide (one at a time or as a batch), and
 // applies each admission through cac::admit — the one place that re-checks
 // capacity, allocates on the base station and notifies the policy.  The
-// remaining lifecycle hooks keep stateful policies (SCC's shadow clusters,
-// FACS-P's RTC/NRTC counters) current.
+// base station is the one call ledger per cell (its LoadState carries the
+// RTC/NRTC counters FACS-P reads); the lifecycle hooks exist for policies
+// that track calls beyond one cell (SCC's shadow clusters).  A policy
+// instance serves one run; the next run builds a new one.
 #pragma once
 
 #include <span>
@@ -85,7 +87,7 @@ class AdmissionPolicy {
 
   /// Decide a batch of independent requests against one base station,
   /// writing out[i] for reqs[i].  Every decision sees the same load
-  /// snapshot (no on_admitted() runs between them), so a burst can
+  /// snapshot (nothing is admitted between them), so a burst can
   /// over-admit; the decision server and the multi-cell barrier apply each
   /// admission through cac::admit, which demotes what no longer fits.
   /// The default loops decide(); the fuzzy policies reuse one inference
@@ -94,22 +96,12 @@ class AdmissionPolicy {
                             const cellular::BaseStation& bs,
                             std::span<AdmissionDecision> out);
 
-  /// The request was admitted and the bandwidth allocated on `bs`.
-  virtual void on_admitted(const AdmissionRequest& req,
-                           const cellular::BaseStation& bs) {
-    (void)req;
-    (void)bs;
-  }
+  /// The request was admitted and its bandwidth allocated (by cac::admit).
+  virtual void on_admitted(const AdmissionRequest& req) { (void)req; }
 
-  /// The connection released its bandwidth on `bs` (completion, drop after
+  /// The connection released its bandwidth (completion, drop after
   /// allocation, or the source side of a handoff).
-  virtual void on_released(cellular::ConnectionId id,
-                           cellular::ServiceClass service,
-                           const cellular::BaseStation& bs) {
-    (void)id;
-    (void)service;
-    (void)bs;
-  }
+  virtual void on_released(cellular::ConnectionId id) { (void)id; }
 
   /// Periodic mobility report for an on-going connection (SCC's shadow
   /// clusters consume these).
@@ -120,9 +112,6 @@ class AdmissionPolicy {
     (void)state;
     (void)now;
   }
-
-  /// Drop all internal state (new replication).
-  virtual void reset() {}
 };
 
 /// Apply an admitted request to `bs`: the one admission step every runtime
@@ -130,7 +119,7 @@ class AdmissionPolicy {
 /// `req.id` or the call no longer fits (batched decisions see one load
 /// snapshot, and socket clients choose their own ids).  Otherwise allocates
 /// the request's bandwidth at `req.now` — via_handoff for kHandoff — then
-/// calls policy.on_admitted(req, bs) and returns true.
+/// calls policy.on_admitted(req) and returns true.
 bool admit(AdmissionPolicy& policy, cellular::BaseStation& bs,
            const AdmissionRequest& req);
 

@@ -146,14 +146,11 @@ AdmissionDecision SccPolicy::decide(const AdmissionRequest& req,
   return d;
 }
 
-void SccPolicy::on_admitted(const AdmissionRequest& req,
-                            const cellular::BaseStation& /*bs*/) {
+void SccPolicy::on_admitted(const AdmissionRequest& req) {
   actives_[req.id] = Active{req.mobile, req.bandwidth};
 }
 
-void SccPolicy::on_released(cellular::ConnectionId id,
-                            cellular::ServiceClass /*service*/,
-                            const cellular::BaseStation& /*bs*/) {
+void SccPolicy::on_released(cellular::ConnectionId id) {
   // A handoff releases on the source BS and re-admits on the target; the
   // re-admission path goes through decide()/on_admitted() which refreshes
   // the entry, so erasing here is correct for completions and safe for
@@ -167,7 +164,5 @@ void SccPolicy::on_mobility(cellular::ConnectionId id,
   const auto it = actives_.find(id);
   if (it != actives_.end()) it->second.state = state;
 }
-
-void SccPolicy::reset() { actives_.clear(); }
 
 }  // namespace facsp::cac

@@ -75,14 +75,11 @@ class SccPolicy final : public AdmissionPolicy {
   AdmissionDecision decide(const AdmissionRequest& req,
                            const cellular::BaseStation& bs) override;
 
-  void on_admitted(const AdmissionRequest& req,
-                   const cellular::BaseStation& bs) override;
-  void on_released(cellular::ConnectionId id, cellular::ServiceClass service,
-                   const cellular::BaseStation& bs) override;
+  void on_admitted(const AdmissionRequest& req) override;
+  void on_released(cellular::ConnectionId id) override;
   void on_mobility(cellular::ConnectionId id,
                    const cellular::MobileState& state,
                    sim::SimTime now) override;
-  void reset() override;
 
   /// Probability that a mobile in `state` is inside `cell` after `tau`
   /// seconds (ignoring call termination).  Exposed for tests.

@@ -31,12 +31,11 @@ bool BaseStation::allocate(const Connection& conn, sim::SimTime now,
   load_.used += conn.bandwidth;
   if (conn.real_time()) {
     load_.rt_used += conn.bandwidth;
-    ++load_.rt_count;
+    if (via_handoff) load_.rt_handoff_used += conn.bandwidth;
   } else {
     load_.nrt_used += conn.bandwidth;
-    ++load_.nrt_count;
+    if (via_handoff) load_.nrt_handoff_used += conn.bandwidth;
   }
-  if (via_handoff) ++load_.handoff_count;
   touch(now);
   return true;
 }
@@ -50,16 +49,17 @@ void BaseStation::release(ConnectionId id, sim::SimTime now) {
   load_.used -= h.bw;
   if (h.real_time) {
     load_.rt_used -= h.bw;
-    --load_.rt_count;
+    if (h.via_handoff) load_.rt_handoff_used -= h.bw;
   } else {
     load_.nrt_used -= h.bw;
-    --load_.nrt_count;
+    if (h.via_handoff) load_.nrt_handoff_used -= h.bw;
   }
-  if (h.via_handoff) --load_.handoff_count;
   // Guard against floating-point drift pushing counters below zero.
   if (load_.used < 1e-9) load_.used = 0.0;
   if (load_.rt_used < 1e-9) load_.rt_used = 0.0;
   if (load_.nrt_used < 1e-9) load_.nrt_used = 0.0;
+  if (load_.rt_handoff_used < 1e-9) load_.rt_handoff_used = 0.0;
+  if (load_.nrt_handoff_used < 1e-9) load_.nrt_handoff_used = 0.0;
   touch(now);
 }
 

@@ -3,7 +3,9 @@
 // Capacity is counted in bandwidth units (paper: 40 BU per BS).  Besides the
 // plain occupancy, the BS maintains the paper's differentiated-service
 // counters — RTC (real-time: voice+video) and NRTC (non-real-time: text) —
-// which FACS-P's priority mechanism reads.
+// each with the share held by calls that arrived by handoff.  This is the
+// one call ledger per cell: FACS-P derives its counter state Cs from
+// load() rather than keeping a copy of its own.
 #pragma once
 
 #include <cstdint>
@@ -24,9 +26,9 @@ struct LoadState {
   Bandwidth used = 0.0;           ///< total occupied BU
   Bandwidth rt_used = 0.0;        ///< BU held by real-time connections (RTC)
   Bandwidth nrt_used = 0.0;       ///< BU held by non-real-time (NRTC)
-  std::uint32_t rt_count = 0;     ///< # active real-time connections
-  std::uint32_t nrt_count = 0;    ///< # active non-real-time connections
-  std::uint32_t handoff_count = 0;///< # active connections that arrived by handoff
+  /// The parts of rt_used / nrt_used held by calls that arrived by handoff.
+  Bandwidth rt_handoff_used = 0.0;
+  Bandwidth nrt_handoff_used = 0.0;
 
   Bandwidth free() const noexcept { return capacity - used; }
   double utilization() const noexcept {

@@ -30,26 +30,40 @@ struct Field {
   std::function<void(ScenarioConfig&, const std::string&)> parse;
 };
 
-double parse_double(const std::string& v) {
+// Strict parsers: the whole string must be one number.  They throw the
+// std exceptions whose what() the config-file error messages quote.
+double strict_double(const std::string& v) {
   std::size_t used = 0;
   const double x = std::stod(v, &used);
   if (used != v.size()) throw std::invalid_argument("trailing characters");
   return x;
 }
 
-int parse_int(const std::string& v) {
+int strict_int(const std::string& v) {
   std::size_t used = 0;
   const int x = std::stoi(v, &used);
   if (used != v.size()) throw std::invalid_argument("trailing characters");
   return x;
 }
 
-std::uint64_t parse_u64(const std::string& v) {
+std::uint64_t strict_u64(const std::string& v) {
+  // stoull silently wraps "-1"; a seed typo must not silently reproduce
+  // the wrong cell.
   if (v.empty() || v[0] == '-') throw std::invalid_argument("negative");
   std::size_t used = 0;
   const std::uint64_t x = std::stoull(v, &used);
   if (used != v.size()) throw std::invalid_argument("trailing characters");
   return x;
+}
+
+/// A strict parse that reports a bad value by the flag it came from.
+template <class Parse>
+auto named(const std::string& v, const char* what, Parse parse) {
+  try {
+    return parse(v);
+  } catch (const std::exception&) {
+    throw ConfigError(std::string("bad ") + what + " '" + v + "'");
+  }
 }
 
 bool parse_bool(const std::string& v) {
@@ -65,18 +79,20 @@ const std::map<std::string, Field>& registry() {
       f[key] = Field{
           [getter](const ScenarioConfig& s) { return format_double(getter(s)); },
           [setter](ScenarioConfig& s, const std::string& v) {
-            setter(s, parse_double(v));
+            setter(s, strict_double(v));
           }};
     };
 
     f["seed"] = Field{
         [](const ScenarioConfig& s) { return std::to_string(s.seed); },
         [](ScenarioConfig& s, const std::string& v) {
-          s.seed = parse_u64(v);
+          s.seed = strict_u64(v);
         }};
     f["rings"] = Field{
         [](const ScenarioConfig& s) { return std::to_string(s.rings); },
-        [](ScenarioConfig& s, const std::string& v) { s.rings = parse_int(v); }};
+        [](ScenarioConfig& s, const std::string& v) {
+          s.rings = strict_int(v);
+        }};
     add_double(
         "cell_radius_m", [](const ScenarioConfig& s) { return s.cell_radius_m; },
         [](ScenarioConfig& s, double v) { s.cell_radius_m = v; });
@@ -109,7 +125,7 @@ const std::map<std::string, Field>& registry() {
           return std::to_string(s.multicell.cells);
         },
         [](ScenarioConfig& s, const std::string& v) {
-          s.multicell.cells = parse_int(v);
+          s.multicell.cells = strict_int(v);
         }};
     add_double(
         "sim.epoch_s",
@@ -135,7 +151,7 @@ const std::map<std::string, Field>& registry() {
           return std::to_string(s.multicell.workload_cells);
         },
         [](ScenarioConfig& s, const std::string& v) {
-          s.multicell.workload_cells = parse_int(v);
+          s.multicell.workload_cells = strict_int(v);
         }};
     add_double(
         "sim.entry_fraction",
@@ -149,7 +165,7 @@ const std::map<std::string, Field>& registry() {
           return std::to_string(s.multicell.threads);
         },
         [](ScenarioConfig& s, const std::string& v) {
-          s.multicell.threads = parse_int(v);
+          s.multicell.threads = strict_int(v);
         }};
     f["enable_mobility"] = Field{
         [](const ScenarioConfig& s) {
@@ -300,7 +316,7 @@ const std::map<std::string, Field>& registry() {
           if (v == "none")
             s.traffic.fixed_speed_kmh.reset();
           else
-            s.traffic.fixed_speed_kmh = parse_double(v);
+            s.traffic.fixed_speed_kmh = strict_double(v);
         }};
     f["traffic.fixed_angle_deg"] = Field{
         [](const ScenarioConfig& s) {
@@ -312,7 +328,7 @@ const std::map<std::string, Field>& registry() {
           if (v == "none")
             s.traffic.fixed_angle_deg.reset();
           else
-            s.traffic.fixed_angle_deg = parse_double(v);
+            s.traffic.fixed_angle_deg = strict_double(v);
         }};
 
     // mobility.* / predictor.*
@@ -346,6 +362,18 @@ const std::map<std::string, Field>& registry() {
 }
 
 }  // namespace
+
+int parse_int(const std::string& v, const char* what) {
+  return named(v, what, strict_int);
+}
+
+double parse_double(const std::string& v, const char* what) {
+  return named(v, what, strict_double);
+}
+
+std::uint64_t parse_u64(const std::string& v, const char* what) {
+  return named(v, what, strict_u64);
+}
 
 std::string format_double(double v) {
   char buf[32];

@@ -10,6 +10,7 @@
 // Unknown keys are an error (typos must not silently revert to defaults).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -23,6 +24,13 @@ namespace facsp::core {
 /// every dumped config and result file goes through, so emitted numbers can
 /// be compared byte-for-byte and re-parsed without precision loss.
 std::string format_double(double v);
+
+/// Strict number parsers for command-line flags: the whole of `v` must be
+/// one number (parse_u64 also refuses a sign).  Throw facsp::ConfigError
+/// "bad <what> '<v>'", so the message names the flag.
+int parse_int(const std::string& v, const char* what);
+double parse_double(const std::string& v, const char* what);
+std::uint64_t parse_u64(const std::string& v, const char* what);
 
 /// Split on a single-character delimiter, keeping empty tokens
 /// ("a,,b" -> {"a", "", "b"}; "" -> {""}).  The one splitter behind CSV

@@ -22,11 +22,8 @@ CellMetrics CellMetrics::from_run(int n, std::uint64_t replication,
   return m;
 }
 
-Experiment::Experiment(ScenarioConfig scenario, PolicyFactory factory,
-                       std::string policy_label)
-    : scenario_(scenario),
-      factory_(std::move(factory)),
-      label_(std::move(policy_label)) {
+Experiment::Experiment(ScenarioConfig scenario, PolicyFactory factory)
+    : scenario_(scenario), factory_(std::move(factory)) {
   scenario_.validate();
   FACSP_EXPECTS(static_cast<bool>(factory_));
 }

@@ -44,8 +44,7 @@ struct CellMetrics {
 /// random numbers: replication r uses the same workload for every policy.
 class Experiment {
  public:
-  Experiment(ScenarioConfig scenario, PolicyFactory factory,
-             std::string policy_label);
+  Experiment(ScenarioConfig scenario, PolicyFactory factory);
 
   /// Run a single (N, replication) cell — used by tests, examples and
   /// SweepRunner.  Every piece of per-run state (driver, network,
@@ -55,13 +54,10 @@ class Experiment {
   RunResult run_single(int n, std::uint64_t replication) const;
 
   const ScenarioConfig& scenario() const noexcept { return scenario_; }
-  const PolicyFactory& factory() const noexcept { return factory_; }
-  const std::string& policy_label() const noexcept { return label_; }
 
  private:
   ScenarioConfig scenario_;
   PolicyFactory factory_;
-  std::string label_;
 };
 
 // --- canonical policy factories ------------------------------------------

@@ -125,7 +125,7 @@ void SessionDriver::start_session(Session s, sim::SimTime start_time) {
 void SessionDriver::finish(Session& s, ConnectionState final_state) {
   if (s.conn.state == ConnectionState::kActive && s.serving != nullptr) {
     s.serving->release(s.conn.id, sim_.now());
-    policy_->on_released(s.conn.id, s.conn.service, *s.serving);
+    policy_->on_released(s.conn.id);
   }
   sim_.cancel(s.completion);
   sim_.cancel(s.next_move);
@@ -152,7 +152,7 @@ SessionDriver::CellDeparture SessionDriver::depart(Session& s) {
   d.measured = s.measured;
   if (s.conn.state == ConnectionState::kActive && s.serving != nullptr) {
     s.serving->release(s.conn.id, sim_.now());
-    policy_->on_released(s.conn.id, s.conn.service, *s.serving);
+    policy_->on_released(s.conn.id);
   }
   sim_.cancel(s.completion);
   sim_.cancel(s.next_move);
@@ -177,7 +177,7 @@ void SessionDriver::do_handoff(Session& s, cellular::BaseStation& target) {
   }
   // Release on the source, then allocate on the target.
   s.serving->release(s.conn.id, sim_.now());
-  policy_->on_released(s.conn.id, s.conn.service, *s.serving);
+  policy_->on_released(s.conn.id);
   const bool ok = cac::admit(*policy_, target, req);
   FACSP_ENSURES(ok);
   s.serving = &target;
@@ -253,7 +253,6 @@ std::size_t SessionDriver::admit_inbound(std::span<const CellArrival> inbox) {
 
 void SessionDriver::begin(int n_requests) {
   FACSP_EXPECTS(n_requests >= 0);
-  policy_->reset();
   network_->start_metrics(0.0);
 
   for (std::size_t g = 0; g < traffic_.size(); ++g) {

@@ -50,7 +50,7 @@ using PolicyFactory = std::function<std::unique_ptr<cac::AdmissionPolicy>(
 
 /// Drives one simulation run.  Owns the network, simulator, per-run random
 /// streams and the admission policy (built from the factory once the
-/// network exists; reset() at the start of the run).
+/// network exists, so it starts the run empty).
 class SessionDriver {
  public:
   /// `replication` seeds the run's random streams (common random numbers:
@@ -96,7 +96,7 @@ class SessionDriver {
     bool measured = true;
   };
 
-  /// Schedule the replication's arrivals and reset the policy/metrics.
+  /// Schedule the replication's arrivals and start the utilization meters.
   /// First half of run(); must be called exactly once before advance_until.
   void begin(int n_requests);
 

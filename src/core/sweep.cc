@@ -237,8 +237,7 @@ SweepRunner::SweepRunner(SweepSpec spec) : spec_(std::move(spec)) {
     // Experiment's constructor validates the resolved scenario, so a bad
     // param combination fails here — before any cell simulates.
     rows_.push_back(ResolvedCell{std::move(coords), n,
-                                 Experiment(scenario, policy->factory,
-                                            policy->name)});
+                                 Experiment(scenario, policy->factory)});
   }
 }
 

@@ -37,7 +37,7 @@
 #include "cellular/traffic.h"      // workload generation
 
 // Call admission control
-#include "cac/counters.h"       // RTC/NRTC differentiated counters
+#include "cac/counters.h"       // RTC/NRTC priority weights, Cs
 #include "cac/facs.h"           // previous system (distance-based)
 #include "cac/facs_flc.h"       // the paper's FLC1/FLC2 construction
 #include "cac/facs_p.h"         // the proposed system (the contribution)

@@ -98,7 +98,7 @@ void ShardCore::expire_until(double t, bool strict) {
     const Expiry e = expiries_.back();
     expiries_.pop_back();
     bs.release(e.id, e.at);
-    policy_->on_released(e.id, e.service, bs);
+    policy_->on_released(e.id);
   }
 }
 
@@ -161,7 +161,7 @@ std::span<const cac::AdmissionDecision> ShardCore::process_batch(
     decisions_[k].admitted = admitted;  // demotion visible to the caller
     if (admitted) {
       ++row.admitted;
-      expiries_.push_back({req.now + holding_s[k], req.id, req.service});
+      expiries_.push_back({req.now + holding_s[k], req.id});
       std::push_heap(expiries_.begin(), expiries_.end(), ExpiryLater{});
     } else {
       (handoff ? row.dropped_handoff : row.blocked_new) += 1;

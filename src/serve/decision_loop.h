@@ -170,7 +170,6 @@ class ShardCore {
   struct Expiry {
     double at = 0.0;
     cellular::ConnectionId id = 0;
-    cellular::ServiceClass service = cellular::ServiceClass::kText;
   };
 
   void expire_until(double t, bool strict);

@@ -46,26 +46,19 @@ AdmissionRequest fuzz_request(sim::RandomStream& rng, std::uint64_t id) {
 }
 
 /// Fill `bs` to a fuzzed occupancy so counter-state inputs vary across
-/// batches.  Mirrored onto the policy via on_admitted so stateful policies
-/// (FACS-P's RTC/NRTC) see a consistent world.
+/// batches.  Admitted through cac::admit so stateful policies (SCC's
+/// shadow clusters) see a consistent world.
 void fuzz_load(cellular::BaseStation& bs, AdmissionPolicy& policy,
                sim::RandomStream& rng, std::uint64_t id_base) {
   const int calls = static_cast<int>(rng.uniform_int(0, 12));
   for (int i = 0; i < calls; ++i) {
-    cellular::Connection conn;
-    conn.id = id_base + static_cast<std::uint64_t>(i);
-    conn.service =
-        static_cast<ServiceClass>(rng.uniform_int(0, 2));
-    conn.bandwidth = cellular::service_bandwidth(conn.service);
-    const bool via_handoff = rng.bernoulli(0.4);
-    if (!bs.allocate(conn, 0.0, via_handoff)) break;
     AdmissionRequest req;
-    req.id = conn.id;
-    req.service = conn.service;
-    req.bandwidth = conn.bandwidth;
-    req.kind = via_handoff ? cellular::RequestKind::kHandoff
-                           : cellular::RequestKind::kNew;
-    policy.on_admitted(req, bs);
+    req.id = id_base + static_cast<std::uint64_t>(i);
+    req.service = static_cast<ServiceClass>(rng.uniform_int(0, 2));
+    req.bandwidth = cellular::service_bandwidth(req.service);
+    req.kind = rng.bernoulli(0.4) ? cellular::RequestKind::kHandoff
+                                  : cellular::RequestKind::kNew;
+    if (!admit(policy, bs, req)) break;
   }
 }
 
@@ -79,22 +72,20 @@ TEST(DecideBatchParity, BatchMatchesDecideLoopForEveryRegisteredPolicy) {
   for (const std::string& name : core::policy_names()) {
     SCOPED_TRACE("policy=" + name);
     const core::PolicyFactory factory = core::policy_factory_by_name(name);
-    // Identically seeded twins: randomised policies draw the same streams.
-    sim::RngFactory rng_a(kSeed), rng_b(kSeed);
-    const std::unique_ptr<AdmissionPolicy> loop_policy =
-        factory(network, rng_a);
-    const std::unique_ptr<AdmissionPolicy> batch_policy =
-        factory(network, rng_b);
 
     sim::RandomStream fuzz(sim::hash_seed(kSeed, "fuzz"));
     std::uint64_t next_id = 1;
     for (int b = 0; b < kBatches; ++b) {
       SCOPED_TRACE("batch=" + std::to_string(b));
-      // Fresh station per batch, fuzzed to a random occupancy, mirrored
-      // into both policies identically.
+      // Fresh identically seeded twins per batch (randomised policies draw
+      // the same streams) and a fresh station, fuzzed to a random
+      // occupancy, mirrored into both policies identically.
+      sim::RngFactory rng_a(kSeed), rng_b(kSeed);
+      const std::unique_ptr<AdmissionPolicy> loop_policy =
+          factory(network, rng_a);
+      const std::unique_ptr<AdmissionPolicy> batch_policy =
+          factory(network, rng_b);
       cellular::BaseStation bs(0, {0, 0}, {0.0, 0.0}, 40.0);
-      loop_policy->reset();
-      batch_policy->reset();
       {
         // One fuzz stream drives both mirrors: replay the same draws.
         sim::RandomStream load_rng(sim::hash_seed(kSeed, "load",

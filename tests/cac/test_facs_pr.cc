@@ -11,7 +11,6 @@ namespace facsp::cac {
 namespace {
 
 using cellular::BaseStation;
-using cellular::Connection;
 using cellular::HexCoord;
 using cellular::Point;
 using cellular::RequestKind;
@@ -39,14 +38,9 @@ struct PrFixture : ::testing::Test {
   /// low- and high-priority thresholds (the discrimination window).
   void load_cell(int videos) {
     for (int i = 0; i < videos; ++i) {
-      auto req = request(1000 + i, ServiceClass::kVideo,
-                         UserPriority::kNormal, 90.0, 0.0);
-      Connection c;
-      c.id = req.id;
-      c.service = req.service;
-      c.bandwidth = req.bandwidth;
-      ASSERT_TRUE(bs.allocate(c, 0.0));
-      pr.on_admitted(req, bs);
+      ASSERT_TRUE(admit(pr, bs,
+                        request(1000 + i, ServiceClass::kVideo,
+                                UserPriority::kNormal, 90.0, 0.0)));
     }
   }
 };

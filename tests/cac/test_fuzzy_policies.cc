@@ -3,7 +3,9 @@
 
 #include "cac/facs.h"
 #include "cac/facs_p.h"
+#include "cac/facs_pr.h"
 #include "cellular/basestation.h"
+#include "common/error.h"
 
 namespace facsp::cac {
 namespace {
@@ -33,14 +35,6 @@ AdmissionRequest request(cellular::ConnectionId id, ServiceClass svc,
   return req;
 }
 
-Connection conn_for(const AdmissionRequest& req) {
-  Connection c;
-  c.id = req.id;
-  c.service = req.service;
-  c.bandwidth = req.bandwidth;
-  return c;
-}
-
 struct PolicyFixture : ::testing::Test {
   BaseStation bs{0, HexCoord{0, 0}, Point{0.0, 0.0}, 40.0};
   FacsPConfig fp_cfg;
@@ -48,11 +42,9 @@ struct PolicyFixture : ::testing::Test {
 
   PolicyFixture() { f_cfg.flc1.cell_radius_m = 1000.0; }
 
-  /// Admit a request into the BS and notify the policy.
-  void admit(AdmissionPolicy& p, const AdmissionRequest& req,
-             bool via_handoff = false) {
-    ASSERT_TRUE(bs.allocate(conn_for(req), 0.0, via_handoff));
-    p.on_admitted(req, bs);
+  /// Admit a request into the BS through the shared admission step.
+  void admit(AdmissionPolicy& p, const AdmissionRequest& req) {
+    ASSERT_TRUE(cac::admit(p, bs, req));
   }
 };
 
@@ -94,25 +86,65 @@ TEST_F(PolicyFixture, VerdictMapping) {
 
 // --- FACS-P specifics ----------------------------------------------------------
 
-TEST_F(PolicyFixture, FacsPCountersFollowAdmissions) {
+TEST_F(PolicyFixture, FacsPCountersAreTheBaseStationLedger) {
   FacsPPolicy facsp(fp_cfg);
   admit(facsp, request(1, ServiceClass::kVideo));
   admit(facsp, request(2, ServiceClass::kText));
-  const auto& counters = facsp.counters(bs.id());
-  EXPECT_DOUBLE_EQ(counters.rt_bandwidth(), 10.0);
-  EXPECT_DOUBLE_EQ(counters.nrt_bandwidth(), 1.0);
-  facsp.on_released(1, ServiceClass::kVideo, bs);
-  EXPECT_DOUBLE_EQ(facsp.counters(bs.id()).rt_bandwidth(), 0.0);
+  EXPECT_DOUBLE_EQ(bs.load().rt_used, 10.0);
+  EXPECT_DOUBLE_EQ(bs.load().nrt_used, 1.0);
+  // A FACS-P instance that saw none of those admissions scores a probe
+  // exactly as the one that admitted them: Cs comes from the BS alone.
+  FacsPPolicy bystander(fp_cfg);
+  const auto probe = request(10, ServiceClass::kVoice, 60.0, 30.0);
+  EXPECT_EQ(bystander.decide(probe, bs).score, facsp.decide(probe, bs).score);
+  // Releasing on the BS is all it takes to return to the empty-cell score.
+  const double empty_score =
+      FacsPPolicy(fp_cfg)
+          .decide(probe, BaseStation{1, HexCoord{0, 0}, Point{0.0, 0.0}, 40.0})
+          .score;
+  bs.release(1, 0.0);
+  bs.release(2, 0.0);
+  EXPECT_EQ(facsp.decide(probe, bs).score, empty_score);
 }
 
-TEST_F(PolicyFixture, FacsPCountersMatchBaseStationLoad) {
-  FacsPPolicy facsp(fp_cfg);
-  admit(facsp, request(1, ServiceClass::kVideo));
-  admit(facsp, request(2, ServiceClass::kVoice));
-  admit(facsp, request(3, ServiceClass::kText));
-  const auto& c = facsp.counters(bs.id());
-  EXPECT_DOUBLE_EQ(c.rt_bandwidth(), bs.load().rt_used);
-  EXPECT_DOUBLE_EQ(c.nrt_bandwidth(), bs.load().nrt_used);
+TEST(FacsPWeights, EffectiveOccupancyAppliesWeights) {
+  PriorityWeights w;
+  w.real_time = 2.0;
+  w.non_real_time = 1.0;
+  w.handoff_bonus = 1.5;
+  cellular::LoadState load;
+  load.rt_used = 15.0;          // voice 5 (new) + video 10 (handoff)
+  load.rt_handoff_used = 10.0;
+  load.nrt_used = 1.0;          // text 1 (new)
+  // 2.0 * 5 + 2.0 * 1.5 * 10 + 1.0 * 1 = 41.
+  EXPECT_DOUBLE_EQ(effective_occupancy(load, w), 41.0);
+  load.nrt_handoff_used = 1.0;  // the text call arrived by handoff too
+  EXPECT_DOUBLE_EQ(effective_occupancy(load, w), 41.5);
+}
+
+TEST_F(PolicyFixture, FacsPEffectiveOccupancyAtLeastPhysicalLoad) {
+  FacsPPolicy facsp(fp_cfg);  // default weights, all >= 1
+  admit(facsp, request(1, ServiceClass::kVoice));
+  admit(facsp, request(2, ServiceClass::kText, 60.0, 0.0, 500.0,
+                       RequestKind::kHandoff));
+  EXPECT_DOUBLE_EQ(bs.load().nrt_handoff_used, 1.0);
+  EXPECT_GE(effective_occupancy(bs.load(), fp_cfg.weights), bs.used());
+}
+
+TEST(FacsPWeights, BelowOneRejectedWhenThePolicyIsBuilt) {
+  for (double PriorityWeights::*field :
+       {&PriorityWeights::real_time, &PriorityWeights::non_real_time,
+        &PriorityWeights::handoff_bonus}) {
+    FacsPConfig cfg;
+    cfg.weights.*field = 0.9;
+    EXPECT_THROW(FacsPPolicy{cfg}, facsp::ConfigError);
+    FacsPrConfig pr;
+    pr.base = cfg;
+    EXPECT_THROW(FacsPrPolicy{pr}, facsp::ConfigError);
+  }
+  FacsPConfig ones;
+  ones.weights = {1.0, 1.0, 1.0};
+  EXPECT_NO_THROW(FacsPPolicy{ones});
 }
 
 TEST_F(PolicyFixture, FacsPPriorityMakesItStricterUnderRtLoad) {
@@ -121,11 +153,8 @@ TEST_F(PolicyFixture, FacsPPriorityMakesItStricterUnderRtLoad) {
   // FACS's at the same physical load.
   FacsPPolicy facsp(fp_cfg);
   FacsPolicy facs(f_cfg);
-  for (cellular::ConnectionId id = 1; id <= 2; ++id) {
-    const auto req = request(id, ServiceClass::kVideo);
-    ASSERT_TRUE(bs.allocate(conn_for(req), 0.0));
-    facsp.on_admitted(req, bs);
-  }
+  for (cellular::ConnectionId id = 1; id <= 2; ++id)
+    admit(facsp, request(id, ServiceClass::kVideo));
   // Physical load 20 BU, all real-time; FACS-P sees 32 (weight 1.6).
   const auto probe = request(10, ServiceClass::kVoice, 60.0, 0.0, 100.0);
   const double score_p = facsp.decide(probe, bs).score;
@@ -156,13 +185,6 @@ TEST_F(PolicyFixture, FacsPHandoffGetsPriorityOverNewCall) {
                            RequestKind::kHandoff),
                    bs);
   EXPECT_GT(as_handoff.score, as_new.score);
-}
-
-TEST_F(PolicyFixture, FacsPResetClearsCounters) {
-  FacsPPolicy facsp(fp_cfg);
-  admit(facsp, request(1, ServiceClass::kVideo));
-  facsp.reset();
-  EXPECT_DOUBLE_EQ(facsp.counters(bs.id()).total_bandwidth(), 0.0);
 }
 
 TEST_F(PolicyFixture, FacsPName) {

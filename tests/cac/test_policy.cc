@@ -82,10 +82,7 @@ struct CountingPolicy final : AdmissionPolicy {
                            const cellular::BaseStation&) override {
     return {true, 1.0, Verdict::kAccept};
   }
-  void on_admitted(const AdmissionRequest&,
-                   const cellular::BaseStation&) override {
-    ++admitted;
-  }
+  void on_admitted(const AdmissionRequest&) override { ++admitted; }
 };
 
 cellular::BaseStation make_bs() {
@@ -114,8 +111,8 @@ TEST(Admit, FittingNewRequestAllocatesAndNotifiesOnce) {
   EXPECT_EQ(policy.admitted, 1);
   EXPECT_TRUE(bs.holds(1));
   EXPECT_EQ(bs.load().used, req.bandwidth);
-  EXPECT_EQ(bs.load().rt_count, 1u);
-  EXPECT_EQ(bs.load().handoff_count, 0u);
+  EXPECT_EQ(bs.load().rt_used, req.bandwidth);
+  EXPECT_EQ(bs.load().rt_handoff_used, 0.0);
 }
 
 TEST(Admit, HandoffRequestCountsAsHandoff) {
@@ -124,8 +121,9 @@ TEST(Admit, HandoffRequestCountsAsHandoff) {
   EXPECT_TRUE(admit(policy, bs,
                     make_req(2, cellular::ServiceClass::kText,
                              cellular::RequestKind::kHandoff)));
-  EXPECT_EQ(bs.load().handoff_count, 1u);
-  EXPECT_EQ(bs.load().nrt_count, 1u);
+  EXPECT_EQ(bs.load().nrt_used, 1.0);
+  EXPECT_EQ(bs.load().nrt_handoff_used, 1.0);
+  EXPECT_EQ(bs.load().rt_handoff_used, 0.0);
 }
 
 TEST(Admit, OverCapacityRequestChangesNothing) {
@@ -142,9 +140,10 @@ TEST(Admit, OverCapacityRequestChangesNothing) {
   EXPECT_EQ(policy.admitted, 4);
   EXPECT_FALSE(bs.holds(5));
   EXPECT_EQ(bs.load().used, before.used);
-  EXPECT_EQ(bs.load().rt_count, before.rt_count);
-  EXPECT_EQ(bs.load().nrt_count, before.nrt_count);
-  EXPECT_EQ(bs.load().handoff_count, before.handoff_count);
+  EXPECT_EQ(bs.load().rt_used, before.rt_used);
+  EXPECT_EQ(bs.load().nrt_used, before.nrt_used);
+  EXPECT_EQ(bs.load().rt_handoff_used, before.rt_handoff_used);
+  EXPECT_EQ(bs.load().nrt_handoff_used, before.nrt_handoff_used);
 }
 
 TEST(Admit, IdAlreadyHeldIsRefusedWithoutThrowing) {
@@ -161,7 +160,7 @@ TEST(Admit, IdAlreadyHeldIsRefusedWithoutThrowing) {
   EXPECT_FALSE(again);
   EXPECT_EQ(policy.admitted, 1);
   EXPECT_EQ(bs.load().used, before.used);
-  EXPECT_EQ(bs.load().rt_count, before.rt_count);
+  EXPECT_EQ(bs.load().rt_used, before.rt_used);
 }
 
 }  // namespace

@@ -80,7 +80,7 @@ TEST_F(SccFixture, ProjectedDemandAccumulatesActives) {
   SccPolicy scc(net, cfg);
   EXPECT_DOUBLE_EQ(scc.projected_demand({0, 0}, 60.0), 0.0);
   auto req = request(1, ServiceClass::kVideo, 0.0);  // stationary video
-  scc.on_admitted(req, net.center());
+  scc.on_admitted(req);
   EXPECT_EQ(scc.active_count(), 1u);
   const double d = scc.projected_demand({0, 0}, 60.0);
   // Stationary -> stays; demand = bw, possibly survival-discounted.
@@ -93,8 +93,8 @@ TEST_F(SccFixture, ProjectedDemandAccumulatesActives) {
 TEST_F(SccFixture, ReleasedActivesStopCastingShadows) {
   SccPolicy scc(net, cfg);
   auto req = request(1, ServiceClass::kVideo, 0.0);
-  scc.on_admitted(req, net.center());
-  scc.on_released(1, ServiceClass::kVideo, net.center());
+  scc.on_admitted(req);
+  scc.on_released(1);
   EXPECT_EQ(scc.active_count(), 0u);
   EXPECT_DOUBLE_EQ(scc.projected_demand({0, 0}, 60.0), 0.0);
 }
@@ -102,7 +102,7 @@ TEST_F(SccFixture, ReleasedActivesStopCastingShadows) {
 TEST_F(SccFixture, MobilityUpdatesMoveTheShadow) {
   SccPolicy scc(net, cfg);
   auto req = request(1, ServiceClass::kVideo, 0.0);
-  scc.on_admitted(req, net.center());
+  scc.on_admitted(req);
   // Teleport the active into the eastern neighbour.
   const auto east_center = net.layout().center({1, 0});
   scc.on_mobility(1, MobileState{east_center, 0.0, 0.0}, 100.0);
@@ -122,7 +122,7 @@ TEST_F(SccFixture, ReservationRejectsVideoUnderLoad) {
     c.service = ServiceClass::kVoice;
     c.bandwidth = 5.0;
     ASSERT_TRUE(net.center().allocate(c, 0.0));
-    scc.on_admitted(req, net.center());
+    scc.on_admitted(req);
   }
   const auto d = scc.decide(request(10, ServiceClass::kVideo, 0.0),
                             net.center());
@@ -135,23 +135,16 @@ TEST_F(SccFixture, ReservationRejectsVideoUnderLoad) {
 TEST_F(SccFixture, HandoffRequesterNotDoubleCounted) {
   SccPolicy scc(net, cfg);
   auto req = request(1, ServiceClass::kVideo, 0.0);
-  scc.on_admitted(req, net.center());
+  scc.on_admitted(req);
   // The same connection handing off into its own cell region must not be
   // rejected because of its *own* shadow.
   auto ho = request(1, ServiceClass::kVideo, 0.0, 0.0, RequestKind::kHandoff);
   const auto with_self = scc.decide(ho, net.center());
-  scc.on_released(1, ServiceClass::kVideo, net.center());
+  scc.on_released(1);
   auto fresh = request(1, ServiceClass::kVideo, 0.0, 0.0,
                        RequestKind::kHandoff);
   const auto without_self = scc.decide(fresh, net.center());
   EXPECT_NEAR(with_self.score, without_self.score, 1e-9);
-}
-
-TEST_F(SccFixture, ResetDropsAllState) {
-  SccPolicy scc(net, cfg);
-  scc.on_admitted(request(1, ServiceClass::kVideo), net.center());
-  scc.reset();
-  EXPECT_EQ(scc.active_count(), 0u);
 }
 
 TEST_F(SccFixture, PhysicallyFullCellRejects) {

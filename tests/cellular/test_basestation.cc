@@ -37,8 +37,8 @@ TEST_F(BsFixture, AllocateTracksLoadByClass) {
   EXPECT_DOUBLE_EQ(load.used, 16.0);
   EXPECT_DOUBLE_EQ(load.rt_used, 15.0);   // video + voice
   EXPECT_DOUBLE_EQ(load.nrt_used, 1.0);   // text
-  EXPECT_EQ(load.rt_count, 2u);
-  EXPECT_EQ(load.nrt_count, 1u);
+  EXPECT_DOUBLE_EQ(load.rt_handoff_used, 0.0);
+  EXPECT_DOUBLE_EQ(load.nrt_handoff_used, 0.0);
   EXPECT_DOUBLE_EQ(load.utilization(), 0.4);
 }
 
@@ -57,7 +57,7 @@ TEST_F(BsFixture, ReleaseRestoresCapacity) {
   bs.release(1, 5.0);
   EXPECT_DOUBLE_EQ(bs.used(), 5.0);
   EXPECT_DOUBLE_EQ(bs.load().rt_used, 5.0);
-  EXPECT_EQ(bs.load().rt_count, 1u);
+  EXPECT_EQ(bs.active_connections(), 1u);
   EXPECT_FALSE(bs.holds(1));
   EXPECT_TRUE(bs.holds(2));
 }
@@ -72,26 +72,35 @@ TEST_F(BsFixture, ReleaseUnknownConnectionThrows) {
   EXPECT_THROW(bs.release(99, 0.0), ContractViolation);
 }
 
-TEST_F(BsFixture, HandoffCountTracked) {
+TEST_F(BsFixture, HandoffBandwidthTrackedPerClass) {
   bs.allocate(make_conn(1, ServiceClass::kVoice), 0.0, /*via_handoff=*/true);
   bs.allocate(make_conn(2, ServiceClass::kVoice), 0.0, /*via_handoff=*/false);
-  EXPECT_EQ(bs.load().handoff_count, 1u);
+  bs.allocate(make_conn(3, ServiceClass::kText), 0.0, /*via_handoff=*/true);
+  EXPECT_DOUBLE_EQ(bs.load().rt_used, 10.0);
+  EXPECT_DOUBLE_EQ(bs.load().rt_handoff_used, 5.0);
+  EXPECT_DOUBLE_EQ(bs.load().nrt_handoff_used, 1.0);
   bs.release(1, 1.0);
-  EXPECT_EQ(bs.load().handoff_count, 0u);
+  EXPECT_DOUBLE_EQ(bs.load().rt_handoff_used, 0.0);
+  EXPECT_DOUBLE_EQ(bs.load().rt_used, 5.0);
+  bs.release(3, 1.0);
+  EXPECT_DOUBLE_EQ(bs.load().nrt_handoff_used, 0.0);
 }
 
 TEST_F(BsFixture, RepeatedChurnLeavesNoDrift) {
   for (int round = 0; round < 200; ++round) {
+    const bool via_handoff = round % 3 == 0;
     ASSERT_TRUE(bs.allocate(make_conn(round * 2 + 1, ServiceClass::kVoice),
-                            round));
-    ASSERT_TRUE(
-        bs.allocate(make_conn(round * 2 + 2, ServiceClass::kText), round));
+                            round, via_handoff));
+    ASSERT_TRUE(bs.allocate(make_conn(round * 2 + 2, ServiceClass::kText),
+                            round, !via_handoff));
     bs.release(round * 2 + 1, round + 0.5);
     bs.release(round * 2 + 2, round + 0.5);
   }
   EXPECT_DOUBLE_EQ(bs.used(), 0.0);
   EXPECT_DOUBLE_EQ(bs.load().rt_used, 0.0);
   EXPECT_DOUBLE_EQ(bs.load().nrt_used, 0.0);
+  EXPECT_DOUBLE_EQ(bs.load().rt_handoff_used, 0.0);
+  EXPECT_DOUBLE_EQ(bs.load().nrt_handoff_used, 0.0);
   EXPECT_EQ(bs.active_connections(), 0u);
 }
 

@@ -43,7 +43,7 @@ TEST(SweepSpec, PaperGridIs10To100) {
 }
 
 TEST(Experiment, RunSingleProducesMetrics) {
-  Experiment exp(quick_scenario(), make_complete_sharing_factory(), "CS");
+  Experiment exp(quick_scenario(), make_complete_sharing_factory());
   const RunResult r = exp.run_single(20, 0);
   EXPECT_EQ(r.metrics.offered_new(), 20u);
 }
@@ -78,8 +78,8 @@ TEST(Experiment, CommonRandomNumbersAcrossPolicies) {
   // policies: complete sharing and a zero-guard guard channel are
   // decision-identical, so their metrics must match exactly.
   const auto scen = quick_scenario();
-  Experiment cs(scen, make_complete_sharing_factory(), "CS");
-  Experiment gc0(scen, make_guard_channel_factory(0.0), "GC0");
+  Experiment cs(scen, make_complete_sharing_factory());
+  Experiment gc0(scen, make_guard_channel_factory(0.0));
   const RunResult a = cs.run_single(30, 2);
   const RunResult b = gc0.run_single(30, 2);
   EXPECT_EQ(a.metrics.accepted_new(), b.metrics.accepted_new());
@@ -98,7 +98,7 @@ TEST(Experiment, AllCanonicalFactoriesProduceWorkingPolicies) {
       {"CS", make_complete_sharing_factory()},
   };
   for (const auto& [name, factory] : factories) {
-    Experiment exp(scen, factory, name);
+    Experiment exp(scen, factory);
     const RunResult r = exp.run_single(15, 0);
     EXPECT_EQ(r.metrics.offered_new(), 15u) << name;
     EXPECT_LE(r.metrics.accepted_new(), 15u) << name;
@@ -139,8 +139,8 @@ TEST(Experiment, PolicyRngConsumptionCannotPerturbWorkload) {
   // streams rooted in their own "driver" component, those extra draws must
   // not perturb the workload or the run in any way.
   const auto scen = quick_scenario();
-  Experiment cs(scen, make_complete_sharing_factory(), "CS");
-  Experiment fgc(scen, make_fractional_guard_factory(1e-9), "FGCeps");
+  Experiment cs(scen, make_complete_sharing_factory());
+  Experiment fgc(scen, make_fractional_guard_factory(1e-9));
   for (std::uint64_t r : {0ull, 1ull, 7ull}) {
     const RunResult a = cs.run_single(25, r);
     const RunResult b = fgc.run_single(25, r);
@@ -156,7 +156,7 @@ TEST(Experiment, FacsFactoryResolvesCellRadiusFromNetwork) {
   // fill it from the scenario's network instead of failing.
   auto scen = quick_scenario();
   scen.cell_radius_m = 1234.0;
-  Experiment exp(scen, make_facs_factory(), "FACS");
+  Experiment exp(scen, make_facs_factory());
   EXPECT_NO_THROW(exp.run_single(5, 0));
 }
 

@@ -283,7 +283,7 @@ TEST(SweepRunner, PaperGridSpecMatchesExperimentRunBitIdentically) {
   for (const Input& in : inputs) {
     SCOPED_TRACE(in.policy + " on " + in.label);
     const std::vector<SerialPoint> serial = serial_sweep(
-        Experiment(in.scenario, policy_factory_by_name(in.policy), in.policy),
+        Experiment(in.scenario, policy_factory_by_name(in.policy)),
         in.n_values, in.replications);
     SweepSpec spec;
     spec.base = in.scenario;

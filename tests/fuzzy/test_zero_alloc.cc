@@ -122,7 +122,7 @@ TEST(ZeroAlloc, SteadyStateAdmissionDecisionDoesNotAllocate) {
   req.bandwidth = 5.0;
   req.speed_kmh = 60.0;
   req.angle_deg = 20.0;
-  (void)policy.decide(req, bs);  // warms scratch and the BS counter ledger
+  (void)policy.decide(req, bs);  // warms the inference scratch
 
   const std::size_t before = allocations();
   for (int i = 0; i < 1000; ++i) {
@@ -151,6 +151,47 @@ TEST(ZeroAlloc, SteadyStateDecisionBatchDoesNotAllocate) {
   for (int i = 0; i < 100; ++i) policy.decide_batch(reqs, bs, out);
   EXPECT_EQ(allocations(), before);
   EXPECT_EQ(out.size(), reqs.size());
+}
+
+TEST(ZeroAlloc, AdmissionAllocatesOnlyTheBaseStationLedgerNode) {
+  // The base station is the one call ledger: admitting through cac::admit
+  // costs exactly one heap node (BaseStation::held_) per call, and FACS-P
+  // keeps no per-call state of its own.
+  cac::FacsPPolicy policy;
+  cellular::BaseStation bs(0, {0, 0}, {0.0, 0.0}, 40.0);
+  cac::AdmissionRequest req;
+  req.service = cellular::ServiceClass::kVoice;
+  req.bandwidth = 5.0;
+  req.speed_kmh = 60.0;
+  req.angle_deg = 20.0;
+  // Warm-up: one decide/admit/release round sizes the inference scratch and
+  // the ledger's bucket array.
+  req.id = 1;
+  (void)policy.decide(req, bs);
+  ASSERT_TRUE(cac::admit(policy, bs, req));
+  bs.release(req.id, 0.0);
+  policy.on_released(req.id);
+
+  constexpr std::size_t kCalls = 8;  // 8 x 5 BU fills the 40-BU cell
+  std::size_t admitted = 0;
+  const std::size_t before_admit = allocations();
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    req.id = 100 + i;
+    (void)policy.decide(req, bs);
+    if (cac::admit(policy, bs, req)) ++admitted;
+  }
+  const std::size_t admit_allocs = allocations() - before_admit;
+
+  const std::size_t before_release = allocations();
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    bs.release(100 + i, 1.0);
+    policy.on_released(100 + i);
+  }
+  const std::size_t release_allocs = allocations() - before_release;
+
+  EXPECT_EQ(admitted, kCalls);
+  EXPECT_EQ(admit_allocs, kCalls) << "expected one ledger node per admission";
+  EXPECT_EQ(release_allocs, 0u);
 }
 
 }  // namespace

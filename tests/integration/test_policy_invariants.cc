@@ -36,7 +36,7 @@ class PolicyInvariants
 
 TEST_P(PolicyInvariants, MetricsAreConsistent) {
   const auto& [pc, n] = GetParam();
-  Experiment exp(scenario(), pc.make(), pc.name);
+  Experiment exp(scenario(), pc.make());
   const RunResult r = exp.run_single(n, 0);
 
   // Every offered call decided; every admitted call resolved.
@@ -60,7 +60,7 @@ TEST_P(PolicyInvariants, MetricsAreConsistent) {
 
 TEST_P(PolicyInvariants, DeterministicAcrossRuns) {
   const auto& [pc, n] = GetParam();
-  Experiment exp(scenario(), pc.make(), pc.name);
+  Experiment exp(scenario(), pc.make());
   const RunResult a = exp.run_single(n, 3);
   const RunResult b = exp.run_single(n, 3);
   EXPECT_EQ(a.metrics.accepted_new(), b.metrics.accepted_new());
@@ -74,7 +74,7 @@ TEST_P(PolicyInvariants, HandoffPressureDoesNotBreakAccounting) {
   ScenarioConfig s = scenario();
   s.traffic.fixed_speed_kmh = 110.0;  // maximum handoff churn
   s.traffic.mean_holding_s = 300.0;
-  Experiment exp(s, pc.make(), pc.name);
+  Experiment exp(s, pc.make());
   const RunResult r = exp.run_single(n, 1);
   EXPECT_EQ(r.metrics.accepted_new(),
             r.metrics.completed() + r.metrics.dropped());

@@ -30,7 +30,7 @@ TEST_P(SimVsKaufmanRoberts, AcceptanceMatchesTheory) {
   scen.traffic.mean_holding_s = tc.holding_s;
 
   // Simulated acceptance, averaged over replications.
-  Experiment exp(scen, make_complete_sharing_factory(), "CS");
+  Experiment exp(scen, make_complete_sharing_factory());
   sim::SummaryStats acceptance;
   sim::SummaryStats per_class[3];
   const int reps = 24;
@@ -84,7 +84,7 @@ TEST(SimVsErlangB, SingleClassMatchesErlangB) {
   scen.traffic.mean_holding_s = 300.0;
 
   const int n = 700;  // offered load = 700/4000 * 300 = 52.5 erlangs
-  Experiment exp(scen, make_complete_sharing_factory(), "CS");
+  Experiment exp(scen, make_complete_sharing_factory());
   sim::SummaryStats acceptance;
   for (int rep = 0; rep < 16; ++rep)
     acceptance.add(exp.run_single(n, rep).metrics.acceptance_percent());

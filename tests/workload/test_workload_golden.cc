@@ -24,7 +24,7 @@ struct GoldenCell {
 void expect_cells(const ScenarioConfig& scen, PolicyFactory factory,
                   const char* label,
                   const std::vector<GoldenCell>& golden) {
-  Experiment exp(scen, std::move(factory), label);
+  Experiment exp(scen, std::move(factory));
   for (const GoldenCell& g : golden) {
     const CellMetrics m =
         CellMetrics::from_run(g.n, g.rep, exp.run_single(g.n, g.rep));

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "core/config_io.h"
 #include "net/frame.h"
 #include "net/socket.h"
 #include "serve/trace.h"
@@ -52,16 +53,8 @@ int usage(const char* argv0, FILE* dst) {
   return dst == stderr ? 2 : 0;
 }
 
-int parse_int(const std::string& v, const char* what) {
-  try {
-    std::size_t used = 0;
-    const int x = std::stoi(v, &used);
-    if (used != v.size()) throw std::invalid_argument("trailing characters");
-    return x;
-  } catch (const std::exception&) {
-    throw ConfigError(std::string("bad ") + what + " '" + v + "'");
-  }
-}
+using core::parse_double;
+using core::parse_int;
 
 double wall_s() {
   return std::chrono::duration<double>(
@@ -101,7 +94,7 @@ int run(int argc, char** argv) {
     else if (arg == "--repeat")
       repeat = parse_int(value("--repeat"), "--repeat");
     else if (arg == "--timeout")
-      timeout_s = std::stod(value("--timeout"));
+      timeout_s = parse_double(value("--timeout"), "--timeout");
     else if (arg == "--quiet")
       quiet = true;
     else {
