@@ -78,7 +78,6 @@ int usage(const char* argv0, FILE* dst) {
       "  --io-timeout <s>         per-connection read/write timeout\n"
       "                           (default 30)\n"
       "  --idle-timeout <s>       reap silent connections (default 300)\n"
-      "  --poll-backend <name>    epoll | poll (default: epoll on Linux)\n"
       "\n"
       "Output:\n"
       "  --out <prefix>           file prefix (default 'server')\n"
@@ -120,7 +119,6 @@ int run(int argc, char** argv) {
   std::optional<double> flush_idle;
   std::optional<double> io_timeout;
   std::optional<double> idle_timeout;
-  std::optional<std::string> poll_backend;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -186,8 +184,6 @@ int run(int argc, char** argv) {
       io_timeout = parse_double(value("--io-timeout"), "--io-timeout");
     else if (arg == "--idle-timeout")
       idle_timeout = parse_double(value("--idle-timeout"), "--idle-timeout");
-    else if (arg == "--poll-backend")
-      poll_backend = value("--poll-backend");
     else if (arg == "--table")
       print_table = true;
     else {
@@ -206,7 +202,6 @@ int run(int argc, char** argv) {
                        : flush_idle    ? "--flush-idle"
                        : io_timeout    ? "--io-timeout"
                        : idle_timeout  ? "--idle-timeout"
-                       : poll_backend  ? "--poll-backend"
                                        : nullptr;
     if (stray)
       throw ConfigError(std::string(stray) + " requires --listen");
@@ -241,15 +236,6 @@ int run(int argc, char** argv) {
       net.write_timeout_s = *io_timeout;
     }
     if (idle_timeout) net.idle_timeout_s = *idle_timeout;
-    if (poll_backend) {
-      if (*poll_backend == "epoll")
-        net.backend = net::PollBackend::kEpoll;
-      else if (*poll_backend == "poll")
-        net.backend = net::PollBackend::kPoll;
-      else
-        throw ConfigError("bad --poll-backend '" + *poll_backend +
-                          "' (epoll | poll)");
-    }
     net.metrics_interval_s = metrics_interval;
     net.metrics_path = metrics_path;
     // The scrape endpoint serves the registry; count even without --metrics.

@@ -5,17 +5,23 @@
 //
 //   $ ./handoff_storm [N] [replications]
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <iostream>
 
+#include "common/error.h"
+#include "core/config_io.h"
 #include "core/experiment.h"
 #include "core/paper.h"
 
 using namespace facsp;
 
-int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 50;
-  const int reps = argc > 2 ? std::atoi(argv[2]) : 8;
+namespace {
+
+int run(int argc, char** argv) {
+  const int n = argc > 1 ? core::parse_int(argv[1], "N") : 50;
+  const int reps = argc > 2 ? core::parse_int(argv[2], "replications") : 8;
+  if (n < 1 || reps < 1)
+    throw ConfigError("N and replications must be >= 1");
 
   std::cout << "Handoff storm — " << n
             << " fast connections per cell, 19 cells\n"
@@ -66,4 +72,15 @@ int main(int argc, char** argv) {
       "handoff bonus keep the completion ratio of admitted calls at the\n"
       "top of the table — 'keeping the QoS of on-going connections'.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

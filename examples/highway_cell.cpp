@@ -8,18 +8,23 @@
 //
 //   $ ./highway_cell [replications]
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <utility>
 
+#include "common/error.h"
+#include "core/config_io.h"
 #include "core/paper.h"
 #include "core/report.h"
 #include "core/sweep.h"
 
 using namespace facsp;
 
-int main(int argc, char** argv) {
-  const int reps = argc > 1 ? std::atoi(argv[1]) : 12;
+namespace {
+
+int run(int argc, char** argv) {
+  const int reps = argc > 1 ? core::parse_int(argv[1], "replications") : 12;
+  if (reps < 1) throw ConfigError("replications must be >= 1");
 
   std::cout << "Highway cell vs pedestrian street (FACS-P)\n"
             << "===========================================\n\n";
@@ -69,4 +74,15 @@ int main(int argc, char** argv) {
       "actually stay in (or pass predictably through) the cell.  This is\n"
       "the paper's Fig. 8 conclusion on a realistic mixed deployment.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

@@ -6,12 +6,13 @@
 //   $ ./rule_explorer flc1 <Sp> <An> <Sr>  # e.g. flc1 90 0 10
 //   $ ./rule_explorer flc2 <Cv> <Rq> <Cs>  # e.g. flc2 0.8 5 25
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <iostream>
 #include <vector>
 
 #include "cac/facs_flc.h"
+#include "core/config_io.h"
 
 using namespace facsp;
 
@@ -43,15 +44,14 @@ void explain_at(const fuzzy::FuzzyController& flc,
               ex.crisp);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const auto flc1 = cac::make_flc1();
   const auto flc2 = cac::make_flc2();
 
   if (argc == 5) {
-    const std::vector<double> in = {std::atof(argv[2]), std::atof(argv[3]),
-                                    std::atof(argv[4])};
+    const std::vector<double> in = {core::parse_double(argv[2], "input 1"),
+                                    core::parse_double(argv[3], "input 2"),
+                                    core::parse_double(argv[4], "input 3")};
     if (std::strcmp(argv[1], "flc1") == 0) {
       explain_at(*flc1, in);
       return 0;
@@ -95,4 +95,15 @@ int main(int argc, char** argv) {
 
   std::cout << "Try your own points: rule_explorer flc1 90 45 10\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

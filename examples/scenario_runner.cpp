@@ -87,8 +87,8 @@ int usage(const char* argv0, FILE* dst) {
       "\n"
       "Decision-server traces (see docs/serving.md):\n"
       "  trace record --out <trace.csv> [--scenario ... --seed ...]\n"
-      "  trace replay <trace.csv> [--policy ... --threads ...]\n"
-      "  ('%s trace --help' for the full flag list)\n"
+      "  ('%s trace --help' for the full flag list; replay a trace with\n"
+      "  'decision_server --replay <trace.csv>')\n"
       "\n"
       "Single-run mode (no axes): positional <policy> [N [reps [threads]]]\n"
       "prints per-replication metrics, as before; the legacy\n"
@@ -380,36 +380,30 @@ int run(const Options& opt) {
   return 0;
 }
 
-// `trace record` / `trace replay`: capture the decision server's request
-// stream to a byte-stable CSV, and feed it back through the serving loop
-// (see docs/serving.md).  Kept here rather than in decision_server so one
-// tool owns every scenario-driving CLI.
+// `trace record`: capture the decision server's request stream to a
+// byte-stable CSV that `decision_server --replay` feeds back through the
+// serving loop (see docs/serving.md).
 int run_trace(int argc, char** argv) {
   const auto trace_usage = [&](FILE* dst) {
     std::fprintf(
         dst,
         "usage: %s trace record --out <trace.csv> [options]\n"
-        "       %s trace replay <trace.csv> [options]\n"
         "\n"
         "record options: --scenario <name> | --config <file>, --seed <u64>,\n"
         "  --duration <s> (default 60), --rate <req/s> (default 2000),\n"
         "  --shards <int> (default 4), --handoff-fraction <f>\n"
-        "replay options: --policy <name>, --shards <int>, --threads <int>,\n"
-        "  --duration <s> (default: derived from the trace),\n"
-        "  --batch-window <s>, --batch-max <int>, --out <prefix>,\n"
-        "  --trace <perfetto.json>, --metrics <file>\n"
         "\n"
         "Recorded traces pin the policy inputs completely (the noisy\n"
         "predicted angles are recorded, not re-drawn), so a replay's\n"
-        "telemetry CSV is byte-identical across runs, machines and thread\n"
-        "counts.\n",
-        argv[0], argv[0]);
+        "telemetry CSV (decision_server --replay <trace.csv>) is\n"
+        "byte-identical across runs, machines and thread counts.\n",
+        argv[0]);
     return dst == stderr ? 2 : 0;
   };
   if (argc < 3) return trace_usage(stderr);
   const std::string mode = argv[2];
   if (mode == "--help" || mode == "-h") return trace_usage(stdout);
-  if (mode != "record" && mode != "replay") {
+  if (mode != "record") {
     std::fprintf(stderr, "error: unknown trace subcommand '%s'\n\n",
                  mode.c_str());
     return trace_usage(stderr);
@@ -419,9 +413,6 @@ int run_trace(int argc, char** argv) {
   config.scenario = workload::catalog_scenario("paper-grid");
   config.scenario_label = "paper-grid";
   std::optional<std::string> out;
-  std::optional<std::string> trace_path;
-  ObsSession obs_session;
-  bool duration_given = false;
 
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -439,67 +430,31 @@ int run_trace(int argc, char** argv) {
       config.scenario = core::load_scenario_file(config.scenario_label);
     } else if (arg == "--seed")
       config.scenario.seed = parse_u64(value("--seed"), "--seed");
-    else if (arg == "--duration") {
+    else if (arg == "--duration")
       config.duration_s = parse_int(value("--duration"), "--duration");
-      duration_given = true;
-    } else if (arg == "--rate")
+    else if (arg == "--rate")
       config.requests_per_s = parse_int(value("--rate"), "--rate");
     else if (arg == "--handoff-fraction")
       config.handoff_fraction =
           parse_double(value("--handoff-fraction"), "--handoff-fraction");
     else if (arg == "--shards")
       config.shards = parse_int(value("--shards"), "--shards");
-    else if (arg == "--threads")
-      config.threads = parse_int(value("--threads"), "--threads");
-    else if (arg == "--policy")
-      config.policy = value("--policy");
-    else if (arg == "--batch-window")
-      config.batch_window_s =
-          parse_double(value("--batch-window"), "--batch-window");
-    else if (arg == "--batch-max")
-      config.batch_max = parse_int(value("--batch-max"), "--batch-max");
     else if (arg == "--out")
       out = value("--out");
-    else if (arg == "--trace")
-      obs_session.trace_path = value("--trace");
-    else if (arg == "--metrics")
-      obs_session.metrics_path = value("--metrics");
-    else if (arg[0] != '-' && mode == "replay" && !trace_path)
-      trace_path = arg;
     else {
       std::fprintf(stderr, "error: unknown trace flag '%s'\n\n", arg.c_str());
       return trace_usage(stderr);
     }
   }
 
-  if (mode == "record") {
-    if (!out) throw ConfigError("trace record: --out <trace.csv> is required");
-    const std::vector<serve::StampedRequest> trace =
-        serve::record_trace(config);
-    serve::write_trace_file(trace, *out);
-    std::printf("recorded %zu requests (%lld s at %d req/s, seed %llu) to %s\n",
-                trace.size(), static_cast<long long>(config.duration_s),
-                config.requests_per_s,
-                static_cast<unsigned long long>(config.scenario.seed),
-                out->c_str());
-    return 0;
-  }
-
-  if (!trace_path)
-    throw ConfigError("trace replay: a recorded <trace.csv> is required");
-  if (!duration_given) config.duration_s = 0;  // derive from the trace
-  serve::DecisionServer server(config,
-                               serve::read_trace_file(*trace_path));
-  obs_session.begin();
-  const serve::ServerResult result = server.run();
-  obs_session.finish();
-  const std::string prefix = out.value_or("replay");
-  serve::write_telemetry_csv(result, prefix + "_telemetry.csv");
-  serve::write_latency_csv(result, prefix + "_latency.csv");
-  serve::write_summary_json(config, result, prefix + "_summary.json");
-  serve::write_summary_json(config, result, std::cout);
-  std::printf("wrote %s_telemetry.csv, %s_latency.csv, %s_summary.json\n",
-              prefix.c_str(), prefix.c_str(), prefix.c_str());
+  if (!out) throw ConfigError("trace record: --out <trace.csv> is required");
+  const std::vector<serve::StampedRequest> trace = serve::record_trace(config);
+  serve::write_trace_file(trace, *out);
+  std::printf("recorded %zu requests (%lld s at %d req/s, seed %llu) to %s\n",
+              trace.size(), static_cast<long long>(config.duration_s),
+              config.requests_per_s,
+              static_cast<unsigned long long>(config.scenario.seed),
+              out->c_str());
   return 0;
 }
 

@@ -2,174 +2,64 @@
 
 #include <cerrno>
 
-#include <poll.h>
-#ifdef __linux__
-#include <sys/epoll.h>
-#include <unistd.h>
-#endif
-
-#include "common/error.h"
-#include "common/expects.h"
-#include "net/socket.h"
-
 namespace facsp::net {
 
 namespace {
 
-// --- poll(2) backend -------------------------------------------------------
-
-class PollPoller final : public Poller {
- public:
-  PollPoller() { fds_.reserve(64); }
-
-  void add(int fd, bool read, bool write) override {
-    FACSP_EXPECTS(fd >= 0);
-    FACSP_EXPECTS(index_of(fd) == fds_.size());
-    pollfd p{};
-    p.fd = fd;
-    p.events = events_for(read, write);
-    fds_.push_back(p);
-  }
-
-  void modify(int fd, bool read, bool write) override {
-    const std::size_t i = index_of(fd);
-    FACSP_EXPECTS(i < fds_.size());
-    fds_[i].events = events_for(read, write);
-  }
-
-  void remove(int fd) override {
-    const std::size_t i = index_of(fd);
-    FACSP_EXPECTS(i < fds_.size());
-    fds_[i] = fds_.back();
-    fds_.pop_back();
-  }
-
-  std::size_t wait(int timeout_ms, std::vector<PollEvent>& out) override {
-    out.clear();
-    const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return 0;
-      throw SocketError("poll", "", errno);
-    }
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      PollEvent e;
-      e.fd = p.fd;
-      e.readable = (p.revents & POLLIN) != 0;
-      e.writable = (p.revents & POLLOUT) != 0;
-      e.error = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      out.push_back(e);
-      if (out.size() == static_cast<std::size_t>(n)) break;
-    }
-    return out.size();
-  }
-
-  const char* name() const noexcept override { return "poll"; }
-
- private:
-  static short events_for(bool read, bool write) noexcept {
-    short ev = 0;
-    if (read) ev |= POLLIN;
-    if (write) ev |= POLLOUT;
-    return ev;
-  }
-
-  std::size_t index_of(int fd) const noexcept {
-    for (std::size_t i = 0; i < fds_.size(); ++i)
-      if (fds_[i].fd == fd) return i;
-    return fds_.size();
-  }
-
-  std::vector<pollfd> fds_;
-};
-
-// --- epoll backend ---------------------------------------------------------
-
-#ifdef __linux__
-class EpollPoller final : public Poller {
- public:
-  EpollPoller() : epfd_(::epoll_create1(0)) {
-    if (!epfd_.valid()) throw SocketError("epoll_create1", "", errno);
-    events_.resize(64);
-  }
-
-  void add(int fd, bool read, bool write) override {
-    epoll_event ev = event_for(fd, read, write);
-    if (::epoll_ctl(epfd_.get(), EPOLL_CTL_ADD, fd, &ev) < 0)
-      throw SocketError("epoll_ctl(ADD)", "", errno);
-    ++registered_;
-  }
-
-  void modify(int fd, bool read, bool write) override {
-    epoll_event ev = event_for(fd, read, write);
-    if (::epoll_ctl(epfd_.get(), EPOLL_CTL_MOD, fd, &ev) < 0)
-      throw SocketError("epoll_ctl(MOD)", "", errno);
-  }
-
-  void remove(int fd) override {
-    epoll_event ev{};
-    if (::epoll_ctl(epfd_.get(), EPOLL_CTL_DEL, fd, &ev) < 0)
-      throw SocketError("epoll_ctl(DEL)", "", errno);
-    --registered_;
-  }
-
-  std::size_t wait(int timeout_ms, std::vector<PollEvent>& out) override {
-    out.clear();
-    if (events_.size() < registered_) events_.resize(registered_);
-    const int n = ::epoll_wait(epfd_.get(), events_.data(),
-                               static_cast<int>(events_.size()), timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return 0;
-      throw SocketError("epoll_wait", "", errno);
-    }
-    for (int i = 0; i < n; ++i) {
-      const epoll_event& ep = events_[static_cast<std::size_t>(i)];
-      PollEvent e;
-      e.fd = ep.data.fd;
-      e.readable = (ep.events & EPOLLIN) != 0;
-      e.writable = (ep.events & EPOLLOUT) != 0;
-      e.error = (ep.events & (EPOLLERR | EPOLLHUP)) != 0;
-      out.push_back(e);
-    }
-    return out.size();
-  }
-
-  const char* name() const noexcept override { return "epoll"; }
-
- private:
-  static epoll_event event_for(int fd, bool read, bool write) noexcept {
-    epoll_event ev{};
-    if (read) ev.events |= EPOLLIN;
-    if (write) ev.events |= EPOLLOUT;
-    ev.data.fd = fd;
-    return ev;
-  }
-
-  UniqueFd epfd_;
-  std::vector<epoll_event> events_;
-  std::size_t registered_ = 0;
-};
-#endif  // __linux__
+epoll_event event_for(int fd, bool read, bool write) noexcept {
+  epoll_event ev{};
+  if (read) ev.events |= EPOLLIN;
+  if (write) ev.events |= EPOLLOUT;
+  ev.data.fd = fd;
+  return ev;
+}
 
 }  // namespace
 
-bool epoll_available() noexcept {
-#ifdef __linux__
-  return true;
-#else
-  return false;
-#endif
+Poller::Poller() : epfd_(::epoll_create1(0)) {
+  if (!epfd_.valid()) throw SocketError("epoll_create1", "", errno);
+  events_.resize(64);
 }
 
-std::unique_ptr<Poller> make_poller(PollBackend backend) {
-#ifdef __linux__
-  if (backend == PollBackend::kAuto || backend == PollBackend::kEpoll)
-    return std::make_unique<EpollPoller>();
-#else
-  if (backend == PollBackend::kEpoll)
-    throw ConfigError("net: epoll backend unavailable on this platform");
-#endif
-  return std::make_unique<PollPoller>();
+void Poller::add(int fd, bool read, bool write) {
+  epoll_event ev = event_for(fd, read, write);
+  if (::epoll_ctl(epfd_.get(), EPOLL_CTL_ADD, fd, &ev) < 0)
+    throw SocketError("epoll_ctl(ADD)", "", errno);
+  ++registered_;
+}
+
+void Poller::modify(int fd, bool read, bool write) {
+  epoll_event ev = event_for(fd, read, write);
+  if (::epoll_ctl(epfd_.get(), EPOLL_CTL_MOD, fd, &ev) < 0)
+    throw SocketError("epoll_ctl(MOD)", "", errno);
+}
+
+void Poller::remove(int fd) {
+  epoll_event ev{};
+  if (::epoll_ctl(epfd_.get(), EPOLL_CTL_DEL, fd, &ev) < 0)
+    throw SocketError("epoll_ctl(DEL)", "", errno);
+  --registered_;
+}
+
+std::size_t Poller::wait(int timeout_ms, std::vector<PollEvent>& out) {
+  out.clear();
+  if (events_.size() < registered_) events_.resize(registered_);
+  const int n = ::epoll_wait(epfd_.get(), events_.data(),
+                             static_cast<int>(events_.size()), timeout_ms);
+  if (n < 0) {
+    if (errno == EINTR) return 0;
+    throw SocketError("epoll_wait", "", errno);
+  }
+  for (int i = 0; i < n; ++i) {
+    const epoll_event& ep = events_[static_cast<std::size_t>(i)];
+    PollEvent e;
+    e.fd = ep.data.fd;
+    e.readable = (ep.events & EPOLLIN) != 0;
+    e.writable = (ep.events & EPOLLOUT) != 0;
+    e.error = (ep.events & (EPOLLERR | EPOLLHUP)) != 0;
+    out.push_back(e);
+  }
+  return out.size();
 }
 
 }  // namespace facsp::net

@@ -1,16 +1,15 @@
-// Readiness polling behind one interface: epoll on Linux, poll(2)
-// everywhere.  Both backends are level-triggered — the event loop re-arms
-// nothing and simply drains what it can each pass; a fd with unread bytes
-// or writable space reports ready again on the next wait.
-//
-// The poll backend is not merely a portability fallback: the test suite
-// runs every event-loop test against BOTH backends on Linux, so the
-// portable path stays correct instead of rotting behind the #ifdef.
+// Readiness polling for the event loop: one epoll instance, Linux only.
+// Level-triggered — the event loop re-arms nothing and simply drains what
+// it can each pass; a fd with unread bytes or writable space reports ready
+// again on the next wait.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
+
+#include <sys/epoll.h>
+
+#include "net/socket.h"
 
 namespace facsp::net {
 
@@ -25,31 +24,26 @@ struct PollEvent {
 
 class Poller {
  public:
-  virtual ~Poller() = default;
+  /// Creates the epoll fd (throws SocketError on failure); closes it on
+  /// destruction.
+  Poller();
 
   /// Register `fd` with the given interest set.  fd must not already be
   /// registered.
-  virtual void add(int fd, bool read, bool write) = 0;
+  void add(int fd, bool read, bool write);
   /// Change the interest set of a registered fd.
-  virtual void modify(int fd, bool read, bool write) = 0;
+  void modify(int fd, bool read, bool write);
   /// Deregister; must be called before the fd is closed.
-  virtual void remove(int fd) = 0;
+  void remove(int fd);
 
   /// Wait up to timeout_ms (-1 = forever) and fill `out` (cleared first)
   /// with ready fds.  Returns the event count; EINTR reports as 0 events.
-  virtual std::size_t wait(int timeout_ms, std::vector<PollEvent>& out) = 0;
+  std::size_t wait(int timeout_ms, std::vector<PollEvent>& out);
 
-  virtual const char* name() const noexcept = 0;
+ private:
+  UniqueFd epfd_;
+  std::vector<epoll_event> events_;
+  std::size_t registered_ = 0;
 };
-
-enum class PollBackend {
-  kAuto,   ///< epoll where available, else poll
-  kEpoll,  ///< throws facsp::ConfigError when the platform lacks epoll
-  kPoll,
-};
-
-bool epoll_available() noexcept;
-
-std::unique_ptr<Poller> make_poller(PollBackend backend = PollBackend::kAuto);
 
 }  // namespace facsp::net

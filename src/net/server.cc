@@ -16,6 +16,18 @@ namespace facsp::net {
 
 namespace {
 
+constexpr int kBacklog = 64;
+constexpr std::size_t kReadBuf = 64 * 1024;
+constexpr std::size_t kWriteBuf = 256 * 1024;
+/// Pause reading a connection whose pending responses exceed this.
+constexpr std::size_t kWriteHighWatermark = 192 * 1024;
+
+static_assert(kReadBuf >= kHeaderSize + kMaxPayload,
+              "the read buffer must hold at least one max frame");
+static_assert(kWriteBuf >= kResponseFrameSize &&
+                  kWriteHighWatermark <= kWriteBuf,
+              "write buffer/high-watermark sizes are invalid");
+
 struct LoopMetrics {
   obs::Counter& accepted;
   obs::Counter& closed;
@@ -60,10 +72,6 @@ void NetConfig::validate() const {
     throw ConfigError("net: port must be in [0, 65535]");
   if (telemetry_port < -1 || telemetry_port > 65535)
     throw ConfigError("net: telemetry port must be in [-1, 65535]");
-  if (read_buf < kHeaderSize + kMaxPayload)
-    throw ConfigError("net: read buffer must hold at least one max frame");
-  if (write_buf < kResponseFrameSize || write_high_watermark > write_buf)
-    throw ConfigError("net: write buffer/high-watermark sizes are invalid");
   if (pending_cap == 0) throw ConfigError("net: pending cap must be > 0");
   if (!(max_skew_s > 0.0))
     throw ConfigError("net: max skew must be > 0");
@@ -84,34 +92,29 @@ struct NetServer::Connection {
   double last_read_s = 0.0;      ///< last byte received
   double last_progress_s = 0.0;  ///< last byte written out
   bool open = false;
-  bool telemetry = false;
   bool paused = false;    ///< reads disabled (write backlog)
   bool closing = false;   ///< flush out, then close
   bool want_write = false;
 
-  Connection(std::size_t read_cap, std::size_t write_cap)
-      : in(read_cap), out(write_cap) {}
+  Connection() : in(kReadBuf), out(kWriteBuf) {}
 };
 
 NetServer::NetServer(const serve::ServerConfig& serve_config,
                      const NetConfig& net)
-    : serve_config_(serve_config),
-      net_(net),
+    : net_(net),
       service_(serve_config, net.pending_cap, net.reserve_seconds,
                net.max_skew_s) {
   net_.validate();
-  poller_ = make_poller(net_.backend);
   listen_fd_ = listen_tcp(net_.host, static_cast<std::uint16_t>(net_.port),
-                          net_.backlog);
+                          kBacklog);
   if (net_.telemetry_port >= 0)
     telemetry_fd_ = listen_tcp(
-        net_.host, static_cast<std::uint16_t>(net_.telemetry_port),
-        net_.backlog);
+        net_.host, static_cast<std::uint16_t>(net_.telemetry_port), kBacklog);
 
-  poller_->add(listen_fd_.get(), /*read=*/true, /*write=*/false);
+  poller_.add(listen_fd_.get(), /*read=*/true, /*write=*/false);
   if (telemetry_fd_.valid())
-    poller_->add(telemetry_fd_.get(), true, false);
-  poller_->add(wake_.read_end.get(), true, false);
+    poller_.add(telemetry_fd_.get(), true, false);
+  poller_.add(wake_.read_end.get(), true, false);
 
   by_fd_.resize(256, nullptr);
   by_id_.reserve(256);
@@ -184,7 +187,7 @@ void NetServer::run() {
     // spinning.
     const int timeout_ms = static_cast<int>(
         std::max(10.0, std::min(50.0, net_.flush_idle_s * 1000.0 / 2.0)));
-    poller_->wait(timeout_ms, events_);
+    poller_.wait(timeout_ms, events_);
 
     for (const PollEvent& ev : events_) {
       if (ev.fd == wake_.read_end.get()) {
@@ -193,11 +196,11 @@ void NetServer::run() {
         continue;
       }
       if (ev.fd == listen_fd_.get()) {
-        accept_admission();
+        accept_connections(listen_fd_.get(), /*telemetry=*/false);
         continue;
       }
       if (telemetry_fd_.valid() && ev.fd == telemetry_fd_.get()) {
-        accept_telemetry();
+        accept_connections(telemetry_fd_.get(), /*telemetry=*/true);
         continue;
       }
       Connection* c = ev.fd < static_cast<int>(by_fd_.size())
@@ -228,10 +231,10 @@ void NetServer::run() {
   running_ = false;
 }
 
-void NetServer::accept_admission() {
+void NetServer::accept_connections(int listen_fd, bool telemetry) {
   while (true) {
     bool exhausted = false;
-    UniqueFd fd = accept_conn(listen_fd_.get(), &exhausted);
+    UniqueFd fd = accept_conn(listen_fd, &exhausted);
     if (!fd.valid()) {
       if (exhausted && obs::metrics_enabled())
         LoopMetrics::get().accept_exhausted.add(1);
@@ -243,19 +246,28 @@ void NetServer::accept_admission() {
       c = free_.back();
       free_.pop_back();
     } else {
-      slots_.push_back(
-          std::make_unique<Connection>(net_.read_buf, net_.write_buf));
+      slots_.push_back(std::make_unique<Connection>());
       c = slots_.back().get();
     }
     c->in.clear();
     c->out.clear();
     c->id = next_conn_id_++;
     c->open = true;
-    c->telemetry = false;
     c->paused = false;
-    c->closing = false;
+    c->closing = telemetry;  // a scrape writes its text, then closes
     c->want_write = false;
     c->last_read_s = c->last_progress_s = now_s();
+
+    if (telemetry) {
+      build_scrape(scrape_scratch_);
+      // A scrape larger than the write buffer truncates rather than
+      // wedges; with default sizes the registry would need thousands of
+      // metrics.
+      const std::size_t n =
+          std::min(scrape_scratch_.size(), c->out.free_space());
+      c->out.append(
+          reinterpret_cast<const std::uint8_t*>(scrape_scratch_.data()), n);
+    }
 
     const int raw = fd.get();
     c->fd = std::move(fd);
@@ -263,69 +275,15 @@ void NetServer::accept_admission() {
       by_fd_.resize(static_cast<std::size_t>(raw) + 64, nullptr);
     by_fd_[static_cast<std::size_t>(raw)] = c;
     by_id_[c->id] = c;
-    poller_->add(raw, /*read=*/true, /*write=*/false);
+    poller_.add(raw, /*read=*/!telemetry, /*write=*/telemetry);
+    c->want_write = telemetry;
     ++open_connections_;
     if (obs::metrics_enabled()) {
       LoopMetrics& m = LoopMetrics::get();
-      m.accepted.add(1);
+      (telemetry ? m.scrapes : m.accepted).add(1);
       m.connections.set(static_cast<std::int64_t>(open_connections_));
     }
-  }
-}
-
-void NetServer::accept_telemetry() {
-  while (true) {
-    bool exhausted = false;
-    UniqueFd fd = accept_conn(telemetry_fd_.get(), &exhausted);
-    if (!fd.valid()) {
-      if (exhausted && obs::metrics_enabled())
-        LoopMetrics::get().accept_exhausted.add(1);
-      return;
-    }
-
-    Connection* c;
-    if (!free_.empty()) {
-      c = free_.back();
-      free_.pop_back();
-    } else {
-      slots_.push_back(
-          std::make_unique<Connection>(net_.read_buf, net_.write_buf));
-      c = slots_.back().get();
-    }
-    c->in.clear();
-    c->out.clear();
-    c->id = next_conn_id_++;
-    c->open = true;
-    c->telemetry = true;
-    c->paused = false;
-    c->closing = true;  // write the scrape, then close
-    c->want_write = false;
-    c->last_read_s = c->last_progress_s = now_s();
-
-    build_scrape(scrape_scratch_);
-    // A scrape larger than the write buffer truncates rather than wedges;
-    // with default sizes the registry would need thousands of metrics.
-    const std::size_t n =
-        std::min(scrape_scratch_.size(), c->out.free_space());
-    c->out.append(reinterpret_cast<const std::uint8_t*>(
-                      scrape_scratch_.data()),
-                  n);
-
-    const int raw = fd.get();
-    c->fd = std::move(fd);
-    if (raw >= static_cast<int>(by_fd_.size()))
-      by_fd_.resize(static_cast<std::size_t>(raw) + 64, nullptr);
-    by_fd_[static_cast<std::size_t>(raw)] = c;
-    by_id_[c->id] = c;
-    poller_->add(raw, /*read=*/false, /*write=*/true);
-    c->want_write = true;
-    ++open_connections_;
-    if (obs::metrics_enabled()) {
-      LoopMetrics& m = LoopMetrics::get();
-      m.scrapes.add(1);
-      m.connections.set(static_cast<std::int64_t>(open_connections_));
-    }
-    flush_writes(*c);
+    if (telemetry) flush_writes(*c);
   }
 }
 
@@ -471,7 +429,7 @@ void NetServer::queue_frame(Connection& c, FrameType type,
     return;
   }
   if (obs::metrics_enabled()) LoopMetrics::get().frames_out.add(1);
-  if (!c.paused && c.out.size() > net_.write_high_watermark) {
+  if (!c.paused && c.out.size() > kWriteHighWatermark) {
     // Backpressure: stop reading this connection until its backlog drains
     // below half the watermark.
     c.paused = true;
@@ -529,7 +487,7 @@ void NetServer::flush_writes(Connection& c) {
     }
   } else {
     bool changed = false;
-    if (c.paused && c.out.size() < net_.write_high_watermark / 2) {
+    if (c.paused && c.out.size() < kWriteHighWatermark / 2) {
       c.paused = false;  // drained below the low watermark: resume reads
       changed = true;
     }
@@ -544,14 +502,14 @@ void NetServer::flush_writes(Connection& c) {
 void NetServer::on_writable(Connection& c) { flush_writes(c); }
 
 void NetServer::update_interest(Connection& c) {
-  poller_->modify(c.fd.get(), /*read=*/!c.paused && !c.closing,
-                  /*write=*/c.want_write);
+  poller_.modify(c.fd.get(), /*read=*/!c.paused && !c.closing,
+                 /*write=*/c.want_write);
 }
 
 void NetServer::close_connection(Connection& c) {
   if (!c.open) return;
   const int raw = c.fd.get();
-  poller_->remove(raw);
+  poller_.remove(raw);
   by_fd_[static_cast<std::size_t>(raw)] = nullptr;
   by_id_.erase(c.id);
   c.fd.reset();
@@ -609,10 +567,10 @@ void NetServer::build_scrape(std::string& out) const {
 
 void NetServer::drain() {
   // Stop accepting; the listening sockets close before anything else.
-  poller_->remove(listen_fd_.get());
+  poller_.remove(listen_fd_.get());
   listen_fd_.reset();
   if (telemetry_fd_.valid()) {
-    poller_->remove(telemetry_fd_.get());
+    poller_.remove(telemetry_fd_.get());
     telemetry_fd_.reset();
   }
 
@@ -629,7 +587,7 @@ void NetServer::drain() {
     for (const auto& slot : slots_)
       if (slot->open && !slot->out.empty()) backlog = true;
     if (!backlog) break;
-    poller_->wait(20, events_);
+    poller_.wait(20, events_);
     for (const PollEvent& ev : events_) {
       Connection* c = ev.fd >= 0 && ev.fd < static_cast<int>(by_fd_.size())
                           ? by_fd_[static_cast<std::size_t>(ev.fd)]
@@ -644,14 +602,6 @@ void NetServer::drain() {
   }
   for (const auto& slot : slots_)
     if (slot->open) close_connection(*slot);
-
-  if (!net_.out_prefix.empty()) {
-    const serve::ServerResult r = result();
-    serve::write_telemetry_csv(r, net_.out_prefix + "_telemetry.csv");
-    serve::write_latency_csv(r, net_.out_prefix + "_latency.csv");
-    serve::write_summary_json(serve_config_, r,
-                              net_.out_prefix + "_summary.json");
-  }
 }
 
 serve::ServerResult NetServer::result() const {

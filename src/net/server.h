@@ -1,5 +1,5 @@
-// The socket front-end: a single-threaded non-blocking event loop (epoll
-// on Linux, poll elsewhere — level-triggered either way) hosting
+// The socket front-end: a single-threaded non-blocking event loop (epoll,
+// level-triggered; Linux only — see net/poller.h) hosting
 //
 //   * the admission port — length-prefixed binary frames (net/frame.h)
 //     from any number of connections, accumulated across connections into
@@ -22,8 +22,8 @@
 //     each reap the connection on the timer sweep;
 //   * graceful drain on request_stop() — the signal handlers write one
 //     byte to a wake pipe — stops accepting, decides everything buffered,
-//     seals the telemetry, pushes the remaining responses out briefly,
-//     and (when configured) writes the telemetry/latency/summary files.
+//     seals the telemetry and pushes the remaining responses out briefly;
+//     the caller writes the result files from result().
 //
 // Steady-state serving allocates nothing: connections and their buffers
 // come from a free pool (the first accept of a slot allocates, reuse
@@ -52,12 +52,6 @@ struct NetConfig {
   int port = 0;
   /// Telemetry scrape port; -1 disables, 0 ephemeral.
   int telemetry_port = -1;
-  int backlog = 64;
-
-  std::size_t read_buf = 64 * 1024;
-  std::size_t write_buf = 256 * 1024;
-  /// Pause reading a connection whose pending responses exceed this.
-  std::size_t write_high_watermark = 192 * 1024;
 
   /// Global cap on undecided requests (drop-oldest beyond it).
   std::size_t pending_cap = 8192;
@@ -81,12 +75,6 @@ struct NetConfig {
 
   /// Telemetry row / latency reservation horizon (simulated seconds).
   std::size_t reserve_seconds = 4096;
-
-  PollBackend backend = PollBackend::kAuto;
-
-  /// On drain, write <out_prefix>_telemetry.csv / _latency.csv /
-  /// _summary.json like the in-process server (empty = skip).
-  std::string out_prefix;
 
   void validate() const;  ///< throws facsp::ConfigError
 };
@@ -122,8 +110,9 @@ class NetServer {
  private:
   struct Connection;
 
-  void accept_admission();
-  void accept_telemetry();
+  /// Accepts every pending connection on `listen_fd`: admission
+  /// connections wait for frames, telemetry ones get one scrape and close.
+  void accept_connections(int listen_fd, bool telemetry);
   void on_readable(Connection& c);
   void on_writable(Connection& c);
   bool parse_frames(Connection& c);
@@ -142,10 +131,9 @@ class NetServer {
   void drain();
   double now_s() const;
 
-  serve::ServerConfig serve_config_;
   NetConfig net_;
   AdmissionService service_;
-  std::unique_ptr<Poller> poller_;
+  Poller poller_;
   UniqueFd listen_fd_;
   UniqueFd telemetry_fd_;
   WakePipe wake_;

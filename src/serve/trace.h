@@ -1,6 +1,6 @@
-// On-disk admission-request trace: `trace record` captures the exact
-// request sequence a workload stream produces, `trace replay` (and the
-// decision server's replay mode) feeds it back.
+// On-disk admission-request trace: `scenario_runner trace record` captures
+// the exact request sequence a workload stream produces, and
+// `decision_server --replay` feeds it back.
 //
 // The format is a plain CSV with a fixed header (see kTraceColumns).  All
 // doubles are written through core::format_double — shortest decimal that

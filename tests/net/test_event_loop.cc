@@ -1,7 +1,7 @@
-// NetServer end to end over real loopback sockets, parameterized over both
-// poll backends: request/response round trips, the FLUSH barrier,
-// malformed-input error frames, partial writes, mid-batch disconnects, the
-// telemetry scrape, and graceful stop.  The server runs on its own thread
+// NetServer end to end over real loopback sockets: request/response round
+// trips, the FLUSH barrier, malformed-input error frames, partial writes,
+// mid-batch disconnects, the telemetry scrape, connection-slot reuse, and
+// graceful stop.  The server runs on its own thread
 // (which is also what gives TSan a cross-thread schedule to check);
 // clients are plain blocking sockets with a receive timeout so a server
 // bug fails the test instead of hanging it.
@@ -106,17 +106,14 @@ void send_flush(int fd) {
   send_all(fd, buf, sizeof buf);
 }
 
-class EventLoopTest : public ::testing::TestWithParam<PollBackend> {
+class EventLoopTest : public ::testing::Test {
  protected:
   void start(NetConfig net = {}) {
-    if (GetParam() == PollBackend::kEpoll && !epoll_available())
-      GTEST_SKIP() << "epoll not available";
     serve_config_.scenario = workload::catalog_scenario("paper-grid");
     serve_config_.scenario_label = "paper-grid";
     serve_config_.shards = 2;
     serve_config_.batch_window_s = 0.05;
     serve_config_.batch_max = 64;
-    net.backend = GetParam();
     net.port = 0;
     net.telemetry_port = 0;
     // Quick idle flush: tests that skip the FLUSH barrier still see their
@@ -138,7 +135,7 @@ class EventLoopTest : public ::testing::TestWithParam<PollBackend> {
   std::thread thread_;
 };
 
-TEST_P(EventLoopTest, RequestResponseRoundTrip) {
+TEST_F(EventLoopTest, RequestResponseRoundTrip) {
   start();
   UniqueFd fd = connect_client(server_->admission_port());
   send_request(fd.get(), request_at(0.5, 42));
@@ -161,7 +158,7 @@ TEST_P(EventLoopTest, RequestResponseRoundTrip) {
   EXPECT_EQ(f.header.type, FrameType::kFlush);
 }
 
-TEST_P(EventLoopTest, FlushEchoArrivesAfterAllResponses) {
+TEST_F(EventLoopTest, FlushEchoArrivesAfterAllResponses) {
   start();
   UniqueFd fd = connect_client(server_->admission_port());
   for (int i = 0; i < 5; ++i)
@@ -186,7 +183,7 @@ TEST_P(EventLoopTest, FlushEchoArrivesAfterAllResponses) {
   for (int i = 0; i < 5; ++i) EXPECT_EQ(ids[i], 100u + i) << i;
 }
 
-TEST_P(EventLoopTest, BadVersionGetsTypedErrorThenClose) {
+TEST_F(EventLoopTest, BadVersionGetsTypedErrorThenClose) {
   start();
   UniqueFd fd = connect_client(server_->admission_port());
   std::uint8_t hdr[kHeaderSize];
@@ -203,7 +200,7 @@ TEST_P(EventLoopTest, BadVersionGetsTypedErrorThenClose) {
   EXPECT_FALSE(read_frame(fd.get(), f));  // server closed after the error
 }
 
-TEST_P(EventLoopTest, OversizedLengthPrefixGetsError) {
+TEST_F(EventLoopTest, OversizedLengthPrefixGetsError) {
   start();
   UniqueFd fd = connect_client(server_->admission_port());
   std::uint8_t hdr[kHeaderSize];
@@ -220,7 +217,7 @@ TEST_P(EventLoopTest, OversizedLengthPrefixGetsError) {
   EXPECT_FALSE(read_frame(fd.get(), f));
 }
 
-TEST_P(EventLoopTest, ResponseTypeFromClientIsRejected) {
+TEST_F(EventLoopTest, ResponseTypeFromClientIsRejected) {
   start();
   UniqueFd fd = connect_client(server_->admission_port());
   std::uint8_t buf[kResponseFrameSize] = {};
@@ -237,7 +234,7 @@ TEST_P(EventLoopTest, ResponseTypeFromClientIsRejected) {
   EXPECT_EQ(e.code, WireError::kBadType);
 }
 
-TEST_P(EventLoopTest, BadEnumInRequestGetsError) {
+TEST_F(EventLoopTest, BadEnumInRequestGetsError) {
   start();
   UniqueFd fd = connect_client(server_->admission_port());
   std::uint8_t buf[kRequestFrameSize];
@@ -256,7 +253,7 @@ TEST_P(EventLoopTest, BadEnumInRequestGetsError) {
   EXPECT_EQ(e.code, WireError::kBadEnum);
 }
 
-TEST_P(EventLoopTest, TimeOrderViolationGetsError) {
+TEST_F(EventLoopTest, TimeOrderViolationGetsError) {
   start();
   UniqueFd fd = connect_client(server_->admission_port());
   send_request(fd.get(), request_at(5.0, 1));
@@ -277,7 +274,7 @@ TEST_P(EventLoopTest, TimeOrderViolationGetsError) {
   EXPECT_TRUE(saw_error);
 }
 
-TEST_P(EventLoopTest, FarFutureArrivalGetsHorizonErrorAndServerSurvives) {
+TEST_F(EventLoopTest, FarFutureArrivalGetsHorizonErrorAndServerSurvives) {
   start();
   {
     // One frame claiming now = 9e18 used to wedge the loop finalizing
@@ -316,7 +313,7 @@ TEST_P(EventLoopTest, FarFutureArrivalGetsHorizonErrorAndServerSurvives) {
   EXPECT_EQ(f.header.type, FrameType::kResponse);
 }
 
-TEST_P(EventLoopTest, NonPositiveBandwidthGetsErrorNotACrash) {
+TEST_F(EventLoopTest, NonPositiveBandwidthGetsErrorNotACrash) {
   start();
   {
     UniqueFd bad = connect_client(server_->admission_port());
@@ -339,7 +336,7 @@ TEST_P(EventLoopTest, NonPositiveBandwidthGetsErrorNotACrash) {
   EXPECT_EQ(f.header.type, FrameType::kResponse);
 }
 
-TEST_P(EventLoopTest, DuplicateInFlightIdIsDemotedNotFatal) {
+TEST_F(EventLoopTest, DuplicateInFlightIdIsDemotedNotFatal) {
   start();
   UniqueFd fd = connect_client(server_->admission_port());
   // Both id-7 requests land on the same shard (seq 0 and 2 of seq%2) with
@@ -369,7 +366,7 @@ TEST_P(EventLoopTest, DuplicateInFlightIdIsDemotedNotFatal) {
   EXPECT_LE(admitted_for_7, 1);  // duplicate demoted, never held twice
 }
 
-TEST_P(EventLoopTest, OneByteAtATimeWritesStillParse) {
+TEST_F(EventLoopTest, OneByteAtATimeWritesStillParse) {
   start();
   UniqueFd fd = connect_client(server_->admission_port());
   std::uint8_t buf[kRequestFrameSize];
@@ -389,7 +386,7 @@ TEST_P(EventLoopTest, OneByteAtATimeWritesStillParse) {
   EXPECT_EQ(r.id, 77u);
 }
 
-TEST_P(EventLoopTest, MidBatchDisconnectDoesNotPoisonOthers) {
+TEST_F(EventLoopTest, MidBatchDisconnectDoesNotPoisonOthers) {
   start();
   {
     // Connection A contributes to an open batch, then vanishes.
@@ -409,7 +406,7 @@ TEST_P(EventLoopTest, MidBatchDisconnectDoesNotPoisonOthers) {
   EXPECT_EQ(r.id, 2u);
 }
 
-TEST_P(EventLoopTest, TruncatedFrameThenCloseLeavesServerServing) {
+TEST_F(EventLoopTest, TruncatedFrameThenCloseLeavesServerServing) {
   start();
   {
     UniqueFd broken = connect_client(server_->admission_port());
@@ -428,7 +425,7 @@ TEST_P(EventLoopTest, TruncatedFrameThenCloseLeavesServerServing) {
   EXPECT_EQ(f.header.type, FrameType::kResponse);
 }
 
-TEST_P(EventLoopTest, InterleavedConnectionsEachGetTheirOwnResponses) {
+TEST_F(EventLoopTest, InterleavedConnectionsEachGetTheirOwnResponses) {
   start();
   UniqueFd a = connect_client(server_->admission_port());
   UniqueFd b = connect_client(server_->admission_port());
@@ -465,7 +462,7 @@ TEST_P(EventLoopTest, InterleavedConnectionsEachGetTheirOwnResponses) {
   for (const std::uint64_t id : ids_b) EXPECT_GE(id, 2000u);
 }
 
-TEST_P(EventLoopTest, ScrapeServesTelemetryAndMetrics) {
+TEST_F(EventLoopTest, ScrapeServesTelemetryAndMetrics) {
   start();
   // Push one second past the watermark so a row finalizes.
   UniqueFd fd = connect_client(server_->admission_port());
@@ -490,7 +487,38 @@ TEST_P(EventLoopTest, ScrapeServesTelemetryAndMetrics) {
   EXPECT_NE(text.find("# metrics"), std::string::npos);
 }
 
-TEST_P(EventLoopTest, StopSealsTelemetryAndReportsResult) {
+TEST_F(EventLoopTest, AdmissionConnectionReusingAScrapeSlotServes) {
+  start();
+  // A scrape read to EOF has been closed server-side, so its connection
+  // slot is back in the free pool and the next accept reuses it.
+  UniqueFd scrape = connect_client(server_->telemetry_port());
+  char buf[4096];
+  while (::read(scrape.get(), buf, sizeof buf) > 0) {
+  }
+
+  // The reused slot must serve as a fresh admission connection: reading
+  // frames past the first and answering all of them, not closing after
+  // one the way a scrape does.
+  UniqueFd fd = connect_client(server_->admission_port());
+  send_request(fd.get(), request_at(0.5, 1));
+  send_request(fd.get(), request_at(0.6, 2));
+  send_flush(fd.get());
+  std::vector<std::uint64_t> ids;
+  Frame f;
+  for (;;) {
+    ASSERT_TRUE(read_frame(fd.get(), f));
+    if (f.header.type == FrameType::kFlush) break;
+    ASSERT_EQ(f.header.type, FrameType::kResponse);
+    ResponseFrame r;
+    ASSERT_EQ(decode_response(f.payload.data(), f.payload.size(), r),
+              WireError::kNone);
+    ids.push_back(r.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2}));
+}
+
+TEST_F(EventLoopTest, StopSealsTelemetryAndReportsResult) {
   start();
   UniqueFd fd = connect_client(server_->admission_port());
   send_request(fd.get(), request_at(0.5, 1));
@@ -509,22 +537,11 @@ TEST_P(EventLoopTest, StopSealsTelemetryAndReportsResult) {
   EXPECT_GE(result.wall_s, 0.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, EventLoopTest,
-                         ::testing::Values(PollBackend::kPoll,
-                                           PollBackend::kEpoll),
-                         [](const auto& info) {
-                           return info.param == PollBackend::kPoll ? "poll"
-                                                                   : "epoll";
-                         });
-
 TEST(NetConfigValidate, RejectsNonsense) {
   serve::ServerConfig serve_config;
   serve_config.scenario = workload::catalog_scenario("paper-grid");
   NetConfig net;
   net.pending_cap = 0;
-  EXPECT_THROW(NetServer(serve_config, net), ConfigError);
-  net = {};
-  net.write_high_watermark = net.write_buf + 1;
   EXPECT_THROW(NetServer(serve_config, net), ConfigError);
   net = {};
   net.flush_idle_s = -1.0;
