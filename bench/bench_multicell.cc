@@ -3,7 +3,9 @@
 // batched-vs-scalar admission path (decide_batch against a decide() loop on
 // realistic inter-cell handoff batches) with a steady-state allocation
 // audit of the batch path — the same counting-operator-new harness as
-// bench_workload / tests/fuzzy/test_zero_alloc.cc.
+// bench_workload / tests/fuzzy/test_zero_alloc.cc.  Engine construction is
+// also timed on its own (cells*_setup_us_per_cell, sparse*_setup_ms);
+// events/s still divides by wall time including construction.
 //
 // Committed numbers live in BENCH_multicell.json.  Overrides:
 //   FACSP_BENCH_REPS   replications per engine timing loop (default 8)
@@ -68,17 +70,23 @@ double now_s() {
 struct EngineNumbers {
   double runs_s = 0.0;
   double cells_s = 0.0;
-  double events_s = 0.0;
+  double events_s = 0.0;   ///< wall time including engine construction
+  double setup_s = 0.0;    ///< engine construction alone, mean per run
   std::uint64_t handoffs = 0;
   std::uint64_t accepted = 0;
 };
 
 EngineNumbers time_engine(const core::ScenarioConfig& scen, int n, int k_reps) {
+  // One factory per config, as every runtime uses it: its FLC1/FLC2 pair is
+  // built here once and shared by every cell of every replication.
+  const core::PolicyFactory factory = core::make_facs_p_factory();
   std::uint64_t events = 0, handoffs = 0, accepted = 0;
+  double setup_s = 0.0;
   const double t0 = now_s();
   for (int r = 0; r < k_reps; ++r) {
-    core::MultiCellEngine engine(scen, core::make_facs_p_factory(),
-                                 static_cast<std::uint64_t>(r));
+    const double c0 = now_s();
+    core::MultiCellEngine engine(scen, factory, static_cast<std::uint64_t>(r));
+    setup_s += now_s() - c0;
     const core::MultiCellResult result = engine.run(n);
     events += result.aggregate.events;
     handoffs += result.aggregate.metrics.handoff_attempts();
@@ -89,6 +97,7 @@ EngineNumbers time_engine(const core::ScenarioConfig& scen, int n, int k_reps) {
   out.runs_s = k_reps / secs;
   out.cells_s = k_reps * static_cast<double>(scen.multicell.cells) / secs;
   out.events_s = static_cast<double>(events) / secs;
+  out.setup_s = setup_s / k_reps;
   out.handoffs = handoffs;
   out.accepted = accepted;
   return out;
@@ -128,20 +137,23 @@ int main() {
 
   // --- sharded engine throughput ------------------------------------------
   std::printf("=== Multi-cell engine: handover-storm, N=100/cell ===\n\n");
-  std::printf("  %-8s %10s %12s %14s\n", "cells", "runs/s", "cells/s",
-              "events/s");
+  std::printf("  %-8s %10s %12s %14s %16s\n", "cells", "runs/s", "cells/s",
+              "events/s", "setup us/cell");
   for (const int cells : {1, 7, 19}) {
     core::ScenarioConfig scen =
         workload::catalog_scenario("multicell-handover-storm");
     core::apply_scenario_key(scen, "sim.cells", std::to_string(cells));
     scen.validate();
     const EngineNumbers n = time_engine(scen, 100, kReps);
-    std::printf("  %-8d %10.2f %12.2f %14.0f\n", cells, n.runs_s, n.cells_s,
-                n.events_s);
+    const double setup_us_per_cell = n.setup_s * 1e6 / cells;
+    std::printf("  %-8d %10.2f %12.2f %14.0f %16.2f\n", cells, n.runs_s,
+                n.cells_s, n.events_s, setup_us_per_cell);
     json += (json.size() > 1 ? ", " : "") + std::string("\"cells") +
             std::to_string(cells) + "_runs_s\": " + std::to_string(n.runs_s) +
             ", \"cells" + std::to_string(cells) +
-            "_events_s\": " + std::to_string(n.events_s);
+            "_events_s\": " + std::to_string(n.events_s) + ", \"cells" +
+            std::to_string(cells) +
+            "_setup_us_per_cell\": " + std::to_string(setup_us_per_cell);
   }
 
   // --- sparse grids: event-driven scheduling ------------------------------
@@ -149,8 +161,8 @@ int main() {
   // track ACTIVE shards, not grid size.  events/s here is dominated by how
   // cheaply the engine skips the quiet 99%+ of the grid.
   std::printf("\n=== Sparse grids: workload_cells=1, N=60 ===\n\n");
-  std::printf("  %-8s %10s %14s %16s %14s\n", "cells", "runs/s", "events/s",
-              "sessions-peak", "drains/epoch");
+  std::printf("  %-8s %10s %14s %16s %14s %10s\n", "cells", "runs/s",
+              "events/s", "sessions-peak", "drains/epoch", "setup ms");
   for (const int cells : {100, 1000}) {
     core::ScenarioConfig scen =
         workload::catalog_scenario("multicell-handover-storm");
@@ -184,13 +196,17 @@ int main() {
     const double drains_per_epoch =
         epochs == 0 ? 0.0
                     : static_cast<double>(drains) / static_cast<double>(epochs);
-    std::printf("  %-8d %10.2f %14.0f %16llu %14.1f\n", cells, n.runs_s,
-                n.events_s, static_cast<unsigned long long>(sessions_peak),
-                drains_per_epoch);
+    const double setup_ms = n.setup_s * 1e3;
+    std::printf("  %-8d %10.2f %14.0f %16llu %14.1f %10.2f\n", cells,
+                n.runs_s, n.events_s,
+                static_cast<unsigned long long>(sessions_peak),
+                drains_per_epoch, setup_ms);
     json += ", \"sparse" + std::to_string(cells) +
             "_events_s\": " + std::to_string(n.events_s) + ", \"sparse" +
             std::to_string(cells) +
-            "_sessions_peak\": " + std::to_string(sessions_peak);
+            "_sessions_peak\": " + std::to_string(sessions_peak) +
+            ", \"sparse" + std::to_string(cells) +
+            "_setup_ms\": " + std::to_string(setup_ms);
 
     // The engine must not sweep the grid: drained shards stay well under
     // 1/10th of the bulk-synchronous cells-per-epoch cost.

@@ -1,20 +1,35 @@
 #include "cac/facs_p.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 
 namespace facsp::cac {
 
+std::shared_ptr<const fuzzy::FuzzyController> make_facs_p_flc1(
+    const FacsPConfig& config) {
+  return make_flc1(config.flc1, config.inference,
+                   fuzzy::Defuzzifier(config.defuzz_method,
+                                      kPolicyDefuzzResolution));
+}
+
+std::shared_ptr<const fuzzy::FuzzyController> make_facs_p_flc2(
+    const FacsPConfig& config) {
+  return make_flc2(config.flc2, config.inference,
+                   fuzzy::Defuzzifier(config.defuzz_method,
+                                      kPolicyDefuzzResolution));
+}
+
 FacsPPolicy::FacsPPolicy(const FacsPConfig& config)
-    : FuzzyCacBase(
-          make_flc1(config.flc1, config.inference,
-                    fuzzy::Defuzzifier(config.defuzz_method,
-                                       kPolicyDefuzzResolution)),
-          make_flc2(config.flc2, config.inference,
-                    fuzzy::Defuzzifier(config.defuzz_method,
-                                       kPolicyDefuzzResolution)),
-          config.accept_threshold, config.handoff_score_bonus),
+    : FacsPPolicy(config, make_facs_p_flc1(config), make_facs_p_flc2(config)) {
+}
+
+FacsPPolicy::FacsPPolicy(const FacsPConfig& config,
+                         std::shared_ptr<const fuzzy::FuzzyController> flc1,
+                         std::shared_ptr<const fuzzy::FuzzyController> flc2)
+    : FuzzyCacBase(std::move(flc1), std::move(flc2), config.accept_threshold,
+                   config.handoff_score_bonus),
       config_(config) {
   const PriorityWeights& w = config_.weights;
   if (w.real_time < 1.0 || w.non_real_time < 1.0 || w.handoff_bonus < 1.0)

@@ -14,6 +14,8 @@
 // against plain FACS.  The policy holds no per-call state of its own.
 #pragma once
 
+#include <memory>
+
 #include "cac/counters.h"
 #include "cac/facs_flc.h"
 #include "cac/fuzzy_cac_base.h"
@@ -34,13 +36,30 @@ struct FacsPConfig {
   double handoff_score_bonus = 0.30;
 };
 
+/// FLC1 (Table 1) and FLC2 (Table 2) as `config` describes them: its
+/// membership breakpoints, inference options and defuzzification method.
+/// Each controller is immutable once built, so one pair may back every
+/// FacsPPolicy (and FacsPrPolicy) made from the same config, on any thread.
+std::shared_ptr<const fuzzy::FuzzyController> make_facs_p_flc1(
+    const FacsPConfig& config);
+std::shared_ptr<const fuzzy::FuzzyController> make_facs_p_flc2(
+    const FacsPConfig& config);
+
 /// The proposed policy.  Reads Cs from the target base station's RTC/NRTC
 /// load (paper Fig. 4: the A/R output feeds the counters, which
 /// cac::admit's allocation updates).
 class FacsPPolicy final : public FuzzyCacBase {
  public:
-  /// Throws facsp::ConfigError when a priority weight is below 1.
+  /// Builds a private FLC1/FLC2 pair from `config`.  Throws
+  /// facsp::ConfigError when a priority weight is below 1.
   explicit FacsPPolicy(const FacsPConfig& config = {});
+
+  /// Shares an already-built pair, which must be make_facs_p_flc1/flc2 of
+  /// this same `config` (the policy factories build it once per config).
+  /// Decisions are bit-identical to FacsPPolicy(config)'s.
+  FacsPPolicy(const FacsPConfig& config,
+              std::shared_ptr<const fuzzy::FuzzyController> flc1,
+              std::shared_ptr<const fuzzy::FuzzyController> flc2);
 
   std::string_view name() const noexcept override { return "FACS-P"; }
 

@@ -1,11 +1,19 @@
 #include "cac/facs_pr.h"
 
+#include <utility>
+
 #include "common/error.h"
 
 namespace facsp::cac {
 
 FacsPrPolicy::FacsPrPolicy(const FacsPrConfig& config)
-    : config_(config), inner_(config.base) {
+    : FacsPrPolicy(config, make_facs_p_flc1(config.base),
+                   make_facs_p_flc2(config.base)) {}
+
+FacsPrPolicy::FacsPrPolicy(const FacsPrConfig& config,
+                           std::shared_ptr<const fuzzy::FuzzyController> flc1,
+                           std::shared_ptr<const fuzzy::FuzzyController> flc2)
+    : config_(config), inner_(config.base, std::move(flc1), std::move(flc2)) {
   if (config_.low_extra < config_.normal_extra ||
       config_.normal_extra < config_.high_extra)
     throw ConfigError(
@@ -34,6 +42,17 @@ AdmissionDecision FacsPrPolicy::decide(const AdmissionRequest& req,
   d.admitted = d.score > threshold_for(req.priority) &&
                bs.can_fit(req.bandwidth);
   return d;
+}
+
+void FacsPrPolicy::decide_batch(std::span<const AdmissionRequest> reqs,
+                                const cellular::BaseStation& bs,
+                                std::span<AdmissionDecision> out) {
+  inner_.decide_batch(reqs, bs, out);
+  for (std::size_t r = 0; r < reqs.size(); ++r) {
+    if (reqs[r].kind == cellular::RequestKind::kHandoff) continue;
+    out[r].admitted = out[r].score > threshold_for(reqs[r].priority) &&
+                      bs.can_fit(reqs[r].bandwidth);
+  }
 }
 
 }  // namespace facsp::cac

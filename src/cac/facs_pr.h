@@ -13,6 +13,9 @@
 // by bench_future_work is attributable to requesting-priority alone.
 #pragma once
 
+#include <memory>
+#include <span>
+
 #include "cac/facs_p.h"
 
 namespace facsp::cac {
@@ -31,17 +34,33 @@ struct FacsPrConfig {
 /// FACS-P + priority of requesting connections.
 class FacsPrPolicy final : public AdmissionPolicy {
  public:
+  /// Builds a private FLC1/FLC2 pair from config.base.
   explicit FacsPrPolicy(const FacsPrConfig& config = {});
+
+  /// Shares an already-built pair (make_facs_p_flc1/flc2 of config.base)
+  /// with the inner FACS-P.
+  FacsPrPolicy(const FacsPrConfig& config,
+               std::shared_ptr<const fuzzy::FuzzyController> flc1,
+               std::shared_ptr<const fuzzy::FuzzyController> flc2);
 
   std::string_view name() const noexcept override { return "FACS-PR"; }
 
   AdmissionDecision decide(const AdmissionRequest& req,
                            const cellular::BaseStation& bs) override;
 
+  /// FACS-P's batched cascade, then the same per-priority re-threshold as
+  /// decide() on every new-call row, so each decision equals decide()'s.
+  void decide_batch(std::span<const AdmissionRequest> reqs,
+                    const cellular::BaseStation& bs,
+                    std::span<AdmissionDecision> out) override;
+
   const FacsPrConfig& config() const noexcept { return config_; }
 
   /// The effective accept threshold applied to a given priority.
   double threshold_for(cellular::UserPriority p) const noexcept;
+
+  const fuzzy::FuzzyController& flc1() const noexcept { return inner_.flc1(); }
+  const fuzzy::FuzzyController& flc2() const noexcept { return inner_.flc2(); }
 
  private:
   FacsPrConfig config_;

@@ -23,9 +23,10 @@ struct FuzzyMetrics {
 
 }  // namespace
 
-FuzzyCacBase::FuzzyCacBase(std::unique_ptr<fuzzy::FuzzyController> flc1,
-                           std::unique_ptr<fuzzy::FuzzyController> flc2,
-                           double accept_threshold, double handoff_score_bonus)
+FuzzyCacBase::FuzzyCacBase(
+    std::shared_ptr<const fuzzy::FuzzyController> flc1,
+    std::shared_ptr<const fuzzy::FuzzyController> flc2,
+    double accept_threshold, double handoff_score_bonus)
     : flc1_(std::move(flc1)),
       flc2_(std::move(flc2)),
       accept_threshold_(accept_threshold),

@@ -6,6 +6,9 @@
 //   admit  <=>  A/R > accept_threshold  and the call physically fits.
 // Subclasses choose the third FLC1 input (service request vs distance) and
 // how the counter state is computed (plain vs priority-weighted occupancy).
+// The two controllers are immutable and held through shared_ptr<const>, so
+// one pair may back every policy a factory makes, on any thread; each
+// policy owns only its inference scratch.
 #pragma once
 
 #include <memory>
@@ -43,8 +46,8 @@ class FuzzyCacBase : public AdmissionPolicy {
   const fuzzy::FuzzyController& flc2() const noexcept { return *flc2_; }
 
  protected:
-  FuzzyCacBase(std::unique_ptr<fuzzy::FuzzyController> flc1,
-               std::unique_ptr<fuzzy::FuzzyController> flc2,
+  FuzzyCacBase(std::shared_ptr<const fuzzy::FuzzyController> flc1,
+               std::shared_ptr<const fuzzy::FuzzyController> flc2,
                double accept_threshold, double handoff_score_bonus);
 
   /// Third crisp input of FLC1: Sr for FACS-P, Di for FACS.
@@ -56,8 +59,8 @@ class FuzzyCacBase : public AdmissionPolicy {
                                const cellular::BaseStation& bs) const = 0;
 
  private:
-  std::unique_ptr<fuzzy::FuzzyController> flc1_;
-  std::unique_ptr<fuzzy::FuzzyController> flc2_;
+  std::shared_ptr<const fuzzy::FuzzyController> flc1_;
+  std::shared_ptr<const fuzzy::FuzzyController> flc2_;
   double accept_threshold_;
   double handoff_score_bonus_;
   /// Reusable arena for both controllers; policies are driven from one

@@ -40,14 +40,18 @@ RunResult Experiment::run_single(int n, std::uint64_t replication) const {
 }
 
 PolicyFactory make_facs_p_factory(cac::FacsPConfig config) {
-  return [config](const cellular::CellularNetwork&, sim::RngFactory&) {
-    return std::make_unique<cac::FacsPPolicy>(config);
+  return [config, flc1 = cac::make_facs_p_flc1(config),
+          flc2 = cac::make_facs_p_flc2(config)](
+             const cellular::CellularNetwork&, sim::RngFactory&) {
+    return std::make_unique<cac::FacsPPolicy>(config, flc1, flc2);
   };
 }
 
 PolicyFactory make_facs_pr_factory(cac::FacsPrConfig config) {
-  return [config](const cellular::CellularNetwork&, sim::RngFactory&) {
-    return std::make_unique<cac::FacsPrPolicy>(config);
+  return [config, flc1 = cac::make_facs_p_flc1(config.base),
+          flc2 = cac::make_facs_p_flc2(config.base)](
+             const cellular::CellularNetwork&, sim::RngFactory&) {
+    return std::make_unique<cac::FacsPrPolicy>(config, flc1, flc2);
   };
 }
 
@@ -89,28 +93,38 @@ PolicyFactory make_complete_sharing_factory() {
 
 namespace {
 
+// Each registry entry's factory, built on its first lookup and then kept
+// for the life of the process (a thread-safe function-local static), so
+// every shard, cell and sweep that names a policy shares one factory — and
+// with it, for facs-p and facs-pr, one controller pair.
+template <auto Make>
+const PolicyFactory& built_once() {
+  static const PolicyFactory factory = Make();
+  return factory;
+}
+
 // The single policy-name table: lookup, name listing and error messages all
 // derive from it, so the three can never drift apart.
 struct PolicyRegistryEntry {
   const char* name;
-  PolicyFactory (*make)();
+  const PolicyFactory& (*factory)();
 };
 
 constexpr PolicyRegistryEntry kPolicyRegistry[] = {
-    {"facs-p", [] { return make_facs_p_factory(); }},
-    {"facs-pr", [] { return make_facs_pr_factory(); }},
-    {"facs", [] { return make_facs_factory(); }},
-    {"scc", [] { return make_scc_factory(); }},
-    {"gc", [] { return make_guard_channel_factory(8.0); }},
-    {"fgc", [] { return make_fractional_guard_factory(8.0); }},
-    {"cs", [] { return make_complete_sharing_factory(); }},
+    {"facs-p", built_once<[] { return make_facs_p_factory(); }>},
+    {"facs-pr", built_once<[] { return make_facs_pr_factory(); }>},
+    {"facs", built_once<[] { return make_facs_factory(); }>},
+    {"scc", built_once<[] { return make_scc_factory(); }>},
+    {"gc", built_once<[] { return make_guard_channel_factory(8.0); }>},
+    {"fgc", built_once<[] { return make_fractional_guard_factory(8.0); }>},
+    {"cs", built_once<[] { return make_complete_sharing_factory(); }>},
 };
 
 }  // namespace
 
-PolicyFactory policy_factory_by_name(std::string_view name) {
+const PolicyFactory& policy_factory_by_name(std::string_view name) {
   for (const PolicyRegistryEntry& entry : kPolicyRegistry)
-    if (name == entry.name) return entry.make();
+    if (name == entry.name) return entry.factory();
   std::string valid;
   for (const PolicyRegistryEntry& entry : kPolicyRegistry) {
     if (!valid.empty()) valid += '|';

@@ -61,6 +61,9 @@ class Experiment {
 };
 
 // --- canonical policy factories ------------------------------------------
+// The FACS-P and FACS-PR factories build their config's FLC1/FLC2 pair once,
+// when the factory is made; every policy they return shares that pair, so
+// a call allocates only the policy object.
 
 PolicyFactory make_facs_p_factory(cac::FacsPConfig config = {});
 PolicyFactory make_facs_pr_factory(cac::FacsPrConfig config = {});
@@ -72,9 +75,10 @@ PolicyFactory make_complete_sharing_factory();
 
 /// Name-keyed policy registry, shared by the sweep layer and every CLI:
 /// facs-p | facs-pr | facs | scc | gc | fgc | cs (guard policies use the
-/// paper's 8 BU reservation).  Throws facsp::ConfigError on unknown names,
-/// listing the valid ones.
-PolicyFactory policy_factory_by_name(std::string_view name);
+/// paper's 8 BU reservation).  Each name's factory is built once per
+/// process, on first lookup, and every lookup returns that same factory.
+/// Throws facsp::ConfigError on unknown names, listing the valid ones.
+const PolicyFactory& policy_factory_by_name(std::string_view name);
 /// The registry's names, in canonical order.
 std::vector<std::string> policy_names();
 

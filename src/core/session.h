@@ -41,10 +41,12 @@ struct RunResult {
 /// Thread-safety contract: SweepRunner (core/sweep.h) invokes the factory
 /// from worker threads, once per (N, replication) cell, possibly concurrently.
 /// Factories must therefore be safe to call concurrently: capture
-/// configuration by value and only build fresh policy objects (as every
-/// make_*_factory() in core/experiment.h does); never close over mutable
-/// shared state.  The policy *instances* a factory returns are used by one
-/// worker only.
+/// configuration by value, and capture shared state only when it is
+/// immutable — the shared_ptr<const FuzzyController> pair that the FACS-P
+/// and FACS-PR factories build once and hand to every policy they make.
+/// Never close over mutable shared state; each call builds a fresh policy
+/// object with its own mutable state (e.g. its inference scratch).  The
+/// policy *instances* a factory returns are used by one worker only.
 using PolicyFactory = std::function<std::unique_ptr<cac::AdmissionPolicy>(
     const cellular::CellularNetwork& network, sim::RngFactory& rng)>;
 

@@ -271,7 +271,8 @@ DecisionServer::~DecisionServer() = default;
 
 void DecisionServer::build_shards() {
   // Validate the policy name once up front (ShardCore resolves it again per
-  // shard; the registry lookup is cheap and pure).
+  // shard; the registry hands every shard the same factory, so all shards
+  // share one controller pair).
   (void)core::policy_factory_by_name(config_.policy);
   shards_.reserve(static_cast<std::size_t>(config_.shards));
   for (int s = 0; s < config_.shards; ++s) {

@@ -31,7 +31,10 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 #include "cac/facs_p.h"
 #include "cellular/basestation.h"
+#include "cellular/network.h"
+#include "core/experiment.h"
 #include "fuzzy/controller.h"
+#include "sim/rng.h"
 
 namespace facsp::fuzzy {
 namespace {
@@ -192,6 +195,34 @@ TEST(ZeroAlloc, AdmissionAllocatesOnlyTheBaseStationLedgerNode) {
   EXPECT_EQ(admitted, kCalls);
   EXPECT_EQ(admit_allocs, kCalls) << "expected one ledger node per admission";
   EXPECT_EQ(release_allocs, 0u);
+}
+
+TEST(ZeroAlloc, PolicyFromAFactoryAllocatesOnlyThePolicy) {
+  // A FACS-P or FACS-PR factory builds its config's FLC1/FLC2 pair once,
+  // when it is made, and every policy it returns shares that pair: a call
+  // allocates exactly the policy object.  Building a private pair per
+  // policy cost 327 allocations.
+  const cellular::CellularNetwork network(0, 500.0, 40.0);
+  sim::RngFactory rng(42);
+  const core::PolicyFactory facs_p = core::make_facs_p_factory();
+  const core::PolicyFactory facs_pr = core::make_facs_pr_factory();
+  const struct {
+    const char* label;
+    const core::PolicyFactory& factory;
+  } cases[] = {
+      {"make_facs_p_factory", facs_p},
+      {"make_facs_pr_factory", facs_pr},
+      {"registry facs-p", core::policy_factory_by_name("facs-p")},
+      {"registry facs-pr", core::policy_factory_by_name("facs-pr")},
+  };
+  for (const auto& c : cases) {
+    (void)c.factory(network, rng);  // warm-up
+    const std::size_t before = allocations();
+    const auto policy = c.factory(network, rng);
+    const std::size_t allocs = allocations() - before;
+    EXPECT_EQ(allocs, 1u) << c.label;
+    EXPECT_NE(policy, nullptr) << c.label;
+  }
 }
 
 }  // namespace
