@@ -12,6 +12,7 @@
 //   <prefix>_latency.csv    per-second decision-latency p50/p95/p99 (wall
 //                           clock; machine-dependent, never diff in CI).
 //   <prefix>_summary.json   totals, throughput, overall percentiles.
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -94,10 +95,6 @@ int usage(const char* argv0, FILE* dst) {
   return dst == stderr ? 2 : 0;
 }
 
-using core::parse_double;
-using core::parse_int;
-using core::parse_u64;
-
 int run(int argc, char** argv) {
   serve::ServerConfig config;
   config.scenario = workload::catalog_scenario("paper-grid");
@@ -114,82 +111,72 @@ int run(int argc, char** argv) {
   std::optional<int> listen_port;
   std::optional<int> telemetry_port;
   std::optional<std::string> host;
-  std::optional<int> pending_cap;
+  std::optional<std::uint64_t> pending_cap;
   std::optional<double> max_skew;
   std::optional<double> flush_idle;
   std::optional<double> io_timeout;
   std::optional<double> idle_timeout;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* what) -> std::string {
-      if (i + 1 >= argc)
-        throw ConfigError(std::string(what) + " requires a value");
-      return argv[++i];
-    };
-    if (arg == "--help") return usage(argv[0], stdout);
-    if (arg == "--scenario") {
-      config.scenario_label = value("--scenario");
+  core::FlagReader flags(argc, argv);
+  while (flags.next()) {
+    if (flags.is("--help")) return usage(argv[0], stdout);
+    if (flags.is("--scenario")) {
+      config.scenario_label = flags.value();
       config.scenario = workload::catalog_scenario(config.scenario_label);
       scenario_named = true;
-    } else if (arg == "--config") {
-      config.scenario_label = value("--config");
+    } else if (flags.is("--config")) {
+      config.scenario_label = flags.value();
       config.scenario = core::load_scenario_file(config.scenario_label);
       scenario_named = true;
-    } else if (arg == "--replay")
-      replay_path = value("--replay");
-    else if (arg == "--policy")
-      config.policy = value("--policy");
-    else if (arg == "--duration") {
-      config.duration_s = parse_int(value("--duration"), "--duration");
+    } else if (flags.is("--replay"))
+      replay_path = flags.value();
+    else if (flags.is("--policy"))
+      config.policy = flags.value();
+    else if (flags.is("--duration")) {
+      config.duration_s = flags.int_value();
       duration_given = true;
-    } else if (arg == "--rate")
-      config.requests_per_s = parse_int(value("--rate"), "--rate");
-    else if (arg == "--handoff-fraction")
-      config.handoff_fraction =
-          parse_double(value("--handoff-fraction"), "--handoff-fraction");
-    else if (arg == "--shards")
-      config.shards = parse_int(value("--shards"), "--shards");
-    else if (arg == "--threads")
-      config.threads = parse_int(value("--threads"), "--threads");
-    else if (arg == "--batch-window")
-      config.batch_window_s =
-          parse_double(value("--batch-window"), "--batch-window");
-    else if (arg == "--batch-max")
-      config.batch_max = parse_int(value("--batch-max"), "--batch-max");
-    else if (arg == "--seed")
-      seed_override = parse_u64(value("--seed"), "--seed");
-    else if (arg == "--out")
-      out_prefix = value("--out");
-    else if (arg == "--trace")
-      trace_path = value("--trace");
-    else if (arg == "--metrics")
-      metrics_path = value("--metrics");
-    else if (arg == "--metrics-interval")
-      metrics_interval = parse_int(value("--metrics-interval"),
-                                   "--metrics-interval");
-    else if (arg == "--listen")
-      listen_port = parse_int(value("--listen"), "--listen");
-    else if (arg == "--telemetry-port")
-      telemetry_port = parse_int(value("--telemetry-port"), "--telemetry-port");
-    else if (arg == "--host")
-      host = value("--host");
-    else if (arg == "--pending-cap")
-      pending_cap = parse_int(value("--pending-cap"), "--pending-cap");
-    else if (arg == "--max-skew")
-      max_skew = parse_double(value("--max-skew"), "--max-skew");
-    else if (arg == "--flush-idle")
-      flush_idle = parse_double(value("--flush-idle"), "--flush-idle");
-    else if (arg == "--io-timeout")
-      io_timeout = parse_double(value("--io-timeout"), "--io-timeout");
-    else if (arg == "--idle-timeout")
-      idle_timeout = parse_double(value("--idle-timeout"), "--idle-timeout");
-    else if (arg == "--table")
+    } else if (flags.is("--rate"))
+      config.requests_per_s = flags.int_value();
+    else if (flags.is("--handoff-fraction"))
+      config.handoff_fraction = flags.double_value();
+    else if (flags.is("--shards"))
+      config.shards = flags.int_value();
+    else if (flags.is("--threads"))
+      config.threads = flags.int_value();
+    else if (flags.is("--batch-window"))
+      config.batch_window_s = flags.double_value();
+    else if (flags.is("--batch-max"))
+      config.batch_max = flags.int_value();
+    else if (flags.is("--seed"))
+      seed_override = flags.u64_value();
+    else if (flags.is("--out"))
+      out_prefix = flags.value();
+    else if (flags.is("--trace"))
+      trace_path = flags.value();
+    else if (flags.is("--metrics"))
+      metrics_path = flags.value();
+    else if (flags.is("--metrics-interval"))
+      metrics_interval = flags.int_value();
+    else if (flags.is("--listen"))
+      listen_port = flags.int_value();
+    else if (flags.is("--telemetry-port"))
+      telemetry_port = flags.int_value();
+    else if (flags.is("--host"))
+      host = flags.value();
+    else if (flags.is("--pending-cap"))
+      pending_cap = flags.u64_value();
+    else if (flags.is("--max-skew"))
+      max_skew = flags.double_value();
+    else if (flags.is("--flush-idle"))
+      flush_idle = flags.double_value();
+    else if (flags.is("--io-timeout"))
+      io_timeout = flags.double_value();
+    else if (flags.is("--idle-timeout"))
+      idle_timeout = flags.double_value();
+    else if (flags.is("--table"))
       print_table = true;
-    else {
-      std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
-      return usage(argv[0], stderr);
-    }
+    else
+      flags.unknown();
   }
   if (seed_override) config.scenario.seed = *seed_override;
   if (!scenario_named) config.scenario_label = "paper-grid";
@@ -339,10 +326,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  return core::run_cli(argc, argv, run, usage);
 }

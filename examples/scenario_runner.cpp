@@ -11,10 +11,7 @@
 // third runs a policy x arrival-kind x N sweep and writes curves.csv +
 // curves.json (stable schema, see docs/experiments.md).  Thread count is a
 // pure throughput knob: results are bit-identical for every value.
-#include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -91,9 +88,7 @@ int usage(const char* argv0, FILE* dst) {
       "  'decision_server --replay <trace.csv>')\n"
       "\n"
       "Single-run mode (no axes): positional <policy> [N [reps [threads]]]\n"
-      "prints per-replication metrics, as before; the legacy\n"
-      "<config-file> <policy> [N [reps [threads]]] form still works (a\n"
-      "first positional that is no policy name is a config file).\n"
+      "prints per-replication metrics.\n"
       "Policies: facs-p | facs-pr | facs | scc | gc | fgc | cs.\n",
       argv0, argv0);
   return dst == stderr ? 2 : 0;
@@ -106,9 +101,7 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-using core::parse_double;
 using core::parse_int;
-using core::parse_u64;
 
 struct SweepAxisArg {
   std::string axis;
@@ -380,33 +373,34 @@ int run(const Options& opt) {
   return 0;
 }
 
+int trace_usage(const char* argv0, FILE* dst) {
+  std::fprintf(
+      dst,
+      "usage: %s trace record --out <trace.csv> [options]\n"
+      "\n"
+      "record options: --scenario <name> | --config <file>, --seed <u64>,\n"
+      "  --duration <s> (default 60), --rate <req/s> (default 2000),\n"
+      "  --shards <int> (default 4), --handoff-fraction <f>\n"
+      "\n"
+      "Recorded traces pin the policy inputs completely (the noisy\n"
+      "predicted angles are recorded, not re-drawn), so a replay's\n"
+      "telemetry CSV (decision_server --replay <trace.csv>) is\n"
+      "byte-identical across runs, machines and thread counts.\n",
+      argv0);
+  return dst == stderr ? 2 : 0;
+}
+
 // `trace record`: capture the decision server's request stream to a
 // byte-stable CSV that `decision_server --replay` feeds back through the
 // serving loop (see docs/serving.md).
 int run_trace(int argc, char** argv) {
-  const auto trace_usage = [&](FILE* dst) {
-    std::fprintf(
-        dst,
-        "usage: %s trace record --out <trace.csv> [options]\n"
-        "\n"
-        "record options: --scenario <name> | --config <file>, --seed <u64>,\n"
-        "  --duration <s> (default 60), --rate <req/s> (default 2000),\n"
-        "  --shards <int> (default 4), --handoff-fraction <f>\n"
-        "\n"
-        "Recorded traces pin the policy inputs completely (the noisy\n"
-        "predicted angles are recorded, not re-drawn), so a replay's\n"
-        "telemetry CSV (decision_server --replay <trace.csv>) is\n"
-        "byte-identical across runs, machines and thread counts.\n",
-        argv[0]);
-    return dst == stderr ? 2 : 0;
-  };
-  if (argc < 3) return trace_usage(stderr);
+  if (argc < 3) return trace_usage(argv[0], stderr);
   const std::string mode = argv[2];
-  if (mode == "--help" || mode == "-h") return trace_usage(stdout);
+  if (mode == "--help" || mode == "-h") return trace_usage(argv[0], stdout);
   if (mode != "record") {
     std::fprintf(stderr, "error: unknown trace subcommand '%s'\n\n",
                  mode.c_str());
-    return trace_usage(stderr);
+    return trace_usage(argv[0], stderr);
   }
 
   serve::ServerConfig config;
@@ -414,37 +408,30 @@ int run_trace(int argc, char** argv) {
   config.scenario_label = "paper-grid";
   std::optional<std::string> out;
 
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc)
-        throw ConfigError(std::string(flag) + " needs a value");
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") return trace_usage(stdout);
-    if (arg == "--scenario") {
-      config.scenario_label = value("--scenario");
+  core::FlagReader flags(argc, argv, 3);
+  while (flags.next()) {
+    if (flags.is("--help") || flags.is("-h"))
+      return trace_usage(argv[0], stdout);
+    if (flags.is("--scenario")) {
+      config.scenario_label = flags.value();
       config.scenario = workload::catalog_scenario(config.scenario_label);
-    } else if (arg == "--config") {
-      config.scenario_label = value("--config");
+    } else if (flags.is("--config")) {
+      config.scenario_label = flags.value();
       config.scenario = core::load_scenario_file(config.scenario_label);
-    } else if (arg == "--seed")
-      config.scenario.seed = parse_u64(value("--seed"), "--seed");
-    else if (arg == "--duration")
-      config.duration_s = parse_int(value("--duration"), "--duration");
-    else if (arg == "--rate")
-      config.requests_per_s = parse_int(value("--rate"), "--rate");
-    else if (arg == "--handoff-fraction")
-      config.handoff_fraction =
-          parse_double(value("--handoff-fraction"), "--handoff-fraction");
-    else if (arg == "--shards")
-      config.shards = parse_int(value("--shards"), "--shards");
-    else if (arg == "--out")
-      out = value("--out");
-    else {
-      std::fprintf(stderr, "error: unknown trace flag '%s'\n\n", arg.c_str());
-      return trace_usage(stderr);
-    }
+    } else if (flags.is("--seed"))
+      config.scenario.seed = flags.u64_value();
+    else if (flags.is("--duration"))
+      config.duration_s = flags.int_value();
+    else if (flags.is("--rate"))
+      config.requests_per_s = flags.int_value();
+    else if (flags.is("--handoff-fraction"))
+      config.handoff_fraction = flags.double_value();
+    else if (flags.is("--shards"))
+      config.shards = flags.int_value();
+    else if (flags.is("--out"))
+      out = flags.value();
+    else
+      flags.unknown();
   }
 
   if (!out) throw ConfigError("trace record: --out <trace.csv> is required");
@@ -458,141 +445,115 @@ int run_trace(int argc, char** argv) {
   return 0;
 }
 
+int run_main(int argc, char** argv) {
+  Options opt;
+  std::vector<std::string> positional;
+
+  core::FlagReader flags(argc, argv);
+  while (flags.next()) {
+    if (flags.is("--help") || flags.is("-h")) return usage(argv[0], stdout);
+    if (flags.is("--list-scenarios")) {
+      for (const auto& entry : workload::ScenarioCatalog::instance().entries())
+        std::printf("%-14s %s\n", entry.name.c_str(),
+                    entry.description.c_str());
+      return 0;
+    }
+    if (flags.is("--list-policies")) {
+      for (const std::string& name : core::policy_names())
+        std::printf("%s\n", name.c_str());
+      return 0;
+    }
+    if (flags.is("--list-keys")) {
+      for (const std::string& key : core::scenario_keys())
+        std::printf("%s\n", key.c_str());
+      return 0;
+    }
+    if (flags.is("--dump-default")) {
+      core::save_scenario(core::paper_scenario(), std::cout);
+      return 0;
+    }
+    if (flags.is("--dump-scenario")) {
+      core::save_scenario(workload::catalog_scenario(flags.value()),
+                          std::cout);
+      return 0;
+    }
+    if (flags.is("--scenario")) {
+      opt.scenario_name = flags.value();
+    } else if (flags.is("--config")) {
+      opt.config_file = flags.value();
+    } else if (flags.is("--seed")) {
+      opt.seed = flags.u64_value();
+    } else if (flags.is("--cells")) {
+      opt.cells = flags.int_value();
+    } else if (flags.is("--cell-threads")) {
+      opt.cell_threads = flags.int_value();
+    } else if (flags.is("--workload-cells")) {
+      opt.workload_cells = flags.int_value();
+    } else if (flags.is("--policies")) {
+      if (!opt.policies.empty()) throw ConfigError("policy axis given twice");
+      opt.policies = split_csv(flags.value());
+      if (opt.policies.empty()) throw ConfigError("--policies is empty");
+      opt.sweep_mode = true;
+    } else if (flags.is("--sweep")) {
+      const std::string value = flags.value();
+      const std::size_t eq = value.find('=');
+      if (eq == std::string::npos || eq == 0)
+        throw ConfigError("--sweep expects <axis=v1,v2,...>, got '" + value +
+                          "'");
+      SweepAxisArg axis;
+      axis.axis = value.substr(0, eq);
+      axis.values = split_csv(value.substr(eq + 1));
+      if (axis.values.empty())
+        throw ConfigError("--sweep axis '" + axis.axis + "' has no values");
+      if (axis.axis == "policy") {
+        if (!opt.policies.empty()) throw ConfigError("policy axis given twice");
+        opt.policies = axis.values;
+      } else {
+        opt.sweeps.push_back(std::move(axis));
+      }
+      opt.sweep_mode = true;
+    } else if (flags.is("--n")) {
+      opt.n = flags.int_value();
+    } else if (flags.is("--reps")) {
+      opt.reps = flags.int_value();
+    } else if (flags.is("--threads")) {
+      opt.threads = flags.int_value();
+    } else if (flags.is("--out")) {
+      opt.out = flags.value();
+    } else if (flags.is("--trace")) {
+      opt.obs.trace_path = flags.value();
+    } else if (flags.is("--metrics")) {
+      opt.obs.metrics_path = flags.value();
+    } else if (flags.is_flag()) {
+      flags.unknown();
+    } else {
+      positional.push_back(flags.arg());
+    }
+  }
+
+  // Positional tail: <policy> [N [reps [threads]]] (single-run style, still
+  // honoured in sweep mode for the fallback policy / N).
+  if (positional.size() > 4) {
+    std::fprintf(stderr, "error: too many positional arguments\n\n");
+    return usage(argv[0], stderr);
+  }
+  if (positional.size() >= 1) opt.policy = positional[0];
+  if (positional.size() >= 2) opt.n = parse_int(positional[1], "positional N");
+  if (positional.size() >= 3)
+    opt.reps = parse_int(positional[2], "positional reps");
+  if (positional.size() >= 4)
+    opt.threads = parse_int(positional[3], "positional threads");
+
+  opt.obs.begin();
+  const int rc = run(opt);
+  opt.obs.finish();
+  return rc;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    if (argc >= 2 && std::string(argv[1]) == "trace")
-      return run_trace(argc, argv);
-    Options opt;
-    std::vector<std::string> positional;
-
-    const auto flag_value = [&](int& i, const char* flag) -> std::string {
-      if (i + 1 >= argc)
-        throw ConfigError(std::string(flag) + " needs a value");
-      return argv[++i];
-    };
-
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--help" || arg == "-h") return usage(argv[0], stdout);
-      if (arg == "--list-scenarios") {
-        for (const auto& entry :
-             workload::ScenarioCatalog::instance().entries())
-          std::printf("%-14s %s\n", entry.name.c_str(),
-                      entry.description.c_str());
-        return 0;
-      }
-      if (arg == "--list-policies") {
-        for (const std::string& name : core::policy_names())
-          std::printf("%s\n", name.c_str());
-        return 0;
-      }
-      if (arg == "--list-keys") {
-        for (const std::string& key : core::scenario_keys())
-          std::printf("%s\n", key.c_str());
-        return 0;
-      }
-      if (arg == "--dump-default") {
-        core::save_scenario(core::paper_scenario(), std::cout);
-        return 0;
-      }
-      if (arg == "--dump-scenario") {
-        core::save_scenario(
-            workload::catalog_scenario(flag_value(i, "--dump-scenario")),
-            std::cout);
-        return 0;
-      }
-      if (arg == "--scenario") {
-        opt.scenario_name = flag_value(i, "--scenario");
-      } else if (arg == "--config") {
-        opt.config_file = flag_value(i, "--config");
-      } else if (arg == "--seed") {
-        opt.seed = parse_u64(flag_value(i, "--seed"), "--seed");
-      } else if (arg == "--cells") {
-        opt.cells = parse_int(flag_value(i, "--cells"), "--cells");
-      } else if (arg == "--cell-threads") {
-        opt.cell_threads =
-            parse_int(flag_value(i, "--cell-threads"), "--cell-threads");
-      } else if (arg == "--workload-cells") {
-        opt.workload_cells =
-            parse_int(flag_value(i, "--workload-cells"), "--workload-cells");
-      } else if (arg == "--policies") {
-        if (!opt.policies.empty()) throw ConfigError("policy axis given twice");
-        opt.policies = split_csv(flag_value(i, "--policies"));
-        if (opt.policies.empty()) throw ConfigError("--policies is empty");
-        opt.sweep_mode = true;
-      } else if (arg == "--sweep") {
-        const std::string value = flag_value(i, "--sweep");
-        const std::size_t eq = value.find('=');
-        if (eq == std::string::npos || eq == 0)
-          throw ConfigError("--sweep expects <axis=v1,v2,...>, got '" +
-                            value + "'");
-        SweepAxisArg axis;
-        axis.axis = value.substr(0, eq);
-        axis.values = split_csv(value.substr(eq + 1));
-        if (axis.values.empty())
-          throw ConfigError("--sweep axis '" + axis.axis + "' has no values");
-        if (axis.axis == "policy") {
-          if (!opt.policies.empty())
-            throw ConfigError("policy axis given twice");
-          opt.policies = axis.values;
-        } else {
-          opt.sweeps.push_back(std::move(axis));
-        }
-        opt.sweep_mode = true;
-      } else if (arg == "--n") {
-        opt.n = parse_int(flag_value(i, "--n"), "--n");
-      } else if (arg == "--reps") {
-        opt.reps = parse_int(flag_value(i, "--reps"), "--reps");
-      } else if (arg == "--threads") {
-        opt.threads = parse_int(flag_value(i, "--threads"), "--threads");
-      } else if (arg == "--out") {
-        opt.out = flag_value(i, "--out");
-      } else if (arg == "--trace") {
-        opt.obs.trace_path = flag_value(i, "--trace");
-      } else if (arg == "--metrics") {
-        opt.obs.metrics_path = flag_value(i, "--metrics");
-      } else if (arg.size() >= 2 && arg[0] == '-' && !std::isdigit(
-                     static_cast<unsigned char>(arg[1]))) {
-        std::fprintf(stderr, "error: unknown flag '%s'\n\n", arg.c_str());
-        return usage(argv[0], stderr);
-      } else {
-        positional.push_back(arg);
-      }
-    }
-
-    // Positional tail: <policy> [N [reps [threads]]] (single-run style,
-    // still honoured in sweep mode for the fallback policy / N).  The
-    // pre-flag CLI put a config file first — keep that working: a first
-    // positional that is not a registry policy name is a config file.
-    std::size_t p = 0;
-    if (!positional.empty() && !opt.scenario_name && !opt.config_file) {
-      const std::vector<std::string> names = core::policy_names();
-      if (std::find(names.begin(), names.end(), positional[0]) ==
-          names.end()) {
-        opt.config_file = positional[0];
-        p = 1;
-      }
-    }
-    if (positional.size() > p + 4) {
-      std::fprintf(stderr, "error: too many positional arguments\n\n");
-      return usage(argv[0], stderr);
-    }
-    if (positional.size() >= p + 1) opt.policy = positional[p];
-    if (positional.size() >= p + 2)
-      opt.n = parse_int(positional[p + 1], "positional N");
-    if (positional.size() >= p + 3)
-      opt.reps = parse_int(positional[p + 2], "positional reps");
-    if (positional.size() >= p + 4)
-      opt.threads = parse_int(positional[p + 3], "positional threads");
-
-    opt.obs.begin();
-    const int rc = run(opt);
-    opt.obs.finish();
-    return rc;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  if (argc >= 2 && std::string(argv[1]) == "trace")
+    return core::run_cli(argc, argv, run_trace, trace_usage);
+  return core::run_cli(argc, argv, run_main, usage);
 }

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/file_io.h"
 
 namespace facsp::core {
 
@@ -131,21 +132,6 @@ const std::map<std::string, Field>& registry() {
         "sim.epoch_s",
         [](const ScenarioConfig& s) { return s.multicell.epoch_s; },
         [](ScenarioConfig& s, double v) { s.multicell.epoch_s = v; });
-    f["sim.epoch_adaptive"] = Field{
-        [](const ScenarioConfig& s) {
-          return std::string(s.multicell.epoch_adaptive ? "true" : "false");
-        },
-        [](ScenarioConfig& s, const std::string& v) {
-          s.multicell.epoch_adaptive = parse_bool(v);
-        }};
-    add_double(
-        "sim.epoch_min_s",
-        [](const ScenarioConfig& s) { return s.multicell.epoch_min_s; },
-        [](ScenarioConfig& s, double v) { s.multicell.epoch_min_s = v; });
-    add_double(
-        "sim.epoch_max_s",
-        [](const ScenarioConfig& s) { return s.multicell.epoch_max_s; },
-        [](ScenarioConfig& s, double v) { s.multicell.epoch_max_s = v; });
     f["sim.workload_cells"] = Field{
         [](const ScenarioConfig& s) {
           return std::to_string(s.multicell.workload_cells);
@@ -375,6 +361,36 @@ std::uint64_t parse_u64(const std::string& v, const char* what) {
   return named(v, what, strict_u64);
 }
 
+bool FlagReader::next() {
+  if (next_ >= argc_) return false;
+  arg_ = argv_[next_++];
+  return true;
+}
+
+bool FlagReader::is_flag() const {
+  return arg_.size() >= 2 && arg_[0] == '-' &&
+         !std::isdigit(static_cast<unsigned char>(arg_[1]));
+}
+
+std::string FlagReader::value() {
+  if (next_ >= argc_) throw ConfigError(arg_ + " needs a value");
+  return argv_[next_++];
+}
+
+int run_cli(int argc, char** argv, int (*run)(int, char**),
+            int (*usage)(const char* argv0, std::FILE* dst)) {
+  try {
+    return run(argc, argv);
+  } catch (const UnknownFlag& e) {
+    std::fprintf(stderr, "error: %s\n\n", e.what());
+    usage(argv[0], stderr);
+    return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+}
+
 std::string format_double(double v) {
   char buf[32];
   const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
@@ -465,10 +481,7 @@ ScenarioConfig scenario_from_string(const std::string& text) {
 
 void save_scenario_file(const ScenarioConfig& scenario,
                         const std::string& path) {
-  std::ofstream os(path);
-  if (!os) throw Error("cannot open '" + path + "' for writing");
-  save_scenario(scenario, os);
-  if (!os) throw Error("failed writing '" + path + "'");
+  write_file(path, [&](std::ostream& os) { save_scenario(scenario, os); });
 }
 
 ScenarioConfig load_scenario_file(const std::string& path) {

@@ -11,10 +11,12 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "core/scenario.h"
 
 namespace facsp::core {
@@ -31,6 +33,50 @@ std::string format_double(double v);
 int parse_int(const std::string& v, const char* what);
 double parse_double(const std::string& v, const char* what);
 std::uint64_t parse_u64(const std::string& v, const char* what);
+
+/// An argument that reads as a flag but that no CLI knows.  run_cli reports
+/// it as "error: unknown flag '<x>'", then the usage, and exits 2.
+class UnknownFlag : public ConfigError {
+ public:
+  explicit UnknownFlag(const std::string& flag)
+      : ConfigError("unknown flag '" + flag + "'") {}
+};
+
+/// The command-line reader every CLI shares.  next() advances to the next
+/// argument of argv (from `first`); arg() is its text.  value() consumes
+/// the argument after the current flag as its value, or throws ConfigError
+/// "<flag> needs a value"; the typed readers parse that value strictly
+/// under the flag's name ("bad <flag> '<v>'").
+class FlagReader {
+ public:
+  FlagReader(int argc, char** argv, int first = 1)
+      : argc_(argc), argv_(argv), next_(first) {}
+
+  bool next();
+  const std::string& arg() const { return arg_; }
+  bool is(const char* flag) const { return arg_ == flag; }
+  /// '-' followed by a non-digit: "-5" and "-" read as positionals.
+  bool is_flag() const;
+
+  std::string value();
+  int int_value() { return parse_int(value(), arg_.c_str()); }
+  double double_value() { return parse_double(value(), arg_.c_str()); }
+  std::uint64_t u64_value() { return parse_u64(value(), arg_.c_str()); }
+
+  [[noreturn]] void unknown() const { throw UnknownFlag(arg_); }
+
+ private:
+  int argc_;
+  char** argv_;
+  int next_;
+  std::string arg_;
+};
+
+/// The body of every CLI's main(): returns run(argc, argv).  An UnknownFlag
+/// prints "error: <what>", a blank line and usage(argv[0], stderr), then
+/// exits 2; any other exception prints "error: <what>" and exits 1.
+int run_cli(int argc, char** argv, int (*run)(int, char**),
+            int (*usage)(const char* argv0, std::FILE* dst));
 
 /// Split on a single-character delimiter, keeping empty tokens
 /// ("a,,b" -> {"a", "", "b"}; "" -> {""}).  The one splitter behind CSV

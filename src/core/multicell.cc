@@ -45,13 +45,6 @@ struct EngineMetrics {
   }
 };
 
-/// Deterministic adaptive-epoch thresholds: a barrier delivering more than
-/// kDense inter-cell handovers halves the epoch (tighter coupling deserves
-/// finer windows); fewer than kSparse doubles it.  Pure functions of the
-/// serial barrier's counters, so adaptation is thread-count-invariant.
-constexpr std::uint64_t kDenseHandoversPerEpoch = 32;
-constexpr std::uint64_t kSparseHandoversPerEpoch = 4;
-
 /// Disjoint per-shard connection-id namespaces: migrating sessions keep
 /// their origin ids, so no two shards may ever mint the same one.  2^40
 /// leaves every shard the full legacy id space (spawner strides are 2^24).
@@ -295,8 +288,7 @@ MultiCellResult MultiCellEngine::run(int n_requests_per_cell) {
   // "engine.shard_drain_ns{shard=k}".
   std::vector<obs::Histogram*> shard_hist(shards_.size(), nullptr);
 
-  const bool adaptive = scenario_.multicell.epoch_adaptive;
-  sim::SimTime dt = scenario_.multicell.epoch_s;
+  const sim::SimTime dt = scenario_.multicell.epoch_s;
   const sim::SimTime horizon = scenario_.horizon_s;
   sim::SimTime t = 0.0;
   while (t < horizon && !active_.empty()) {
@@ -386,14 +378,6 @@ MultiCellResult MultiCellEngine::run(int n_requests_per_cell) {
     for (const int k : touched_)
       if (!shards_[static_cast<std::size_t>(k)].driver->idle()) activate(k);
 
-    if (adaptive) {
-      // Deterministic controller on the serial barrier's handover count:
-      // dense coupling tightens the window, near-empty barriers widen it.
-      if (stats_.delivered > kDenseHandoversPerEpoch)
-        dt = std::max(scenario_.multicell.epoch_min_s, dt * 0.5);
-      else if (stats_.delivered < kSparseHandoversPerEpoch)
-        dt = std::min(scenario_.multicell.epoch_max_s, dt * 2.0);
-    }
     t = t_end;
   }
 

@@ -1,12 +1,12 @@
 #include "core/report.h"
 
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
 #include "common/error.h"
 #include "common/expects.h"
+#include "common/file_io.h"
 #include "core/config_io.h"
 
 namespace facsp::core {
@@ -69,14 +69,6 @@ void expect_csv_safe(const std::string& value) {
                 "' contains a comma or line break; rename the axis value");
 }
 
-template <typename Fn>
-void write_to_file(const std::string& path, Fn&& write) {
-  std::ofstream os(path);
-  if (!os) throw Error("cannot open '" + path + "' for writing");
-  write(os);
-  if (!os) throw Error("failed writing '" + path + "'");
-}
-
 }  // namespace
 
 std::optional<double> crossover_x(const sim::Series& a, const sim::Series& b) {
@@ -124,10 +116,7 @@ sim::Series metric_series(const ResultTable& table,
 }
 
 void write_csv(const sim::Figure& figure, const std::string& path) {
-  std::ofstream os(path);
-  if (!os) throw Error("cannot open '" + path + "' for writing");
-  figure.print_csv(os);
-  if (!os) throw Error("failed writing '" + path + "'");
+  write_file(path, [&](std::ostream& os) { figure.print_csv(os); });
 }
 
 void write_result_csv(const ResultTable& table, std::ostream& os) {
@@ -156,7 +145,7 @@ void write_result_csv(const ResultTable& table, std::ostream& os) {
 }
 
 void write_result_csv(const ResultTable& table, const std::string& path) {
-  write_to_file(path, [&](std::ostream& os) { write_result_csv(table, os); });
+  write_file(path, [&](std::ostream& os) { write_result_csv(table, os); });
 }
 
 std::string result_csv_string(const ResultTable& table) {
@@ -197,7 +186,7 @@ void write_result_json(const ResultTable& table, std::ostream& os) {
 }
 
 void write_result_json(const ResultTable& table, const std::string& path) {
-  write_to_file(path,
+  write_file(path,
                 [&](std::ostream& os) { write_result_json(table, os); });
 }
 

@@ -27,17 +27,6 @@ struct MultiCellConfig {
   /// bound on handover delivery latency (departures collected during an
   /// epoch are delivered at its end).
   double epoch_s = 5.0;
-  /// Adaptive epoch length (off by default): the engine adjusts the drain
-  /// quantum to the observed per-epoch handover count — halving it when
-  /// barriers carry dense handover batches (tighter delivery latency),
-  /// doubling it when they run near-empty (fewer barriers) — clamped to
-  /// [epoch_min_s, epoch_max_s].  With this off the epoch length is exactly
-  /// `epoch_s` and results are bit-identical to the bulk-synchronous
-  /// engine; with it on, per-epoch conservation invariants still hold but
-  /// byte-level goldens do not apply (delivery times shift).
-  bool epoch_adaptive = false;
-  double epoch_min_s = 1.0;
-  double epoch_max_s = 30.0;
   /// Sparse traffic: number of spiral cells (centre-out) that generate
   /// their own new-call workload.  0 means every cell generates (the
   /// historical behaviour); k > 0 restricts generation to cells 0..k-1 —

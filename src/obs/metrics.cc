@@ -1,9 +1,9 @@
 #include "obs/metrics.h"
 
-#include <fstream>
 #include <ostream>
 
 #include "common/error.h"
+#include "common/file_io.h"
 #include "core/config_io.h"
 
 namespace facsp::obs {
@@ -136,14 +136,6 @@ void write_histogram_json(std::ostream& os, const Histogram& h) {
      << "}";
 }
 
-template <typename Fn>
-void write_metrics_file(const std::string& path, Fn&& write) {
-  std::ofstream os(path);
-  if (!os) throw Error("cannot open '" + path + "' for writing");
-  write(os);
-  if (!os) throw Error("failed writing '" + path + "'");
-}
-
 }  // namespace
 
 void Registry::write_json(std::ostream& os) const {
@@ -175,7 +167,7 @@ void Registry::write_json(std::ostream& os) const {
 }
 
 void Registry::write_json(const std::string& path) const {
-  write_metrics_file(path, [&](std::ostream& os) { write_json(os); });
+  write_file(path, [&](std::ostream& os) { write_json(os); });
 }
 
 void Registry::write_csv(std::ostream& os) const {
@@ -208,7 +200,7 @@ void Registry::write_csv(std::ostream& os) const {
 }
 
 void Registry::write_csv(const std::string& path) const {
-  write_metrics_file(path, [&](std::ostream& os) { write_csv(os); });
+  write_file(path, [&](std::ostream& os) { write_csv(os); });
 }
 
 void write_snapshot(const std::string& path) {

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <ostream>
 #include <vector>
 
-#include "common/error.h"
+#include "common/file_io.h"
 #include "core/config_io.h"
 
 namespace facsp::obs {
@@ -222,10 +221,7 @@ void Tracer::write_json(std::ostream& os) {
 }
 
 void Tracer::write_json(const std::string& path) {
-  std::ofstream os(path);
-  if (!os) throw Error("cannot open '" + path + "' for writing");
-  write_json(os);
-  if (!os) throw Error("failed writing '" + path + "'");
+  write_file(path, [](std::ostream& os) { write_json(os); });
 }
 
 std::uint64_t Tracer::recorded_events() {

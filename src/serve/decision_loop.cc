@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <ostream>
 #include <span>
 
 #include "cellular/network.h"
 #include "common/error.h"
 #include "common/expects.h"
+#include "common/file_io.h"
 #include "core/config_io.h"
 #include "core/experiment.h"
 #include "obs/metrics.h"
@@ -386,14 +386,6 @@ std::vector<StampedRequest> record_trace(const ServerConfig& config) {
 // --- rendering -------------------------------------------------------------
 
 namespace {
-
-template <typename Fn>
-void write_file(const std::string& path, Fn&& write) {
-  std::ofstream os(path);
-  if (!os) throw Error("cannot open '" + path + "' for writing");
-  write(os);
-  if (!os) throw Error("failed writing '" + path + "'");
-}
 
 }  // namespace
 

@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "common/error.h"
+#include "common/file_io.h"
 #include "core/config_io.h"
 #include "core/report.h"
 
@@ -81,10 +82,7 @@ void write_trace(const std::vector<StampedRequest>& records,
 
 void write_trace_file(const std::vector<StampedRequest>& records,
                       const std::string& path) {
-  std::ofstream os(path);
-  if (!os) throw Error("cannot open '" + path + "' for writing");
-  write_trace(records, os);
-  if (!os) throw Error("failed writing '" + path + "'");
+  write_file(path, [&](std::ostream& os) { write_trace(records, os); });
 }
 
 std::vector<StampedRequest> read_trace(std::istream& is) {

@@ -74,6 +74,26 @@ void register_builtins(ScenarioCatalog& catalog) {
                 return s;
               });
 
+  catalog.add("downtown",
+              "19-cell grid, every cell equally loaded with the paper "
+              "70/20/10 mix",
+              [] {
+                core::ScenarioConfig s = core::paper_scenario();
+                s.rings = 2;
+                s.spatial.kind = SpatialKind::kUniform;
+                return s;
+              });
+
+  catalog.add("handoff-storm",
+              "downtown with every user at 100 km/h and 360 s mean "
+              "holding: long fast calls hand off again and again",
+              [] {
+                core::ScenarioConfig s = catalog_scenario("downtown");
+                s.traffic.fixed_speed_kmh = 100.0;
+                s.traffic.mean_holding_s = 360.0;
+                return s;
+              });
+
   catalog.add("multicell-ring1",
               "7 sharded single-BS cells on a ring-1 super-grid; every cell "
               "runs the paper workload, handovers cross shard boundaries",

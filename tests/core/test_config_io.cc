@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "core/paper.h"
@@ -228,7 +231,115 @@ TEST(ConfigIo, ScenarioKeysEnumerateTheWholeRegistry) {
     EXPECT_NO_THROW(apply_scenario_key(rebuilt, key, value)) << key;
   }
   EXPECT_EQ(scenario_to_string(rebuilt), dump);
-  EXPECT_THROW(apply_scenario_key(rebuilt, "no.such.key", "1"), ConfigError);
+  for (const char* key : {"no.such.key", "sim.epoch_adaptive",
+                          "sim.epoch_min_s", "sim.epoch_max_s"})
+    EXPECT_THROW(apply_scenario_key(rebuilt, key, "1"), ConfigError) << key;
+}
+
+// --- FlagReader / run_cli ---------------------------------------------------
+
+/// Owns argv storage for a FlagReader under test.
+struct Argv {
+  explicit Argv(std::vector<std::string> args) : args_(std::move(args)) {
+    for (std::string& a : args_) ptrs_.push_back(a.data());
+  }
+  int argc() const { return static_cast<int>(ptrs_.size()); }
+  char** argv() { return ptrs_.data(); }
+
+ private:
+  std::vector<std::string> args_;
+  std::vector<char*> ptrs_;
+};
+
+std::string what_of(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "(no throw)";
+}
+
+TEST(FlagReader, WalksFlagsAndValuesFromFirst) {
+  Argv a({"prog", "trace", "--out", "x.csv", "--seed", "7", "--quiet"});
+  FlagReader flags(a.argc(), a.argv(), 2);
+  ASSERT_TRUE(flags.next());
+  EXPECT_TRUE(flags.is("--out"));
+  EXPECT_EQ(flags.value(), "x.csv");
+  ASSERT_TRUE(flags.next());
+  EXPECT_TRUE(flags.is("--seed"));
+  EXPECT_EQ(flags.u64_value(), 7u);
+  ASSERT_TRUE(flags.next());
+  EXPECT_EQ(flags.arg(), "--quiet");
+  EXPECT_FALSE(flags.next());
+}
+
+TEST(FlagReader, LastFlagWithoutValueNeedsAValue) {
+  Argv a({"prog", "--n"});
+  FlagReader flags(a.argc(), a.argv());
+  ASSERT_TRUE(flags.next());
+  EXPECT_EQ(what_of([&] { flags.int_value(); }), "--n needs a value");
+}
+
+TEST(FlagReader, NumbersAreStrictUnderTheFlagName) {
+  Argv a({"prog", "--n", "5x", "--timeout", "1.5s", "--pending-cap", "-1",
+          "--reps", "-3"});
+  FlagReader flags(a.argc(), a.argv());
+  ASSERT_TRUE(flags.next());
+  EXPECT_EQ(what_of([&] { flags.int_value(); }), "bad --n '5x'");
+  ASSERT_TRUE(flags.next());
+  EXPECT_EQ(what_of([&] { flags.double_value(); }), "bad --timeout '1.5s'");
+  ASSERT_TRUE(flags.next());
+  EXPECT_EQ(what_of([&] { flags.u64_value(); }), "bad --pending-cap '-1'");
+  // A value that looks like a flag is still the value.
+  ASSERT_TRUE(flags.next());
+  EXPECT_EQ(flags.int_value(), -3);
+}
+
+TEST(FlagReader, UnknownFlagThrowsUnknownFlag) {
+  Argv a({"prog", "--no-such-flag"});
+  FlagReader flags(a.argc(), a.argv());
+  ASSERT_TRUE(flags.next());
+  try {
+    flags.unknown();
+    FAIL() << "expected UnknownFlag";
+  } catch (const UnknownFlag& e) {
+    EXPECT_STREQ(e.what(), "unknown flag '--no-such-flag'");
+  }
+}
+
+TEST(FlagReader, DashDigitIsAPositionalNotAFlag) {
+  // scenario_runner's positional tail may start with a negative number.
+  Argv a({"prog", "-5", "-0.5", "-", "--n", "-x", "facs-p"});
+  FlagReader flags(a.argc(), a.argv());
+  std::vector<bool> is_flag;
+  while (flags.next()) is_flag.push_back(flags.is_flag());
+  EXPECT_EQ(is_flag,
+            (std::vector<bool>{false, false, false, true, true, false}));
+}
+
+int usage_calls = 0;
+int count_usage(const char*, std::FILE*) {
+  ++usage_calls;
+  return 2;
+}
+
+TEST(RunCli, MapsUnknownFlagToTwoAndOtherErrorsToOne) {
+  Argv a({"prog"});
+  usage_calls = 0;
+  EXPECT_EQ(run_cli(a.argc(), a.argv(), [](int, char**) { return 0; },
+                    count_usage),
+            0);
+  EXPECT_EQ(run_cli(a.argc(), a.argv(),
+                    [](int, char**) -> int { throw UnknownFlag("--x"); },
+                    count_usage),
+            2);
+  EXPECT_EQ(usage_calls, 1);
+  EXPECT_EQ(run_cli(a.argc(), a.argv(),
+                    [](int, char**) -> int { throw ConfigError("bad"); },
+                    count_usage),
+            1);
+  EXPECT_EQ(usage_calls, 1);
 }
 
 }  // namespace

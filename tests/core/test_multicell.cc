@@ -335,19 +335,6 @@ TEST(MultiCellConfig, EventDrivenKeysValidate) {
   EXPECT_THROW(s.validate(), ConfigError);
   s.multicell.workload_cells = 3;
   s.validate();
-
-  s.multicell.epoch_min_s = 0.0;
-  EXPECT_THROW(s.validate(), ConfigError);
-  s.multicell.epoch_min_s = 10.0;
-  s.multicell.epoch_max_s = 5.0;  // max below min
-  EXPECT_THROW(s.validate(), ConfigError);
-  s.multicell.epoch_max_s = 30.0;
-  // Adaptive epochs require the starting epoch_s inside the bounds.
-  s.multicell.epoch_adaptive = true;
-  s.multicell.epoch_s = 5.0;  // below epoch_min_s = 10
-  EXPECT_THROW(s.validate(), ConfigError);
-  s.multicell.epoch_s = 10.0;
-  s.validate();
 }
 
 // --- event-driven scheduling ------------------------------------------------
@@ -447,53 +434,6 @@ TEST(MultiCellEngine, SparseGridDrainsProportionalToActivity) {
   EXPECT_LE(drained * 10, bulk_drains)
       << "drained " << drained << " shards over " << epochs << " epochs (+"
       << skipped << " skipped)";
-}
-
-TEST(MultiCellEngine, AdaptiveEpochsKeepConservationInvariants) {
-  ScenarioConfig fixed = storm_scenario();
-  std::uint64_t fixed_epochs = 0;
-  {
-    MultiCellEngine engine(fixed, make_facs_p_factory(), 0);
-    engine.set_epoch_observer(
-        [&](const MultiCellEngine::EpochStats&) { ++fixed_epochs; });
-    engine.run(100);
-  }
-
-  ScenarioConfig s = storm_scenario();
-  s.multicell.epoch_adaptive = true;
-  s.multicell.epoch_min_s = 1.0;
-  s.multicell.epoch_max_s = 30.0;
-  MultiCellEngine engine(s, make_facs_p_factory(), 0);
-  std::uint64_t epochs = 0, departures = 0;
-  sim::SimTime prev_end = 0.0;
-  engine.set_epoch_observer([&](const MultiCellEngine::EpochStats& es) {
-    ++epochs;
-    departures += es.departures;
-    // Conservation holds at every barrier regardless of epoch length...
-    ASSERT_EQ(es.delivered + es.left_world, es.departures);
-    ASSERT_EQ(es.admitted + es.dropped, es.delivered);
-    // ...and barriers advance monotonically, never finer than the floor.
-    ASSERT_GE(es.t_end - prev_end, s.multicell.epoch_min_s - 1e-9);
-    prev_end = es.t_end;
-  });
-  const MultiCellResult result = engine.run(100);
-
-  ASSERT_GT(epochs, 0u);
-  ASSERT_GT(departures, 0u);
-  // The controller actually adapted: sparse barriers double the window (and
-  // dense ones halve it), so the barrier count differs from the fixed-dt
-  // schedule of the same scenario.
-  EXPECT_NE(epochs, fixed_epochs);
-  // End-to-end conservation is untouched by adaptation.
-  EXPECT_EQ(result.aggregate.metrics.completed() +
-                result.aggregate.metrics.dropped(),
-            result.aggregate.metrics.accepted_new());
-  std::uint64_t out_sum = 0, in_sum = 0;
-  for (const auto& c : result.cells) {
-    out_sum += c.handoffs_out;
-    in_sum += c.handoffs_in;
-  }
-  EXPECT_EQ(out_sum, in_sum);
 }
 
 }  // namespace

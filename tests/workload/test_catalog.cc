@@ -13,7 +13,8 @@ TEST(ScenarioCatalog, BuiltInsAreRegistered) {
   auto& catalog = ScenarioCatalog::instance();
   for (const char* name :
        {"paper-grid", "bursty-onoff", "flash-crowd", "diurnal",
-        "hotspot-ring2", "highway", "mix-shift"}) {
+        "hotspot-ring2", "highway", "downtown", "handoff-storm",
+        "mix-shift"}) {
     EXPECT_TRUE(catalog.contains(name)) << name;
     const auto* entry = catalog.find(name);
     ASSERT_NE(entry, nullptr) << name;
@@ -54,6 +55,18 @@ TEST(ScenarioCatalog, ScenarioShapesAreWired) {
   ASSERT_TRUE(highway.traffic.fixed_speed_kmh.has_value());
   EXPECT_DOUBLE_EQ(*highway.traffic.fixed_speed_kmh, 100.0);
   EXPECT_FALSE(catalog_scenario("mix-shift").traffic.mix_schedule.empty());
+  const auto downtown = catalog_scenario("downtown");
+  EXPECT_EQ(downtown.rings, 2);
+  EXPECT_EQ(downtown.spatial.kind, SpatialKind::kUniform);
+  // handoff-storm is downtown with fast users and long calls, nothing else.
+  core::ScenarioConfig storm = catalog_scenario("handoff-storm");
+  ASSERT_TRUE(storm.traffic.fixed_speed_kmh.has_value());
+  EXPECT_DOUBLE_EQ(*storm.traffic.fixed_speed_kmh, 100.0);
+  EXPECT_DOUBLE_EQ(storm.traffic.mean_holding_s, 360.0);
+  storm.traffic.fixed_speed_kmh = downtown.traffic.fixed_speed_kmh;
+  storm.traffic.mean_holding_s = downtown.traffic.mean_holding_s;
+  EXPECT_EQ(core::scenario_to_string(storm),
+            core::scenario_to_string(downtown));
 }
 
 TEST(ScenarioCatalog, UnknownNameThrowsListingKnownOnes) {

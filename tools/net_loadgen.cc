@@ -53,9 +53,6 @@ int usage(const char* argv0, FILE* dst) {
   return dst == stderr ? 2 : 0;
 }
 
-using core::parse_double;
-using core::parse_int;
-
 double wall_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -77,30 +74,23 @@ int run(int argc, char** argv) {
   double timeout_s = 30.0;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* what) -> std::string {
-      if (i + 1 >= argc)
-        throw ConfigError(std::string(what) + " requires a value");
-      return argv[++i];
-    };
-    if (arg == "--help") return usage(argv[0], stdout);
-    if (arg == "--host")
-      host = value("--host");
-    else if (arg == "--port")
-      port = parse_int(value("--port"), "--port");
-    else if (arg == "--trace")
-      trace_path = value("--trace");
-    else if (arg == "--repeat")
-      repeat = parse_int(value("--repeat"), "--repeat");
-    else if (arg == "--timeout")
-      timeout_s = parse_double(value("--timeout"), "--timeout");
-    else if (arg == "--quiet")
+  core::FlagReader flags(argc, argv);
+  while (flags.next()) {
+    if (flags.is("--help")) return usage(argv[0], stdout);
+    if (flags.is("--host"))
+      host = flags.value();
+    else if (flags.is("--port"))
+      port = flags.int_value();
+    else if (flags.is("--trace"))
+      trace_path = flags.value();
+    else if (flags.is("--repeat"))
+      repeat = flags.int_value();
+    else if (flags.is("--timeout"))
+      timeout_s = flags.double_value();
+    else if (flags.is("--quiet"))
       quiet = true;
-    else {
-      std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
-      return usage(argv[0], stderr);
-    }
+    else
+      flags.unknown();
   }
   if (port < 0) throw ConfigError("--port is required");
   if (trace_path.empty()) throw ConfigError("--trace is required");
@@ -266,10 +256,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  return core::run_cli(argc, argv, run, usage);
 }
