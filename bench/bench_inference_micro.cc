@@ -80,7 +80,7 @@ BENCHMARK(BM_Flc1EvaluateBatch)->Arg(256);
 void BM_Flc2EvaluateByResolution(benchmark::State& state) {
   cac::Flc2Params params;
   const auto flc2 = cac::make_flc2(
-      params, {},
+      params,
       fuzzy::Defuzzifier(fuzzy::DefuzzMethod::kCentroid,
                          static_cast<int>(state.range(0))));
   for (auto _ : state)

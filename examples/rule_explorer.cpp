@@ -36,10 +36,10 @@ void explain_at(const fuzzy::FuzzyController& flc,
     std::printf("   %5.2f | %s\n", ex.fired[i].strength,
                 ex.rule_text[i].c_str());
   std::printf("  aggregated output activations:");
-  for (std::size_t k = 0; k < ex.aggregated.activations.size(); ++k)
-    if (ex.aggregated.activations[k] > 0.0)
+  for (std::size_t k = 0; k < ex.activations.size(); ++k)
+    if (ex.activations[k] > 0.0)
       std::printf(" %s=%.2f", flc.output().term(k).name.c_str(),
-                  ex.aggregated.activations[k]);
+                  ex.activations[k]);
   std::printf("\n  => crisp %s = %.3f\n\n", flc.output().name().c_str(),
               ex.crisp);
 }

@@ -11,6 +11,7 @@
 // third runs a policy x arrival-kind x N sweep and writes curves.csv +
 // curves.json (stable schema, see docs/experiments.md).  Thread count is a
 // pure throughput knob: results are bit-identical for every value.
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <optional>
@@ -453,8 +454,12 @@ int run_main(int argc, char** argv) {
   while (flags.next()) {
     if (flags.is("--help") || flags.is("-h")) return usage(argv[0], stdout);
     if (flags.is("--list-scenarios")) {
-      for (const auto& entry : workload::ScenarioCatalog::instance().entries())
-        std::printf("%-14s %s\n", entry.name.c_str(),
+      const auto& entries = workload::ScenarioCatalog::instance().entries();
+      int width = 0;
+      for (const auto& entry : entries)
+        width = std::max(width, static_cast<int>(entry.name.size()));
+      for (const auto& entry : entries)
+        std::printf("%-*s %s\n", width, entry.name.c_str(),
                     entry.description.c_str());
       return 0;
     }

@@ -4,12 +4,11 @@ namespace facsp::cac {
 
 FacsPolicy::FacsPolicy(const FacsConfig& config)
     : FuzzyCacBase(
-          make_flc1_distance(config.flc1, config.inference,
+          make_flc1_distance(config.flc1,
                              fuzzy::Defuzzifier(config.defuzz_method,
                                                 kPolicyDefuzzResolution)),
-          make_flc2(config.flc2, config.inference,
-                    fuzzy::Defuzzifier(config.defuzz_method,
-                                       kPolicyDefuzzResolution)),
+          make_flc2(config.flc2, fuzzy::Defuzzifier(config.defuzz_method,
+                                                    kPolicyDefuzzResolution)),
           config.accept_threshold, config.handoff_score_bonus),
       config_(config) {}
 

@@ -118,19 +118,16 @@ inline constexpr int kPolicyDefuzzResolution = 256;
 /// FLC1 of FACS-P: (Sp, An, Sr) -> Cv.
 std::unique_ptr<fuzzy::FuzzyController> make_flc1(
     const Flc1Params& params = {},
-    fuzzy::InferenceOptions inference = {},
     fuzzy::Defuzzifier defuzz = fuzzy::Defuzzifier{});
 
 /// FLC1-D of the previous FACS: (Sp, An, Di) -> Cv.
 std::unique_ptr<fuzzy::FuzzyController> make_flc1_distance(
     const Flc1DistanceParams& params = {},
-    fuzzy::InferenceOptions inference = {},
     fuzzy::Defuzzifier defuzz = fuzzy::Defuzzifier{});
 
 /// FLC2 (shared): (Cv, Rq, Cs) -> A/R.
 std::unique_ptr<fuzzy::FuzzyController> make_flc2(
     const Flc2Params& params = {},
-    fuzzy::InferenceOptions inference = {},
     fuzzy::Defuzzifier defuzz = fuzzy::Defuzzifier{});
 
 }  // namespace facsp::cac

@@ -27,7 +27,6 @@ struct FacsPConfig {
   Flc1Params flc1{};
   Flc2Params flc2{};
   PriorityWeights weights{};
-  fuzzy::InferenceOptions inference{};
   fuzzy::DefuzzMethod defuzz_method = fuzzy::DefuzzMethod::kCentroid;
   /// Admit when the crisp A/R exceeds this (0 = the NRNA centre).
   double accept_threshold = 0.08;
@@ -37,7 +36,7 @@ struct FacsPConfig {
 };
 
 /// FLC1 (Table 1) and FLC2 (Table 2) as `config` describes them: its
-/// membership breakpoints, inference options and defuzzification method.
+/// membership breakpoints and defuzzification method.
 /// Each controller is immutable once built, so one pair may back every
 /// FacsPPolicy (and FacsPrPolicy) made from the same config, on any thread.
 std::shared_ptr<const fuzzy::FuzzyController> make_facs_p_flc1(

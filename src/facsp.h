@@ -12,7 +12,7 @@
 #include "fuzzy/builder.h"      // fluent variable/controller construction
 #include "fuzzy/controller.h"   // crisp-in/crisp-out Mamdani FLC
 #include "fuzzy/defuzzifier.h"  // centroid, bisector, MOM, ...
-#include "fuzzy/inference.h"    // t-norms, s-norms, implication
+#include "fuzzy/inference.h"    // min-max Mamdani inference engine
 #include "fuzzy/membership.h"   // triangular / trapezoidal / shoulders
 #include "fuzzy/rule_parser.h"  // textual IF-THEN rules
 #include "fuzzy/rulebase.h"     // validated rule sets
@@ -22,7 +22,7 @@
 #include "sim/event_queue.h"  // stable cancellable event set
 #include "sim/rng.h"          // named deterministic streams
 #include "sim/simulator.h"    // the run loop
-#include "sim/stats.h"        // mean/CI/histogram/time-weighted
+#include "sim/stats.h"        // mean/CI/time-weighted
 #include "sim/timeseries.h"   // figure/CSV rendering
 
 // Cellular network substrate

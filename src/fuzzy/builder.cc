@@ -124,11 +124,6 @@ ControllerBuilder& ControllerBuilder::rule_table(
   return *this;
 }
 
-ControllerBuilder& ControllerBuilder::inference(InferenceOptions options) {
-  inference_ = options;
-  return *this;
-}
-
 ControllerBuilder& ControllerBuilder::defuzzifier(Defuzzifier d) {
   defuzz_ = d;
   return *this;
@@ -147,8 +142,7 @@ std::unique_ptr<FuzzyController> ControllerBuilder::build() {
     throw ConfigError("controller '" + name_ + "': no rules");
   return std::make_unique<FuzzyController>(name_, std::move(inputs_),
                                            std::move(output_.front()),
-                                           std::move(rules_), inference_,
-                                           defuzz_);
+                                           std::move(rules_), defuzz_);
 }
 
 }  // namespace facsp::fuzzy

@@ -79,7 +79,6 @@ class ControllerBuilder {
   /// paper's Table 1 / Table 2 are printed.
   ControllerBuilder& rule_table(const std::vector<std::string>& consequents);
 
-  ControllerBuilder& inference(InferenceOptions options);
   ControllerBuilder& defuzzifier(Defuzzifier d);
 
   /// Validates and constructs the controller (throws facsp::ConfigError if
@@ -92,7 +91,6 @@ class ControllerBuilder {
   std::vector<LinguisticVariable> output_;  // 0 or 1 elements
   std::vector<FuzzyRule> rules_;
   std::vector<std::string> pending_table_;
-  InferenceOptions inference_{};
   Defuzzifier defuzz_{};
 };
 

@@ -1,6 +1,7 @@
 #include "fuzzy/controller.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/expects.h"
 #include "fuzzy/rule.h"
@@ -11,15 +12,13 @@ FuzzyController::FuzzyController(std::string name,
                                  std::vector<LinguisticVariable> inputs,
                                  LinguisticVariable output,
                                  std::vector<FuzzyRule> rules,
-                                 InferenceOptions inference,
                                  Defuzzifier defuzzifier)
     : name_(std::move(name)),
       inputs_(std::move(inputs)),
       output_(std::move(output)),
       rules_(std::move(rules), inputs_, output_),
       defuzz_(defuzzifier),
-      engine_(std::make_unique<InferenceEngine>(inputs_, output_, rules_,
-                                                inference)) {
+      engine_(std::make_unique<InferenceEngine>(inputs_, output_, rules_)) {
   // Build the defuzzifier's sample tables for our output variable once;
   // every evaluation then takes the table-driven fast path.
   defuzz_.prime(output_);
@@ -39,9 +38,7 @@ double FuzzyController::evaluate(
 double FuzzyController::evaluate_with(
     InferenceScratch& scratch, std::span<const double> crisp_inputs) const {
   engine_->infer_into(crisp_inputs, scratch);
-  return defuzz_.defuzzify(scratch.activations,
-                           engine_->options().implication, output_,
-                           scratch.mu);
+  return defuzz_.defuzzify(scratch.activations, output_, scratch.mu);
 }
 
 void FuzzyController::evaluate_batch(std::span<const double> crisp_inputs,
@@ -74,8 +71,7 @@ void FuzzyController::evaluate_batch_with(InferenceScratch& scratch,
     for (std::size_t l = 0; l < rows; ++l) {
       for (std::size_t k = 0; k < terms; ++k)
         scratch.activations[k] = scratch.lane_activations[k * W + l];
-      out[r0 + l] = defuzz_.defuzzify(scratch.activations,
-                                      engine_->options().implication, output_,
+      out[r0 + l] = defuzz_.defuzzify(scratch.activations, output_,
                                       scratch.mu);
     }
   }
@@ -83,11 +79,12 @@ void FuzzyController::evaluate_batch_with(InferenceScratch& scratch,
 
 Explanation FuzzyController::explain(
     std::span<const double> crisp_inputs) const {
+  InferenceScratch scratch;
+  engine_->infer_traced_into(crisp_inputs, scratch);
   Explanation ex;
-  ex.aggregated = engine_->infer_traced(crisp_inputs, ex.fired);
-  std::vector<double> mu;
-  ex.crisp = defuzz_.defuzzify(ex.aggregated.activations,
-                               ex.aggregated.implication, output_, mu);
+  ex.fired = std::move(scratch.fired);
+  ex.activations = std::move(scratch.activations);
+  ex.crisp = defuzz_.defuzzify(ex.activations, output_, scratch.mu);
   ex.rule_text.reserve(ex.fired.size());
   for (const auto& f : ex.fired)
     ex.rule_text.push_back(to_string(rules_.rule(f.rule_index), inputs_,

@@ -19,7 +19,7 @@ namespace facsp::fuzzy {
 /// debugging).
 struct Explanation {
   std::vector<FiredRule> fired;        ///< rules with strength > 0, descending
-  OutputFuzzySet aggregated;           ///< per-term activations
+  std::vector<double> activations;     ///< one per output term
   double crisp = 0.0;                  ///< defuzzified output
   std::vector<std::string> rule_text;  ///< printable form of each fired rule
 };
@@ -35,7 +35,6 @@ class FuzzyController {
   /// variables (arity/term indices) — see RuleBase.
   FuzzyController(std::string name, std::vector<LinguisticVariable> inputs,
                   LinguisticVariable output, std::vector<FuzzyRule> rules,
-                  InferenceOptions inference = {},
                   Defuzzifier defuzzifier = Defuzzifier{});
 
   FuzzyController(const FuzzyController&) = delete;
@@ -67,9 +66,9 @@ class FuzzyController {
 
   /// Explicit-scratch form of evaluate_batch(): rows are processed in
   /// structure-of-arrays blocks of InferenceEngine::kLanes through the lane
-  /// kernels (SIMD when enabled), then defuzzified per row.  Each output is
-  /// bit-identical to evaluate_with() on that row.  Zero heap allocations
-  /// once `scratch` is warm.
+  /// kernels (SIMD when lane_simd_available()), then defuzzified per row.
+  /// Each output is bit-identical to evaluate_with() on that row.  Zero heap
+  /// allocations once `scratch` is warm.
   void evaluate_batch_with(InferenceScratch& scratch,
                            std::span<const double> crisp_inputs,
                            std::span<double> out) const;
@@ -86,9 +85,6 @@ class FuzzyController {
   const LinguisticVariable& output() const noexcept { return output_; }
   const RuleBase& rules() const noexcept { return rules_; }
   const Defuzzifier& defuzzifier() const noexcept { return defuzz_; }
-  const InferenceOptions& inference_options() const noexcept {
-    return engine_->options();
-  }
 
  private:
   std::string name_;

@@ -14,13 +14,12 @@ namespace {
 
 // --- analytic alpha-cut centroid -------------------------------------------
 //
-// Under min (clip) or product (scale) implication an implicated
-// piecewise-linear term is the pointwise MIN of at most three affine
-// functions of y: the alpha plateau, the (scaled) rising edge and the
-// (scaled) falling edge.  A min of affine functions is concave piecewise
-// linear, so its only breakpoints are pairwise line crossings and it can be
-// integrated exactly with the trapezoid rule between consecutive crossings
-// — no term-piece domain bookkeeping at all.
+// Under min (clip) implication a clipped piecewise-linear term is the
+// pointwise MIN of at most three affine functions of y: the alpha plateau,
+// the rising edge and the falling edge.  A min of affine functions is
+// concave piecewise linear, so its only breakpoints are pairwise line
+// crossings and it can be integrated exactly with the trapezoid rule between
+// consecutive crossings — no term-piece domain bookkeeping at all.
 
 /// A small bag of affine functions y -> s*y + t representing one concave
 /// min.  Capacity 6: {plateau, rise, fall} for each term of an adjacent
@@ -88,17 +87,15 @@ void integrate_concave_min(const AffineMin& f, double x0, double x1,
   }
 }
 
-/// Append the affine pieces of one implicated term.  Valid on the term's
-/// support (where rise/fall are non-negative), which is exactly where it is
-/// integrated.  Min implication clips at alpha; product scales by alpha —
-/// in both cases the plateau line is the constant alpha (alpha * 1).
-void implicated_term_lines(const MembershipFunction& mf, double alpha,
-                           Implication impl, AffineMin& f) noexcept {
-  const double scale = impl == Implication::kProduct ? alpha : 1.0;
+/// Append the affine pieces of one term clipped at alpha.  Valid on the
+/// term's support (where rise/fall are non-negative), which is exactly where
+/// it is integrated.
+void clipped_term_lines(const MembershipFunction& mf, double alpha,
+                        AffineMin& f) noexcept {
   f.add(0.0, alpha);
   const double a = mf.a(), b = mf.b(), c = mf.c(), d = mf.d();
-  if (std::isfinite(b) && b > a) f.add(scale / (b - a), -scale * a / (b - a));
-  if (std::isfinite(c) && d > c) f.add(-scale / (d - c), scale * d / (d - c));
+  if (std::isfinite(b) && b > a) f.add(1.0 / (b - a), -a / (b - a));
+  if (std::isfinite(c) && d > c) f.add(-1.0 / (d - c), d / (d - c));
 }
 
 /// The analytic decomposition needs the output terms to be sorted left to
@@ -135,8 +132,8 @@ const char* to_string(DefuzzMethod m) noexcept {
   return "centroid";
 }
 
-Defuzzifier::Defuzzifier(DefuzzMethod method, int resolution, SNorm aggregation)
-    : method_(method), resolution_(resolution), aggregation_(aggregation) {
+Defuzzifier::Defuzzifier(DefuzzMethod method, int resolution)
+    : method_(method), resolution_(resolution) {
   if (resolution_ < 8)
     throw ConfigError("defuzzifier: resolution must be >= 8");
 }
@@ -173,7 +170,6 @@ bool Defuzzifier::primed_for(const LinguisticVariable& output) const noexcept {
 }
 
 double Defuzzifier::defuzzify(std::span<const double> activations,
-                              Implication implication,
                               const LinguisticVariable& output,
                               std::vector<double>& mu_scratch) const {
   FACSP_EXPECTS_MSG(primed_for(output), "defuzzifier is not primed for '"
@@ -190,29 +186,29 @@ double Defuzzifier::defuzzify(std::span<const double> activations,
 
   if (method_ == DefuzzMethod::kWeightedAverage)
     return weighted_average(activations, output);
-  if (analytic_ && analytic_supported(method_, aggregation_, implication) &&
-      grid_->analytic_ok)
-    return centroid_analytic(activations, implication, output);
-  return defuzzify_grid(*grid_, activations, implication, output, mu_scratch);
+  if (analytic_ && method_ == DefuzzMethod::kCentroid && grid_->analytic_ok)
+    return centroid_analytic(activations, output);
+  return defuzzify_grid(*grid_, activations, output, mu_scratch);
 }
 
 double Defuzzifier::defuzzify_grid(const Grid& grid,
                                    std::span<const double> activations,
-                                   Implication impl,
                                    const LinguisticVariable& output,
                                    std::vector<double>& mu_scratch) const {
   const std::size_t n = grid.ys.size();
   const double* const ys = grid.ys.data();
-  // Aggregate the clipped/scaled term columns into the sample buffer, in
-  // term order.
+  // Max-aggregate the clipped term columns into the sample buffer, in term
+  // order.
   mu_scratch.assign(n, 0.0);
   double* const mu = mu_scratch.data();
   for (std::size_t k = 0; k < activations.size(); ++k) {
     const double a = activations[k];
     if (a <= 0.0) continue;
     const double* row = grid.term_grades.data() + k * n;
-    for (std::size_t i = 0; i < n; ++i)
-      mu[i] = apply_snorm(aggregation_, mu[i], apply_implication(impl, a, row[i]));
+    for (std::size_t i = 0; i < n; ++i) {
+      const double g = a < row[i] ? a : row[i];
+      mu[i] = mu[i] > g ? mu[i] : g;
+    }
   }
 
   const double mid = 0.5 * (output.universe_lo() + output.universe_hi());
@@ -264,22 +260,13 @@ double Defuzzifier::defuzzify_grid(const Grid& grid,
   }
 }
 
-bool Defuzzifier::analytic_supported(DefuzzMethod method, SNorm aggregation,
-                                     Implication implication) noexcept {
-  return method == DefuzzMethod::kCentroid &&
-         aggregation == SNorm::kMaximum &&
-         (implication == Implication::kMinimum ||
-          implication == Implication::kProduct);
-}
-
-bool Defuzzifier::analytic_applicable(const LinguisticVariable& output,
-                                      Implication implication) const noexcept {
-  return analytic_ && primed_for(output) && grid_->analytic_ok &&
-         analytic_supported(method_, aggregation_, implication);
+bool Defuzzifier::analytic_applicable(
+    const LinguisticVariable& output) const noexcept {
+  return analytic_ && method_ == DefuzzMethod::kCentroid &&
+         primed_for(output) && grid_->analytic_ok;
 }
 
 double Defuzzifier::centroid_analytic(std::span<const double> activations,
-                                      Implication impl,
                                       const LinguisticVariable& output) const {
   const double lo = output.universe_lo();
   const double hi = output.universe_hi();
@@ -294,9 +281,9 @@ double Defuzzifier::centroid_analytic(std::span<const double> activations,
     if (mf.is_singleton()) continue;  // zero measure under any integral
     // Clip implication saturates at the term's height 1, so alpha > 1 (only
     // reachable through the raw API) behaves exactly like alpha == 1.
-    if (impl == Implication::kMinimum && alpha > 1.0) alpha = 1.0;
+    if (alpha > 1.0) alpha = 1.0;
     AffineMin one;
-    implicated_term_lines(mf, alpha, impl, one);
+    clipped_term_lines(mf, alpha, one);
     integrate_concave_min(one, std::max(mf.a(), lo), std::min(mf.d(), hi),
                           1.0, area, moment);
     if (prev != kNone && k == prev + 1) {
@@ -304,8 +291,8 @@ double Defuzzifier::centroid_analytic(std::span<const double> activations,
       // property guarantees no third term is positive there.
       const MembershipFunction& pm = output.term(prev).mf;
       AffineMin pair;
-      implicated_term_lines(pm, prev_alpha, impl, pair);
-      implicated_term_lines(mf, alpha, impl, pair);
+      clipped_term_lines(pm, prev_alpha, pair);
+      clipped_term_lines(mf, alpha, pair);
       integrate_concave_min(pair, std::max(mf.a(), lo), std::min(pm.d(), hi),
                             -1.0, area, moment);
     }

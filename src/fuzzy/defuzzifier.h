@@ -1,7 +1,9 @@
 // Defuzzification: turn an aggregated output fuzzy set into a crisp value.
 //
-// The paper uses a standard Mamdani pipeline; centroid (centre of gravity) is
-// the default.  Alternative methods are provided for the ablation study
+// The paper uses a standard Mamdani pipeline: each output term is clipped at
+// its activation (min implication), the clipped terms aggregate by max, and
+// the centroid (centre of gravity) of that envelope is the default crisp
+// value.  Alternative methods are provided for the ablation study
 // (bench_ablation_defuzz) and for applications with different latency or
 // smoothness needs.
 //
@@ -11,24 +13,23 @@
 // defuzzifier at construction.  Each integral method then has two paths:
 //  * the grid path reads the precomputed per-term grade rows — tight fused
 //    loops over flat arrays with zero allocations;
-//  * for the default configuration — centroid method, max aggregation, min
-//    or product implication, and an output variable whose terms form an
+//  * for the centroid method over an output variable whose terms form an
 //    ordered partition with only adjacent-pair support overlap (every paper
-//    variable) — the centroid is computed *analytically*: each implicated
-//    term is a concave min of affine functions (alpha cut + rising/falling
+//    variable) the centroid is computed *analytically*: each clipped term
+//    is a concave min of affine functions (alpha cut + rising/falling
 //    edges), so its area and first moment integrate in closed form, and the
 //    max envelope decomposes by inclusion-exclusion as single-term integrals
 //    minus the pairwise min over each adjacent overlap.  No O(resolution)
 //    work, exact up to rounding.
-// Unsupported methods/norms/term layouts take the grid automatically;
+// Other methods and term layouts take the grid automatically;
 // set_analytic_centroid(false) forces the grid path (used by the
 // grid-vs-analytic cross-checks).
 #pragma once
 
 #include <memory>
 #include <span>
+#include <vector>
 
-#include "fuzzy/inference.h"
 #include "fuzzy/variable.h"
 
 namespace facsp::fuzzy {
@@ -55,7 +56,7 @@ const char* to_string(DefuzzMethod m) noexcept;
 class Defuzzifier {
  public:
   explicit Defuzzifier(DefuzzMethod method = DefuzzMethod::kCentroid,
-                       int resolution = 512, SNorm aggregation = SNorm::kMaximum);
+                       int resolution = 512);
 
   /// Bind the defuzzifier to `output` and precompute its sample grid: the y
   /// value of every grid point and each term's membership grade at those
@@ -68,33 +69,24 @@ class Defuzzifier {
   bool primed_for(const LinguisticVariable& output) const noexcept;
 
   /// Crisp output for one evaluation: activations one per output term,
-  /// `implication` as applied by the inference engine, `mu_scratch` a
-  /// reusable sample buffer (scratch.mu of the InferenceScratch threaded
-  /// through the controller).  Requires primed_for(output) (throws
-  /// ContractViolation otherwise).  When no rule fired (empty set) returns
-  /// the midpoint of the universe — a neutral value; FACS-P's rule bases
-  /// are complete so this only happens for out-of-universe abuse.  Zero
-  /// heap allocations once `mu_scratch` is warm.
+  /// `mu_scratch` a reusable sample buffer (scratch.mu of the
+  /// InferenceScratch threaded through the controller).  Requires
+  /// primed_for(output) (throws ContractViolation otherwise).  When no rule
+  /// fired (empty set) returns the midpoint of the universe — a neutral
+  /// value; FACS-P's rule bases are complete so this only happens for
+  /// out-of-universe abuse.  Zero heap allocations once `mu_scratch` is
+  /// warm.
   double defuzzify(std::span<const double> activations,
-                   Implication implication, const LinguisticVariable& output,
+                   const LinguisticVariable& output,
                    std::vector<double>& mu_scratch) const;
 
   DefuzzMethod method() const noexcept { return method_; }
   int resolution() const noexcept { return resolution_; }
-  SNorm aggregation() const noexcept { return aggregation_; }
 
-  /// True when (method, aggregation, implication) admits the closed-form
-  /// alpha-cut centroid.  The term-layout requirement is checked separately
-  /// (see analytic_applicable()).
-  static bool analytic_supported(DefuzzMethod method, SNorm aggregation,
-                                 Implication implication) noexcept;
-
-  /// True when defuzzify(..., implication, output, ...) would take the
-  /// analytic path: primed for `output`, analytic centroids enabled, the
-  /// operator combination supported, and `output`'s terms form an ordered
-  /// adjacent-overlap partition.
-  bool analytic_applicable(const LinguisticVariable& output,
-                           Implication implication) const noexcept;
+  /// True when defuzzify(..., output, ...) would take the analytic path:
+  /// the centroid method, primed for `output`, analytic centroids enabled,
+  /// and `output`'s terms form an ordered adjacent-overlap partition.
+  bool analytic_applicable(const LinguisticVariable& output) const noexcept;
 
   /// Enable/disable the analytic centroid path (default: enabled).  With it
   /// disabled every centroid evaluation uses the resolution-point grid —
@@ -113,18 +105,16 @@ class Defuzzifier {
   };
 
   double defuzzify_grid(const Grid& grid, std::span<const double> activations,
-                        Implication impl, const LinguisticVariable& output,
+                        const LinguisticVariable& output,
                         std::vector<double>& mu_scratch) const;
 
   double centroid_analytic(std::span<const double> activations,
-                           Implication impl,
                            const LinguisticVariable& output) const;
   double weighted_average(std::span<const double> activations,
                           const LinguisticVariable& output) const;
 
   DefuzzMethod method_;
   int resolution_;
-  SNorm aggregation_;
   bool analytic_ = true;
   std::shared_ptr<const Grid> grid_;
 };

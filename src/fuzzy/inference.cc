@@ -8,41 +8,10 @@
 
 namespace facsp::fuzzy {
 
-namespace detail {
-// Defined in inference_batch.cc: true when hand-written SIMD lane kernels
-// are compiled in (FACSP_SIMD) and the running CPU supports them.
-bool lane_simd_available() noexcept;
-}  // namespace detail
-
-double OutputFuzzySet::grade(const LinguisticVariable& output, double y,
-                             SNorm s_norm) const {
-  FACSP_EXPECTS(activations.size() == output.term_count());
-  double acc = 0.0;
-  for (std::size_t k = 0; k < activations.size(); ++k) {
-    if (activations[k] <= 0.0) continue;
-    const double g =
-        apply_implication(implication, activations[k], output.term(k).mf.grade(y));
-    acc = apply_snorm(s_norm, acc, g);
-  }
-  return acc;
-}
-
-bool OutputFuzzySet::empty() const noexcept {
-  return std::all_of(activations.begin(), activations.end(),
-                     [](double a) { return a <= 0.0; });
-}
-
-double OutputFuzzySet::height() const noexcept {
-  double h = 0.0;
-  for (double a : activations) h = std::max(h, a);
-  return h;
-}
-
 InferenceEngine::InferenceEngine(const std::vector<LinguisticVariable>& inputs,
                                  const LinguisticVariable& output,
-                                 const RuleBase& rules,
-                                 InferenceOptions options)
-    : inputs_(inputs), output_(output), rules_(rules), options_(options) {
+                                 const RuleBase& rules)
+    : inputs_(inputs), output_(output), rules_(rules) {
   FACSP_EXPECTS(!inputs_.empty());
   FACSP_EXPECTS(rules_.input_count() == inputs_.size());
   FACSP_EXPECTS(rules_.output_term_count() == output_.term_count());
@@ -72,18 +41,17 @@ InferenceEngine::InferenceEngine(const std::vector<LinguisticVariable>& inputs,
     flat_rules_.push_back(fr);
   }
 
-  // Sparse-fire fast path: with a wildcard-free, duplicate-free rule table
-  // and max aggregation, run() can enumerate only the antecedent-term
-  // combinations whose grades are all non-zero and look each rule up in a
-  // dense tuple-indexed table.  Adjacent-overlap partitions (every paper
-  // variable) activate at most two terms per input, so e.g. FRB1 fires at
-  // most 8 of its 63 rules per evaluation.  This is bit-identical to the
-  // linear scan: max aggregation is exactly order-independent, and a rule
-  // with any zero antecedent grade has exactly zero strength under either
-  // t-norm, so skipping it cannot change an activation.
+  // Sparse-fire fast path: with a wildcard-free, duplicate-free rule table,
+  // run() can enumerate only the antecedent-term combinations whose grades
+  // are all non-zero and look each rule up in a dense tuple-indexed table.
+  // Adjacent-overlap partitions (every paper variable) activate at most two
+  // terms per input, so e.g. FRB1 fires at most 8 of its 63 rules per
+  // evaluation.  This is bit-identical to the linear scan: max aggregation
+  // is exactly order-independent, and a rule with any zero antecedent grade
+  // has exactly zero strength under min, so skipping it cannot change an
+  // activation.
   std::size_t tuple_count = 1;
-  dense_ok_ = options_.s_norm == SNorm::kMaximum &&
-              inputs_.size() <= kMaxDenseInputs;
+  dense_ok_ = inputs_.size() <= kMaxDenseInputs;
   for (const auto& in : inputs_) {
     dense_ok_ = dense_ok_ && in.term_count() <= kMaxDenseTerms;
     tuple_count *= in.term_count();
@@ -137,16 +105,6 @@ InferenceEngine::InferenceEngine(const std::vector<LinguisticVariable>& inputs,
       lane_terms_.push_back(lt);
     }
   }
-
-  simd_active_ = options_.simd && detail::lane_simd_available();
-}
-
-double InferenceEngine::combine_and(double a, double b) const noexcept {
-  return options_.t_norm == TNorm::kMinimum ? std::min(a, b) : a * b;
-}
-
-double InferenceEngine::combine_or(double a, double b) const noexcept {
-  return apply_snorm(options_.s_norm, a, b);
 }
 
 void InferenceEngine::run(std::span<const double> crisp_inputs,
@@ -191,7 +149,7 @@ void InferenceEngine::run(std::span<const double> crisp_inputs,
       for (std::size_t i = 0; i < n; ++i) {
         const std::uint32_t t = nz[i][pos[i]];
         idx = idx * inputs_[i].term_count() + t;
-        strength = combine_and(strength, grades[grade_offsets_[i] + t]);
+        strength = std::min(strength, grades[grade_offsets_[i] + t]);
       }
       const DenseRule& dr = dense_rules_[idx];
       if (dr.consequent >= 0) {
@@ -199,7 +157,7 @@ void InferenceEngine::run(std::span<const double> crisp_inputs,
         if (strength > 0.0) {
           double& acc =
               scratch.activations[static_cast<std::size_t>(dr.consequent)];
-          acc = combine_or(acc, strength);
+          acc = acc > strength ? acc : strength;
         }
       }
       std::size_t i = n - 1;
@@ -216,12 +174,12 @@ void InferenceEngine::run(std::span<const double> crisp_inputs,
     const FlatRule& rule = flat_rules_[r];
     double strength = 1.0;
     for (std::uint32_t i = 0; i < rule.count && strength > 0.0; ++i)
-      strength = combine_and(strength, grades[slots[rule.first + i]]);
+      strength = std::min(strength, grades[slots[rule.first + i]]);
     strength *= rule.weight;
     if (strength <= 0.0) continue;
     if (fired != nullptr) fired->push_back({r, strength});
-    scratch.activations[rule.consequent] =
-        combine_or(scratch.activations[rule.consequent], strength);
+    double& acc = scratch.activations[rule.consequent];
+    acc = acc > strength ? acc : strength;
   }
 
   if (fired != nullptr)
@@ -239,28 +197,6 @@ void InferenceEngine::infer_into(std::span<const double> crisp_inputs,
 void InferenceEngine::infer_traced_into(std::span<const double> crisp_inputs,
                                         InferenceScratch& scratch) const {
   run(crisp_inputs, scratch, &scratch.fired);
-}
-
-OutputFuzzySet InferenceEngine::infer(
-    std::span<const double> crisp_inputs) const {
-  static thread_local InferenceScratch scratch;
-  run(crisp_inputs, scratch, nullptr);
-  OutputFuzzySet out;
-  out.implication = options_.implication;
-  out.activations.assign(scratch.activations.begin(),
-                         scratch.activations.end());
-  return out;
-}
-
-OutputFuzzySet InferenceEngine::infer_traced(
-    std::span<const double> crisp_inputs, std::vector<FiredRule>& fired) const {
-  static thread_local InferenceScratch scratch;
-  run(crisp_inputs, scratch, &fired);
-  OutputFuzzySet out;
-  out.implication = options_.implication;
-  out.activations.assign(scratch.activations.begin(),
-                         scratch.activations.end());
-  return out;
 }
 
 }  // namespace facsp::fuzzy

@@ -1,11 +1,12 @@
 // Mamdani-style fuzzy inference.
 //
 // Pipeline (paper Fig. 2): fuzzifier -> inference engine (+FRB) -> defuzzifier.
-// This header implements the middle stage: given crisp inputs, compute each
-// rule's firing strength with a t-norm over antecedent grades, apply the
-// implication operator to the consequent set, and aggregate per output term
-// with an s-norm.  The result is an OutputFuzzySet — the activation level of
-// every output term — which the defuzzifier turns into a crisp value.
+// This header implements the middle stage with the paper's operators: each
+// rule's firing strength is the min of its antecedent grades times the rule
+// weight, and the strengths of rules sharing a consequent aggregate by max.
+// The result is one activation level per output term; the defuzzifier clips
+// each output term at its activation (min implication) and turns the max
+// envelope into a crisp value.
 #pragma once
 
 #include <cstdint>
@@ -17,85 +18,16 @@
 
 namespace facsp::fuzzy {
 
-/// Triangular norm used to combine antecedent grades (AND semantics).
-enum class TNorm {
-  kMinimum,  ///< Zadeh AND: min(a, b) — the paper's choice
-  kProduct,  ///< probabilistic AND: a*b
-};
-
-/// Triangular co-norm used to aggregate activations of the same output term.
-enum class SNorm {
-  kMaximum,          ///< Zadeh OR: max(a, b) — the paper's choice
-  kProbabilisticSum, ///< a + b - a*b
-  kBoundedSum,       ///< min(1, a + b)
-};
-
-/// Implication operator clipping/scaling the consequent set.
-enum class Implication {
-  kMinimum,  ///< clip consequent at firing strength (Mamdani) — paper
-  kProduct,  ///< scale consequent by firing strength (Larsen)
-};
-
-/// Apply an s-norm to two grades.
-inline double apply_snorm(SNorm s, double a, double b) noexcept {
-  switch (s) {
-    case SNorm::kMaximum:
-      return a > b ? a : b;
-    case SNorm::kProbabilisticSum:
-      return a + b - a * b;
-    case SNorm::kBoundedSum:
-      return a + b < 1.0 ? a + b : 1.0;
-  }
-  return a > b ? a : b;  // unreachable
-}
-
-/// Apply an implication operator to a rule activation and a term grade.
-inline double apply_implication(Implication impl, double activation,
-                                double term_grade) noexcept {
-  switch (impl) {
-    case Implication::kMinimum:
-      return activation < term_grade ? activation : term_grade;
-    case Implication::kProduct:
-      return activation * term_grade;
-  }
-  return activation < term_grade ? activation : term_grade;  // unreachable
-}
-
-/// Knobs for the inference engine; defaults are the paper's configuration.
-struct InferenceOptions {
-  TNorm t_norm = TNorm::kMinimum;
-  SNorm s_norm = SNorm::kMaximum;
-  Implication implication = Implication::kMinimum;
-  /// Allow the SIMD kernels on the batched path (only effective when the
-  /// library is built with FACSP_SIMD and the CPU supports them).  The
-  /// scalar fallback is bit-identical, so this is a performance knob only;
-  /// the bit-identity tests build one controller with each setting.
-  bool simd = true;
-};
-
-/// Aggregated inference result: one activation level per output term.
-///
-/// The aggregated output membership is
-///   mu_out(y) = s_norm over terms k of impl(activation[k], mu_k(y)).
-struct OutputFuzzySet {
-  std::vector<double> activations;  ///< indexed by output term
-  Implication implication = Implication::kMinimum;
-
-  /// Aggregated membership at y given the output variable's term shapes.
-  double grade(const LinguisticVariable& output, double y,
-               SNorm s_norm = SNorm::kMaximum) const;
-
-  /// True when no rule fired (all activations zero).
-  bool empty() const noexcept;
-
-  /// Highest activation across terms.
-  double height() const noexcept;
-};
+/// True when the hand-written SIMD lane kernels run on this machine: the
+/// library was built with FACSP_SIMD and the CPU supports them (AVX2 on
+/// x86-64, NEON on AArch64).  Otherwise infer_batch_into() takes the
+/// portable loops, which are bit-identical.
+bool lane_simd_available() noexcept;
 
 /// Per-rule firing record, for explanation/tracing (rule_explorer example).
 struct FiredRule {
   std::size_t rule_index = 0;
-  double strength = 0.0;  ///< t-norm of antecedent grades times rule weight
+  double strength = 0.0;  ///< min of antecedent grades times rule weight
 };
 
 /// Reusable evaluation arena for the allocation-free inference fast path.
@@ -135,22 +67,14 @@ class InferenceEngine {
   /// The referenced variables and rule base must outlive the engine; the
   /// FuzzyController owns all of them and the engine internally.
   InferenceEngine(const std::vector<LinguisticVariable>& inputs,
-                  const LinguisticVariable& output, const RuleBase& rules,
-                  InferenceOptions options = {});
+                  const LinguisticVariable& output, const RuleBase& rules);
 
   /// Run fuzzification + rule evaluation + aggregation for the crisp input
-  /// vector (one value per input variable, clamped to each universe).
+  /// vector (one value per input variable, clamped to each universe):
+  /// fuzzify into scratch.grades and aggregate into scratch.activations
+  /// (one entry per output term).  No fired-rule bookkeeping.  Zero heap
+  /// allocations once scratch is warm.
   /// Precondition: crisp_inputs.size() == number of input variables.
-  OutputFuzzySet infer(std::span<const double> crisp_inputs) const;
-
-  /// As infer(), but also reports every rule with non-zero firing strength
-  /// (descending by strength).
-  OutputFuzzySet infer_traced(std::span<const double> crisp_inputs,
-                              std::vector<FiredRule>& fired) const;
-
-  /// Allocation-free fast path: fuzzify into scratch.grades and aggregate
-  /// into scratch.activations (one entry per output term).  No fired-rule
-  /// bookkeeping.  Zero heap allocations once scratch is warm.
   void infer_into(std::span<const double> crisp_inputs,
                   InferenceScratch& scratch) const;
 
@@ -164,17 +88,11 @@ class InferenceEngine {
   /// row-major; scratch.lane_activations receives every output term's
   /// activation per lane ([term * kLanes + lane]; lanes >= rows are padding
   /// and must be ignored).  Per lane the result is bit-identical to
-  /// infer_into() on that lane's row — with the SIMD kernels enabled or not
+  /// infer_into() on that lane's row — whether lane_simd_available() or not
   /// (kernels use only min/max/mul/add/sub/div lane ops, never FMA, in the
   /// scalar evaluation order).  Zero heap allocations once scratch is warm.
   void infer_batch_into(std::span<const double> crisp_inputs,
                         std::size_t rows, InferenceScratch& scratch) const;
-
-  /// True when infer_batch_into() dispatches to hand-written SIMD kernels
-  /// (library built with FACSP_SIMD, options.simd, CPU support).
-  bool simd_active() const noexcept { return simd_active_; }
-
-  const InferenceOptions& options() const noexcept { return options_; }
 
   /// Total input-grade slots a scratch uses (sum of input term counts).
   std::size_t grade_count() const noexcept { return total_grades_; }
@@ -208,7 +126,7 @@ class InferenceEngine {
   /// path: entry [t0 * n1 * n2 + t1 * n2 + t2] holds the consequent and
   /// weight of the rule whose antecedents are exactly (t0, t1, t2), or
   /// consequent -1 where no rule exists.  Built only for wildcard-free,
-  /// duplicate-free rule bases under max aggregation (see ctor).
+  /// duplicate-free rule bases (see ctor).
   struct DenseRule {
     std::int32_t consequent = -1;
     double weight = 1.0;
@@ -218,8 +136,6 @@ class InferenceEngine {
   static constexpr std::size_t kMaxDenseInputs = 8;
   static constexpr std::size_t kMaxDenseTerms = 16;
 
-  double combine_and(double a, double b) const noexcept;
-  double combine_or(double a, double b) const noexcept;
   /// Shared core of all evaluation entry points; collects fired rules only
   /// when `fired` is non-null (the untraced path skips that work entirely).
   void run(std::span<const double> crisp_inputs, InferenceScratch& scratch,
@@ -233,7 +149,6 @@ class InferenceEngine {
   const std::vector<LinguisticVariable>& inputs_;
   const LinguisticVariable& output_;
   const RuleBase& rules_;
-  InferenceOptions options_;
   std::vector<std::size_t> grade_offsets_;  ///< input i's offset in grades
   std::size_t total_grades_ = 0;
   std::vector<FlatRule> flat_rules_;
@@ -241,7 +156,6 @@ class InferenceEngine {
   std::vector<DenseRule> dense_rules_;  ///< antecedent-tuple indexed
   bool dense_ok_ = false;
   std::vector<LaneTerm> lane_terms_;  ///< one per grade slot
-  bool simd_active_ = false;
 };
 
 }  // namespace facsp::fuzzy

@@ -16,11 +16,11 @@
 //    to 0 by an ordered compare, matching grade()'s isnan guard.  Degenerate
 //    shapes (singletons, zero-width edges) take a scalar per-lane fallback
 //    through grade() itself.
-//  * rules: the strength folds antecedent grades in antecedent order and
-//    multiplies the weight last, exactly like the scalar loop.  The scalar
-//    loop early-exits once the strength hits 0; evaluating on is
-//    value-identical because min(0, g) == 0, 0 * g == 0 and every s-norm
-//    satisfies snorm(acc, 0) == acc for acc in [0, 1].
+//  * rules: the strength min-folds antecedent grades in antecedent order and
+//    multiplies the weight last, exactly like the scalar loop, then
+//    max-aggregates into its consequent.  The scalar loop early-exits once
+//    the strength hits 0; evaluating on is value-identical because
+//    min(0, g) == 0, 0 * w == 0 and max(acc, 0) == acc for acc in [0, 1].
 //  * only min/max/add/sub/mul/div lane ops are used — never FMA — so the
 //    intrinsic kernels round exactly like the scalar code.
 #include <cmath>
@@ -39,8 +39,6 @@
 
 namespace facsp::fuzzy {
 
-namespace detail {
-
 bool lane_simd_available() noexcept {
 #if defined(FACSP_SIMD_ENABLED) && defined(__x86_64__)
   static const bool avx2 = __builtin_cpu_supports("avx2");
@@ -51,8 +49,6 @@ bool lane_simd_available() noexcept {
   return false;
 #endif
 }
-
-}  // namespace detail
 
 void InferenceEngine::infer_batch_into(std::span<const double> crisp_inputs,
                                        std::size_t rows,
@@ -75,7 +71,7 @@ void InferenceEngine::infer_batch_into(std::span<const double> crisp_inputs,
   for (std::size_t i = 0; i < ni; ++i)
     for (std::size_t l = 0; l < W; ++l)
       in[i * W + l] = crisp_inputs[(l < rows ? l : 0) * ni + i];
-  if (simd_active_)
+  if (lane_simd_available())
     infer_lanes_simd(scratch);
   else
     infer_lanes_generic(scratch);
@@ -118,36 +114,15 @@ void InferenceEngine::infer_lanes_generic(InferenceScratch& scratch) const {
   const std::uint32_t* const slots = rule_slots_.data();
   for (const FlatRule& rule : flat_rules_) {
     for (std::size_t l = 0; l < W; ++l) st[l] = 1.0;
-    if (options_.t_norm == TNorm::kMinimum) {
-      for (std::uint32_t i = 0; i < rule.count; ++i) {
-        const double* const gr = grades + slots[rule.first + i] * W;
-        for (std::size_t l = 0; l < W; ++l)
-          st[l] = gr[l] < st[l] ? gr[l] : st[l];
-      }
-    } else {
-      for (std::uint32_t i = 0; i < rule.count; ++i) {
-        const double* const gr = grades + slots[rule.first + i] * W;
-        for (std::size_t l = 0; l < W; ++l) st[l] *= gr[l];
-      }
+    for (std::uint32_t i = 0; i < rule.count; ++i) {
+      const double* const gr = grades + slots[rule.first + i] * W;
+      for (std::size_t l = 0; l < W; ++l)
+        st[l] = gr[l] < st[l] ? gr[l] : st[l];
     }
     for (std::size_t l = 0; l < W; ++l) st[l] *= rule.weight;
     double* const out = acts + rule.consequent * W;
-    switch (options_.s_norm) {
-      case SNorm::kMaximum:
-        for (std::size_t l = 0; l < W; ++l)
-          out[l] = out[l] > st[l] ? out[l] : st[l];
-        break;
-      case SNorm::kProbabilisticSum:
-        for (std::size_t l = 0; l < W; ++l)
-          out[l] = out[l] + st[l] - out[l] * st[l];
-        break;
-      case SNorm::kBoundedSum:
-        for (std::size_t l = 0; l < W; ++l) {
-          const double sum = out[l] + st[l];
-          out[l] = sum < 1.0 ? sum : 1.0;
-        }
-        break;
-    }
+    for (std::size_t l = 0; l < W; ++l)
+      out[l] = out[l] > st[l] ? out[l] : st[l];
   }
 }
 
@@ -205,39 +180,19 @@ __attribute__((target("avx2"))) void InferenceEngine::infer_lanes_simd(
   const std::uint32_t* const slots = rule_slots_.data();
   for (const FlatRule& rule : flat_rules_) {
     __m256d st0 = ones, st1 = ones;
-    if (options_.t_norm == TNorm::kMinimum) {
-      for (std::uint32_t i = 0; i < rule.count; ++i) {
-        const double* const gr = grades + slots[rule.first + i] * W;
-        // g < st ? g : st == min(g, st); grades are never NaN here.
-        st0 = _mm256_min_pd(_mm256_loadu_pd(gr), st0);
-        st1 = _mm256_min_pd(_mm256_loadu_pd(gr + 4), st1);
-      }
-    } else {
-      for (std::uint32_t i = 0; i < rule.count; ++i) {
-        const double* const gr = grades + slots[rule.first + i] * W;
-        st0 = _mm256_mul_pd(st0, _mm256_loadu_pd(gr));
-        st1 = _mm256_mul_pd(st1, _mm256_loadu_pd(gr + 4));
-      }
+    for (std::uint32_t i = 0; i < rule.count; ++i) {
+      const double* const gr = grades + slots[rule.first + i] * W;
+      // g < st ? g : st == min(g, st); grades are never NaN here.
+      st0 = _mm256_min_pd(_mm256_loadu_pd(gr), st0);
+      st1 = _mm256_min_pd(_mm256_loadu_pd(gr + 4), st1);
     }
     const __m256d wv = _mm256_set1_pd(rule.weight);
     st0 = _mm256_mul_pd(st0, wv);
     st1 = _mm256_mul_pd(st1, wv);
     double* const out = acts + rule.consequent * W;
     __m256d a0 = _mm256_loadu_pd(out), a1 = _mm256_loadu_pd(out + 4);
-    switch (options_.s_norm) {
-      case SNorm::kMaximum:
-        a0 = _mm256_max_pd(a0, st0);  // acc > st ? acc : st
-        a1 = _mm256_max_pd(a1, st1);
-        break;
-      case SNorm::kProbabilisticSum:
-        a0 = _mm256_sub_pd(_mm256_add_pd(a0, st0), _mm256_mul_pd(a0, st0));
-        a1 = _mm256_sub_pd(_mm256_add_pd(a1, st1), _mm256_mul_pd(a1, st1));
-        break;
-      case SNorm::kBoundedSum:
-        a0 = _mm256_min_pd(_mm256_add_pd(a0, st0), ones);
-        a1 = _mm256_min_pd(_mm256_add_pd(a1, st1), ones);
-        break;
-    }
+    a0 = _mm256_max_pd(a0, st0);  // acc > st ? acc : st
+    a1 = _mm256_max_pd(a1, st1);
     _mm256_storeu_pd(out, a0);
     _mm256_storeu_pd(out + 4, a1);
   }
@@ -297,29 +252,13 @@ void InferenceEngine::infer_lanes_simd(InferenceScratch& scratch) const {
     for (std::size_t l = 0; l < W; ++l) st[l] = 1.0;
     for (int h = 0; h < 4; ++h) {
       float64x2_t sv = vld1q_f64(st + 2 * h);
-      if (options_.t_norm == TNorm::kMinimum) {
-        for (std::uint32_t i = 0; i < rule.count; ++i)
-          sv = vminq_f64(vld1q_f64(grades + slots[rule.first + i] * W + 2 * h),
-                         sv);
-      } else {
-        for (std::uint32_t i = 0; i < rule.count; ++i)
-          sv = vmulq_f64(sv,
-                         vld1q_f64(grades + slots[rule.first + i] * W + 2 * h));
-      }
+      for (std::uint32_t i = 0; i < rule.count; ++i)
+        sv = vminq_f64(vld1q_f64(grades + slots[rule.first + i] * W + 2 * h),
+                       sv);
       sv = vmulq_f64(sv, vdupq_n_f64(rule.weight));
       double* const out = acts + rule.consequent * W + 2 * h;
       float64x2_t acc = vld1q_f64(out);
-      switch (options_.s_norm) {
-        case SNorm::kMaximum:
-          acc = vmaxq_f64(acc, sv);
-          break;
-        case SNorm::kProbabilisticSum:
-          acc = vsubq_f64(vaddq_f64(acc, sv), vmulq_f64(acc, sv));
-          break;
-        case SNorm::kBoundedSum:
-          acc = vminq_f64(vaddq_f64(acc, sv), ones);
-          break;
-      }
+      acc = vmaxq_f64(acc, sv);
       vst1q_f64(out, acc);
     }
   }
@@ -328,8 +267,8 @@ void InferenceEngine::infer_lanes_simd(InferenceScratch& scratch) const {
 #else
 
 void InferenceEngine::infer_lanes_simd(InferenceScratch& scratch) const {
-  // Unreachable (simd_active_ is false without FACSP_SIMD); keep the
-  // symbol defined for the linker.
+  // Unreachable (lane_simd_available() is false without FACSP_SIMD); keep
+  // the symbol defined for the linker.
   infer_lanes_generic(scratch);
 }
 

@@ -1,6 +1,5 @@
 #include "net/admission_service.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -101,11 +100,8 @@ AdmissionService::Submit AdmissionService::submit(
 
   if (pending_ >= pending_cap_) shed_oldest();
 
-  if (shard.batch.empty()) {
-    const double w = config_.batch_window_s;
-    shard.close = std::min(std::floor(t) + 1.0,
-                           (std::floor(t / w) + 1.0) * w);
-  }
+  if (shard.batch.empty())
+    shard.close = serve::batch_close(t, config_.batch_window_s);
   shard.batch.push_back(r.req);
   shard.holdings.push_back(r.holding_s);
   shard.conns.push_back(conn);

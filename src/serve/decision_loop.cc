@@ -12,6 +12,7 @@
 #include "common/file_io.h"
 #include "core/config_io.h"
 #include "core/experiment.h"
+#include "fuzzy/inference.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/thread_pool.h"
@@ -220,16 +221,17 @@ const TelemetryRow& append_second(ServerResult& result, std::int64_t second,
   return result.telemetry.back();
 }
 
+double batch_close(double t0, double batch_window_s) noexcept {
+  return std::min(std::floor(t0) + 1.0,
+                  (std::floor(t0 / batch_window_s) + 1.0) * batch_window_s);
+}
+
 std::size_t batch_end(std::span<const cac::AdmissionRequest> arrivals,
                       std::size_t i, double batch_window_s,
                       int batch_max) noexcept {
-  // The batch opens at the first buffered arrival and closes at the next
-  // batching-window boundary (or at batch_max requests, or at the end of
-  // the arrival's simulated second).
-  const double t0 = arrivals[i].now;
-  const double second_end = std::floor(t0) + 1.0;
-  const double close = std::min(
-      second_end, (std::floor(t0 / batch_window_s) + 1.0) * batch_window_s);
+  // The batch opens at the first buffered arrival and closes at its
+  // batch_close() time or at batch_max requests.
+  const double close = batch_close(arrivals[i].now, batch_window_s);
   std::size_t j = i + 1;
   while (j < arrivals.size() && j - i < static_cast<std::size_t>(batch_max) &&
          arrivals[j].now < close)
@@ -437,11 +439,6 @@ void write_summary_json(const ServerConfig& config, const ServerResult& result,
       news > 0 ? 100.0 * static_cast<double>(blocked) / news : 0.0;
   const double cdp =
       handoffs > 0 ? 100.0 * static_cast<double>(dropped) / handoffs : 0.0;
-#if defined(FACSP_SIMD_ENABLED)
-  const bool simd = true;
-#else
-  const bool simd = false;
-#endif
   os << "{\n"
      << "  \"policy\": \"" << config.policy << "\",\n"
      << "  \"seed\": " << config.scenario.seed << ",\n"
@@ -451,7 +448,7 @@ void write_summary_json(const ServerConfig& config, const ServerResult& result,
      << ", \"policy\": \"" << config.policy << "\", \"scenario\": \""
      << config.scenario_label << "\", \"shards\": " << config.shards
      << ", \"threads\": " << config.threads
-     << ", \"simd\": " << (simd ? "true" : "false")
+     << ", \"simd\": " << (fuzzy::lane_simd_available() ? "true" : "false")
      << ", \"latency_histogram\": {\"sub_bucket_bits\": "
      << obs::LocalHistogram::kSubBucketBits
      << ", \"max_shift\": " << obs::LocalHistogram::kMaxShift

@@ -193,11 +193,16 @@ class ShardCore {
 const TelemetryRow& append_second(ServerResult& result, std::int64_t second,
                                   std::span<const ShardCore* const> cores);
 
+/// Close time of a batch opened by an arrival at simulated time `t0`: the
+/// next batch_window_s boundary after t0, never past the end of t0's
+/// simulated second.  The one batch-close rule of batch_end() and the
+/// socket front-end's watermark closure.
+double batch_close(double t0, double batch_window_s) noexcept;
+
 /// Greedy batching step shared by the serving loop and the socket
 /// front-end: for time-sorted `arrivals` with an open batch starting at
 /// `i`, returns the exclusive end `j` of that batch.  The batch closes at
-/// the next batch_window_s boundary after arrivals[i].now (never crossing
-/// the end of arrivals[i]'s simulated second) or at batch_max requests.
+/// batch_close(arrivals[i].now, batch_window_s) or at batch_max requests.
 std::size_t batch_end(std::span<const cac::AdmissionRequest> arrivals,
                       std::size_t i, double batch_window_s,
                       int batch_max) noexcept;

@@ -228,7 +228,7 @@ TEST(Flc2, EveryDefuzzMethodEvaluates) {
                  fuzzy::DefuzzMethod::kLargestOfMaximum,
                  fuzzy::DefuzzMethod::kWeightedAverage}) {
     const auto flc2 =
-        make_flc2({}, {}, fuzzy::Defuzzifier(m, kPolicyDefuzzResolution));
+        make_flc2({}, fuzzy::Defuzzifier(m, kPolicyDefuzzResolution));
     EXPECT_EQ(flc2->defuzzifier().method(), m);
     for (double cv : {0.1, 0.5, 0.9}) {
       for (double cs : {0.0, 20.0, 40.0}) {

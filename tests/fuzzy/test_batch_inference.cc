@@ -3,10 +3,11 @@
 // The contract under test (inference.h, infer_batch_into): per row, batched
 // evaluation returns the *bit-identical* double the scalar path produces —
 // whether the lane kernels are the portable flat loops or the hand-written
-// SIMD ones (FACSP_SIMD + options.simd + CPU support).  Every comparison
-// here is EXPECT_EQ on doubles, not EXPECT_NEAR: the determinism guarantees
-// of the sweep/multicell layers (thread-count invariance, golden replay)
-// ride on exact equality.
+// SIMD ones (lane_simd_available(): FACSP_SIMD + CPU support; the
+// -DFACSP_SIMD=OFF build runs this suite against the portable loops).
+// Every comparison here is EXPECT_EQ on doubles, not EXPECT_NEAR: the
+// determinism guarantees of the sweep/multicell layers (thread-count
+// invariance, golden replay) ride on exact equality.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -79,63 +80,33 @@ TEST(BatchInference, Flc2MatchesScalarBitwise) {
   expect_batch_bitwise_identical(*flc2, 202);
 }
 
-TEST(BatchInference, SimdOffTwinIsBitIdenticalToSimdOn) {
-  // Two controllers differing only in options.simd must produce the same
-  // bits for the same batch.  On a build/CPU without SIMD support both run
-  // the generic kernels and the check is trivially true; with it, this is
-  // the intrinsics-vs-portable equivalence.
-  InferenceOptions on, off;
-  on.simd = true;
-  off.simd = false;
-  const auto flc_on = cac::make_flc1({}, on);
-  const auto flc_off = cac::make_flc1({}, off);
-  std::mt19937_64 rng(303);
-  InferenceScratch s_on, s_off;
-  for (std::size_t rows : {1u, 5u, 8u, 16u, 31u}) {
-    const auto data = fuzz_rows(rng, *flc_on, rows);
-    std::vector<double> out_on(rows), out_off(rows);
-    flc_on->evaluate_batch_with(s_on, data, out_on);
-    flc_off->evaluate_batch_with(s_off, data, out_off);
-    for (std::size_t r = 0; r < rows; ++r)
-      EXPECT_EQ(out_on[r], out_off[r]) << "rows=" << rows << " row=" << r;
-  }
-  EXPECT_FALSE(flc_off->inference_options().simd);
-}
-
-TEST(BatchInference, NonDefaultNormsMatchScalarBitwise) {
-  // Product t-norm, every s-norm, product implication, rule weights and
-  // wildcards — the kernel branches the paper configuration never touches.
-  for (auto s_norm : {SNorm::kMaximum, SNorm::kProbabilisticSum,
-                      SNorm::kBoundedSum}) {
-    InferenceOptions opts;
-    opts.t_norm = TNorm::kProduct;
-    opts.s_norm = s_norm;
-    opts.implication = Implication::kProduct;
-    auto c = ControllerBuilder("norms")
-                 .input(VariableBuilder("x", 0.0, 10.0)
-                            .triangular("lo", 0.0, 5.0, 5.0)
-                            .triangular("mid", 5.0, 5.0, 5.0)
-                            .right_shoulder("hi", 10.0, 5.0)
-                            .build())
-                 .input(VariableBuilder("y", -1.0, 1.0)
-                            .left_shoulder("neg", -0.5, 0.5)
-                            .triangular("zero", 0.0, 0.5, 0.5)
-                            .right_shoulder("pos", 0.5, 0.5)
-                            .build())
-                 .output(VariableBuilder("z", 0.0, 1.0)
-                             .uniform_partition("Z", 5)
-                             .build())
-                 .rule({"lo", "neg"}, "Z1", 0.7)
-                 .rule({"lo", "zero"}, "Z2")
-                 .rule({"lo", "pos"}, "Z3", 0.4)
-                 .rule({"mid", "*"}, "Z3")
-                 .rule({"hi", "neg"}, "Z2", 1.0)
-                 .rule({"hi", "zero"}, "Z4", 0.9)
-                 .rule({"hi", "pos"}, "Z5")
-                 .rule({"*", "pos"}, "Z4", 0.2)
-                 .build();
-    expect_batch_bitwise_identical(*c, 404 + static_cast<int>(s_norm), 17);
-  }
+TEST(BatchInference, WeightsAndWildcardsMatchScalarBitwise) {
+  // Rule weights below 1 and wildcard antecedents — rule shapes the paper's
+  // complete, unit-weight tables never use.
+  auto c = ControllerBuilder("weights")
+             .input(VariableBuilder("x", 0.0, 10.0)
+                        .triangular("lo", 0.0, 5.0, 5.0)
+                        .triangular("mid", 5.0, 5.0, 5.0)
+                        .right_shoulder("hi", 10.0, 5.0)
+                        .build())
+             .input(VariableBuilder("y", -1.0, 1.0)
+                        .left_shoulder("neg", -0.5, 0.5)
+                        .triangular("zero", 0.0, 0.5, 0.5)
+                        .right_shoulder("pos", 0.5, 0.5)
+                        .build())
+             .output(VariableBuilder("z", 0.0, 1.0)
+                         .uniform_partition("Z", 5)
+                         .build())
+             .rule({"lo", "neg"}, "Z1", 0.7)
+             .rule({"lo", "zero"}, "Z2")
+             .rule({"lo", "pos"}, "Z3", 0.4)
+             .rule({"mid", "*"}, "Z3")
+             .rule({"hi", "neg"}, "Z2", 1.0)
+             .rule({"hi", "zero"}, "Z4", 0.9)
+             .rule({"hi", "pos"}, "Z5")
+             .rule({"*", "pos"}, "Z4", 0.2)
+             .build();
+  expect_batch_bitwise_identical(*c, 404, 17);
 }
 
 TEST(BatchInference, DegenerateTermsTakeTheScalarFallbackBitwise) {

@@ -86,8 +86,8 @@ TEST(ControllerBuilder, RuleTableValidatedAtBuild) {
   EXPECT_THROW(b.build(), ConfigError);
 }
 
-TEST(ControllerBuilder, InferenceAndDefuzzifierKnobsApplied) {
-  auto make = [](InferenceOptions opt, Defuzzifier d) {
+TEST(ControllerBuilder, DefuzzifierKnobApplied) {
+  auto make = [](Defuzzifier d) {
     return ControllerBuilder("knobs")
         .input(VariableBuilder("x", 0.0, 1.0)
                    .left_shoulder("lo", 0.0, 1.0)
@@ -98,17 +98,13 @@ TEST(ControllerBuilder, InferenceAndDefuzzifierKnobsApplied) {
                     .triangular("l", 0.75, 0.25, 0.25)
                     .build())
         .rule_table({"s", "l"})
-        .inference(opt)
         .defuzzifier(d)
         .build();
   };
-  InferenceOptions prod;
-  prod.t_norm = TNorm::kProduct;
-  const auto a = make({}, Defuzzifier{});
-  const auto b = make(prod, Defuzzifier(DefuzzMethod::kMeanOfMaximum, 1024));
-  EXPECT_EQ(b->inference_options().t_norm, TNorm::kProduct);
+  const auto a = make(Defuzzifier{});
+  const auto b = make(Defuzzifier(DefuzzMethod::kMeanOfMaximum, 1024));
   EXPECT_EQ(b->defuzzifier().method(), DefuzzMethod::kMeanOfMaximum);
-  // Different knobs, measurably different outputs at a blend point.
+  // Different methods, measurably different outputs at a blend point.
   EXPECT_NE(a->evaluate({0.31}), b->evaluate({0.31}));
 }
 

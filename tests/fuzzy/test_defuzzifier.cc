@@ -24,11 +24,10 @@ struct DefuzzFixture : ::testing::Test {
                                   .triangular("pos", 0.5, 0.5, 0.5)
                                   .build();
 
-  /// Prime a copy of `d` for `output` and defuzzify `acts` (min
-  /// implication).
+  /// Prime a copy of `d` for `output` and defuzzify `acts`.
   double defuzz(Defuzzifier d, const std::vector<double>& acts) {
     d.prime(output);
-    return d.defuzzify(acts, Implication::kMinimum, output, mu);
+    return d.defuzzify(acts, output, mu);
   }
 
   std::vector<double> mu;
@@ -116,30 +115,28 @@ TEST_F(DefuzzFixture, ResolutionValidation) {
 //
 // The reference below is written independently of defuzzifier.cc: it samples
 // the aggregated membership straight from the term membership functions.
-// The primed (grid) path must agree to 1e-12 for every method, resolution,
-// s-norm and implication combination.
+// The primed (grid) path must agree to 1e-12 for every method and
+// resolution.
 
+/// Max over terms of each term clipped at its activation.
 double reference_grade(const LinguisticVariable& output,
-                       std::span<const double> acts, Implication impl,
-                       SNorm agg, double y) {
+                       std::span<const double> acts, double y) {
   double acc = 0.0;
   for (std::size_t k = 0; k < acts.size(); ++k) {
     if (acts[k] <= 0.0) continue;
-    const double clipped =
-        apply_implication(impl, acts[k], output.term(k).mf.grade(y));
-    acc = apply_snorm(agg, acc, clipped);
+    acc = std::max(acc, std::min(acts[k], output.term(k).mf.grade(y)));
   }
   return acc;
 }
 
-double reference_defuzzify(DefuzzMethod method, int res, SNorm agg,
+double reference_defuzzify(DefuzzMethod method, int res,
                            const LinguisticVariable& output,
-                           std::span<const double> acts, Implication impl) {
+                           std::span<const double> acts) {
   const double lo = output.universe_lo();
   const double hi = output.universe_hi();
   const double dy = (hi - lo) / (res - 1);
   auto grade = [&](int i) {
-    return reference_grade(output, acts, impl, agg, lo + i * dy);
+    return reference_grade(output, acts, lo + i * dy);
   };
   switch (method) {
     case DefuzzMethod::kCentroid: {
@@ -203,11 +200,6 @@ class DefuzzGoldenParity : public ::testing::Test {
       DefuzzMethod::kCentroid, DefuzzMethod::kBisector,
       DefuzzMethod::kMeanOfMaximum, DefuzzMethod::kSmallestOfMaximum,
       DefuzzMethod::kLargestOfMaximum};
-  static constexpr SNorm kSNorms[] = {SNorm::kMaximum,
-                                      SNorm::kProbabilisticSum,
-                                      SNorm::kBoundedSum};
-  static constexpr Implication kImplications[] = {Implication::kMinimum,
-                                                  Implication::kProduct};
   static constexpr int kResolutions[] = {8, 101, 1001};
 
   std::vector<std::vector<double>> activation_sets = {
@@ -222,24 +214,17 @@ TEST_F(DefuzzGoldenParity, GridPathMatchesNaiveReference) {
   std::vector<double> mu_scratch;
   for (auto method : kMethods) {
     for (int res : kResolutions) {
-      for (auto agg : kSNorms) {
-        for (auto impl : kImplications) {
-          Defuzzifier fast(method, res, agg);
-          // Pin the grid path: this suite checks the sampled tables, not the
-          // closed-form centroid (covered by DefuzzAnalyticCentroid below).
-          fast.set_analytic_centroid(false);
-          fast.prime(output);
-          ASSERT_TRUE(fast.primed_for(output));
-          for (const auto& acts : activation_sets) {
-            const double expect =
-                reference_defuzzify(method, res, agg, output, acts, impl);
-            const double got = fast.defuzzify(acts, impl, output, mu_scratch);
-            EXPECT_NEAR(got, expect, 1e-12)
-                << to_string(method) << " res=" << res
-                << " snorm=" << static_cast<int>(agg)
-                << " impl=" << static_cast<int>(impl);
-          }
-        }
+      Defuzzifier fast(method, res);
+      // Pin the grid path: this suite checks the sampled tables, not the
+      // closed-form centroid (covered by DefuzzAnalyticCentroid below).
+      fast.set_analytic_centroid(false);
+      fast.prime(output);
+      ASSERT_TRUE(fast.primed_for(output));
+      for (const auto& acts : activation_sets) {
+        const double expect = reference_defuzzify(method, res, output, acts);
+        const double got = fast.defuzzify(acts, output, mu_scratch);
+        EXPECT_NEAR(got, expect, 1e-12)
+            << to_string(method) << " res=" << res;
       }
     }
   }
@@ -260,16 +245,13 @@ TEST_F(DefuzzGoldenParity, UnprimedOrForeignVariableIsAContractViolation) {
     SCOPED_TRACE(to_string(method));
     Defuzzifier d(method, 101);
     EXPECT_FALSE(d.primed_for(output));
-    EXPECT_THROW(d.defuzzify(acts, Implication::kMinimum, output, mu),
-                 ContractViolation);
-    EXPECT_THROW(d.defuzzify(none, Implication::kMinimum, output, mu),
-                 ContractViolation);
+    EXPECT_THROW(d.defuzzify(acts, output, mu), ContractViolation);
+    EXPECT_THROW(d.defuzzify(none, output, mu), ContractViolation);
     d.prime(output);
     EXPECT_TRUE(d.primed_for(output));
     EXPECT_FALSE(d.primed_for(twin));
-    EXPECT_NO_THROW(d.defuzzify(acts, Implication::kMinimum, output, mu));
-    EXPECT_THROW(d.defuzzify(acts, Implication::kMinimum, twin, mu),
-                 ContractViolation);
+    EXPECT_NO_THROW(d.defuzzify(acts, output, mu));
+    EXPECT_THROW(d.defuzzify(acts, twin, mu), ContractViolation);
   }
 }
 
@@ -279,11 +261,11 @@ TEST_F(DefuzzGoldenParity, UnprimedOrForeignVariableIsAContractViolation) {
 // independent* exact reference: recursive adaptive subdivision that probes
 // each interval for linearity (midpoint + golden-ratio point against the
 // chord) and integrates area/moment with the trapezoid rule only where the
-// aggregated membership is verified linear.  Both implications make the
-// membership piecewise linear, so the reference is exact up to rounding and
-// the two must agree to 1e-9 — far below anything a fixed grid can certify
-// (an 8192-point trapezoid grid has O(h^2) ~ 1e-7 kink error; the grid
-// comparison below therefore uses a justified looser tolerance).
+// aggregated membership is verified linear.  Clipped piecewise-linear terms
+// make the membership piecewise linear, so the reference is exact up to
+// rounding and the two must agree to 1e-9 — far below anything a fixed grid
+// can certify (an 8192-point trapezoid grid has O(h^2) ~ 1e-7 kink error;
+// the grid comparison below therefore uses a justified looser tolerance).
 
 struct ExactIntegral {
   double area = 0.0;
@@ -313,28 +295,25 @@ void adaptive_integrate(const F& f, double x0, double x1, double f0, double f1,
 }
 
 /// Exact area/moment of the aggregated membership.  The integration is
-/// seeded with every *known* kink candidate — term breakpoints and (for the
-/// clipping implication) the alpha-cut corners — because probing alone can
+/// seeded with every *known* kink candidate — term breakpoints and the
+/// alpha-cut corners — because probing alone can
 /// miss a feature that lies strictly between samples (e.g. a narrow term
 /// whose support sits inside an interval that reads 0 at every probe).
-/// Between seeded points each term's implicated membership is affine, so
+/// Between seeded points each term's clipped membership is affine, so
 /// the aggregate is a max of affines (convex): any remaining kink pulls the
 /// midpoint strictly below the chord and the adaptive recursion is
 /// guaranteed to find it.
 ExactIntegral exact_integral(const LinguisticVariable& output,
-                             std::span<const double> acts, Implication impl) {
+                             std::span<const double> acts) {
   const double lo = output.universe_lo();
   const double hi = output.universe_hi();
-  auto mu = [&](double y) {
-    return reference_grade(output, acts, impl, SNorm::kMaximum, y);
-  };
+  auto mu = [&](double y) { return reference_grade(output, acts, y); };
   std::vector<double> cuts = {lo, hi};
   for (std::size_t k = 0; k < output.term_count(); ++k) {
     const MembershipFunction& mf = output.term(k).mf;
     for (double y : {mf.a(), mf.b(), mf.c(), mf.d()})
       if (y > lo && y < hi) cuts.push_back(y);
-    if (acts[k] > 0.0 && acts[k] < 1.0 && impl == Implication::kMinimum &&
-        !mf.is_singleton()) {
+    if (acts[k] > 0.0 && acts[k] < 1.0 && !mf.is_singleton()) {
       for (double y : {mf.alpha_cut_lo(acts[k]), mf.alpha_cut_hi(acts[k])})
         if (std::isfinite(y) && y > lo && y < hi) cuts.push_back(y);
     }
@@ -413,22 +392,19 @@ TEST(DefuzzAnalyticCentroid, MatchesAdaptiveExactReference) {
   for (int v = 0; v < 120; ++v) {
     const LinguisticVariable output =
         random_partition_variable(rng, /*shoulder_ends=*/v % 2 == 0);
-    for (auto impl : {Implication::kMinimum, Implication::kProduct}) {
-      Defuzzifier d(DefuzzMethod::kCentroid, 64, SNorm::kMaximum);
-      d.prime(output);
-      ASSERT_TRUE(d.analytic_applicable(output, impl));
-      for (int t = 0; t < 4; ++t) {
-        const auto acts = random_activations(rng, output.term_count());
-        // Skip near-empty sets: centroid = moment/area is ill-conditioned
-        // when the area is a sliver (both sides would need looser bounds).
-        const ExactIntegral ref = exact_integral(output, acts, impl);
-        if (ref.area < 1e-6) continue;
-        ++checked;
-        EXPECT_NEAR(d.defuzzify(acts, impl, output, mu_scratch),
-                    ref.moment / ref.area, 1e-9)
-            << "variable " << v << " trial " << t
-            << " impl=" << static_cast<int>(impl);
-      }
+    Defuzzifier d(DefuzzMethod::kCentroid, 64);
+    d.prime(output);
+    ASSERT_TRUE(d.analytic_applicable(output));
+    for (int t = 0; t < 8; ++t) {
+      const auto acts = random_activations(rng, output.term_count());
+      // Skip near-empty sets: centroid = moment/area is ill-conditioned
+      // when the area is a sliver (both sides would need looser bounds).
+      const ExactIntegral ref = exact_integral(output, acts);
+      if (ref.area < 1e-6) continue;
+      ++checked;
+      EXPECT_NEAR(d.defuzzify(acts, output, mu_scratch),
+                  ref.moment / ref.area, 1e-9)
+          << "variable " << v << " trial " << t;
     }
   }
   EXPECT_GT(checked, 500);  // the skip guard must not hollow out the test
@@ -446,57 +422,47 @@ TEST(DefuzzAnalyticCentroid, HighResGridAgreesWithinItsErrorBound) {
   for (int v = 0; v < 25; ++v) {
     const LinguisticVariable output =
         random_partition_variable(rng, v % 2 == 0);
-    for (auto impl : {Implication::kMinimum, Implication::kProduct}) {
-      Defuzzifier analytic(DefuzzMethod::kCentroid, 64, SNorm::kMaximum);
-      analytic.prime(output);
-      Defuzzifier grid(DefuzzMethod::kCentroid, 8192, SNorm::kMaximum);
-      grid.set_analytic_centroid(false);
-      grid.prime(output);
-      for (int t = 0; t < 3; ++t) {
-        const auto acts = random_activations(rng, output.term_count());
-        const double g = grid.defuzzify(acts, impl, output, mu_scratch);
-        const double a = analytic.defuzzify(acts, impl, output, mu_scratch);
-        if (std::none_of(acts.begin(), acts.end(),
-                         [](double x) { return x > 0.05; }))
-          continue;
-        EXPECT_NEAR(a, g, 1e-4) << "variable " << v << " trial " << t;
-      }
+    Defuzzifier analytic(DefuzzMethod::kCentroid, 64);
+    analytic.prime(output);
+    Defuzzifier grid(DefuzzMethod::kCentroid, 8192);
+    grid.set_analytic_centroid(false);
+    grid.prime(output);
+    for (int t = 0; t < 6; ++t) {
+      const auto acts = random_activations(rng, output.term_count());
+      const double g = grid.defuzzify(acts, output, mu_scratch);
+      const double a = analytic.defuzzify(acts, output, mu_scratch);
+      if (std::none_of(acts.begin(), acts.end(),
+                       [](double x) { return x > 0.05; }))
+        continue;
+      EXPECT_NEAR(a, g, 1e-4) << "variable " << v << " trial " << t;
     }
   }
 }
 
-TEST(DefuzzAnalyticCentroid, UnsupportedCombosFallBackToGridBitwise) {
-  // Every (method, s-norm, implication) outside the supported set must take
-  // the grid path even with analytic centroids enabled: bitwise-identical
-  // results to a twin with the analytic path disabled.
+TEST(DefuzzAnalyticCentroid, NonCentroidMethodsFallBackToGridBitwise) {
+  // Only the centroid has a closed form: every other method must take the
+  // grid path even with analytic centroids enabled, bitwise-identical to a
+  // twin with the analytic path disabled.
   std::mt19937_64 rng(7);
   const LinguisticVariable output = random_partition_variable(rng, true);
   std::vector<double> mu1, mu2;
   for (auto method :
        {DefuzzMethod::kCentroid, DefuzzMethod::kBisector,
         DefuzzMethod::kMeanOfMaximum, DefuzzMethod::kWeightedAverage}) {
-    for (auto agg : {SNorm::kMaximum, SNorm::kProbabilisticSum,
-                     SNorm::kBoundedSum}) {
-      for (auto impl : {Implication::kMinimum, Implication::kProduct}) {
-        const bool supported =
-            Defuzzifier::analytic_supported(method, agg, impl);
-        EXPECT_EQ(supported,
-                  method == DefuzzMethod::kCentroid && agg == SNorm::kMaximum)
-            << to_string(method);
-        if (supported) continue;
-        Defuzzifier on(method, 101, agg);
-        Defuzzifier off(method, 101, agg);
-        off.set_analytic_centroid(false);
-        on.prime(output);
-        off.prime(output);
-        EXPECT_FALSE(on.analytic_applicable(output, impl));
-        for (int t = 0; t < 3; ++t) {
-          const auto acts = random_activations(rng, output.term_count());
-          EXPECT_EQ(on.defuzzify(acts, impl, output, mu1),
-                    off.defuzzify(acts, impl, output, mu2))
-              << to_string(method) << " agg=" << static_cast<int>(agg);
-        }
-      }
+    Defuzzifier on(method, 101);
+    Defuzzifier off(method, 101);
+    off.set_analytic_centroid(false);
+    on.prime(output);
+    off.prime(output);
+    const bool centroid = method == DefuzzMethod::kCentroid;
+    EXPECT_EQ(on.analytic_applicable(output), centroid) << to_string(method);
+    EXPECT_FALSE(off.analytic_applicable(output)) << to_string(method);
+    if (centroid) continue;
+    for (int t = 0; t < 3; ++t) {
+      const auto acts = random_activations(rng, output.term_count());
+      EXPECT_EQ(on.defuzzify(acts, output, mu1),
+                off.defuzzify(acts, output, mu2))
+          << to_string(method);
     }
   }
 }
@@ -519,11 +485,10 @@ TEST(DefuzzAnalyticCentroid, NonPartitionLayoutFallsBackToGridBitwise) {
   off.set_analytic_centroid(false);
   on.prime(output);
   off.prime(output);
-  EXPECT_FALSE(on.analytic_applicable(output, Implication::kMinimum));
+  EXPECT_FALSE(on.analytic_applicable(output));
   std::vector<double> mu1, mu2;
   const std::vector<double> acts = {0.4, 0.9, 0.6};
-  EXPECT_EQ(on.defuzzify(acts, Implication::kMinimum, output, mu1),
-            off.defuzzify(acts, Implication::kMinimum, output, mu2));
+  EXPECT_EQ(on.defuzzify(acts, output, mu1), off.defuzzify(acts, output, mu2));
 }
 
 TEST(DefuzzAnalyticCentroid, ApplicableToThePaperVariables) {
@@ -542,9 +507,8 @@ TEST(DefuzzAnalyticCentroid, ApplicableToThePaperVariables) {
   Defuzzifier for_ar(DefuzzMethod::kCentroid, 256);
   for_cv.prime(cv);
   for_ar.prime(ar);
-  EXPECT_TRUE(for_cv.analytic_applicable(cv, Implication::kMinimum));
-  EXPECT_TRUE(for_ar.analytic_applicable(ar, Implication::kMinimum));
-  EXPECT_TRUE(for_ar.analytic_applicable(ar, Implication::kProduct));
+  EXPECT_TRUE(for_cv.analytic_applicable(cv));
+  EXPECT_TRUE(for_ar.analytic_applicable(ar));
 }
 
 TEST(DefuzzMethodNames, RoundTrip) {

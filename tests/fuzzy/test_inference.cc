@@ -34,6 +34,14 @@ struct InferenceFixture : ::testing::Test {
     for (const auto& t : texts) out.push_back(parse_rule(t, inputs, output));
     return out;
   }
+
+  /// Activations of one untraced evaluation.
+  static std::vector<double> activations_at(const InferenceEngine& engine,
+                                            std::vector<double> in) {
+    InferenceScratch scratch;
+    engine.infer_into(in, scratch);
+    return scratch.activations;
+  }
 };
 
 TEST_F(InferenceFixture, MinTNormFiringStrength) {
@@ -41,20 +49,10 @@ TEST_F(InferenceFixture, MinTNormFiringStrength) {
   const RuleBase rb(rs, inputs, output);
   const InferenceEngine engine(inputs, output, rb);
   // x=2 -> mu_lo = 0.8; y=5 -> mu_lo = 0.5; min = 0.5.
-  const auto res = engine.infer(std::vector<double>{2.0, 5.0});
-  EXPECT_DOUBLE_EQ(res.activations[0], 0.5);
-  EXPECT_DOUBLE_EQ(res.activations[1], 0.0);
-  EXPECT_DOUBLE_EQ(res.activations[2], 0.0);
-}
-
-TEST_F(InferenceFixture, ProductTNorm) {
-  const auto rs = rules({"IF x is lo AND y is lo THEN z is small"});
-  const RuleBase rb(rs, inputs, output);
-  InferenceOptions opt;
-  opt.t_norm = TNorm::kProduct;
-  const InferenceEngine engine(inputs, output, rb, opt);
-  const auto res = engine.infer(std::vector<double>{2.0, 5.0});
-  EXPECT_DOUBLE_EQ(res.activations[0], 0.8 * 0.5);
+  const auto acts = activations_at(engine, {2.0, 5.0});
+  EXPECT_DOUBLE_EQ(acts[0], 0.5);
+  EXPECT_DOUBLE_EQ(acts[1], 0.0);
+  EXPECT_DOUBLE_EQ(acts[2], 0.0);
 }
 
 TEST_F(InferenceFixture, MaxSNormAggregatesSameConsequent) {
@@ -63,57 +61,29 @@ TEST_F(InferenceFixture, MaxSNormAggregatesSameConsequent) {
   const RuleBase rb(rs, inputs, output);
   const InferenceEngine engine(inputs, output, rb);
   // mu_lo(x=2)=0.8, mu_lo(y=6)=0.4 -> max 0.8.
-  const auto res = engine.infer(std::vector<double>{2.0, 6.0});
-  EXPECT_DOUBLE_EQ(res.activations[0], 0.8);
-}
-
-TEST_F(InferenceFixture, ProbabilisticSumSNorm) {
-  const auto rs = rules({"IF x is lo THEN z is small",
-                         "IF y is lo THEN z is small"});
-  const RuleBase rb(rs, inputs, output);
-  InferenceOptions opt;
-  opt.s_norm = SNorm::kProbabilisticSum;
-  const InferenceEngine engine(inputs, output, rb, opt);
-  const auto res = engine.infer(std::vector<double>{2.0, 6.0});
-  EXPECT_DOUBLE_EQ(res.activations[0], 0.8 + 0.4 - 0.8 * 0.4);
-}
-
-TEST_F(InferenceFixture, BoundedSumSNorm) {
-  const auto rs = rules({"IF x is lo THEN z is small",
-                         "IF y is lo THEN z is small"});
-  const RuleBase rb(rs, inputs, output);
-  InferenceOptions opt;
-  opt.s_norm = SNorm::kBoundedSum;
-  const InferenceEngine engine(inputs, output, rb, opt);
-  const auto res = engine.infer(std::vector<double>{1.0, 2.0});  // 0.9 + 0.8
-  EXPECT_DOUBLE_EQ(res.activations[0], 1.0);
+  EXPECT_DOUBLE_EQ(activations_at(engine, {2.0, 6.0})[0], 0.8);
 }
 
 TEST_F(InferenceFixture, RuleWeightScalesStrength) {
   auto rs = rules({"IF x is lo THEN z is small [0.5]"});
   const RuleBase rb(rs, inputs, output);
   const InferenceEngine engine(inputs, output, rb);
-  const auto res = engine.infer(std::vector<double>{0.0, 0.0});
-  EXPECT_DOUBLE_EQ(res.activations[0], 0.5);
+  EXPECT_DOUBLE_EQ(activations_at(engine, {0.0, 0.0})[0], 0.5);
 }
 
 TEST_F(InferenceFixture, WildcardIgnoresThatInput) {
   const auto rs = rules({"IF y is hi THEN z is large"});
   const RuleBase rb(rs, inputs, output);
   const InferenceEngine engine(inputs, output, rb);
-  for (double x : {0.0, 5.0, 10.0}) {
-    const auto res = engine.infer(std::vector<double>{x, 10.0});
-    EXPECT_DOUBLE_EQ(res.activations[2], 1.0) << "x=" << x;
-  }
+  for (double x : {0.0, 5.0, 10.0})
+    EXPECT_DOUBLE_EQ(activations_at(engine, {x, 10.0})[2], 1.0) << "x=" << x;
 }
 
 TEST_F(InferenceFixture, NoRuleFiresGivesEmptySet) {
   const auto rs = rules({"IF x is hi AND y is hi THEN z is large"});
   const RuleBase rb(rs, inputs, output);
   const InferenceEngine engine(inputs, output, rb);
-  const auto res = engine.infer(std::vector<double>{0.0, 0.0});
-  EXPECT_TRUE(res.empty());
-  EXPECT_DOUBLE_EQ(res.height(), 0.0);
+  EXPECT_EQ(activations_at(engine, {0.0, 0.0}), std::vector<double>(3, 0.0));
 }
 
 TEST_F(InferenceFixture, TracedReportsFiredRulesDescending) {
@@ -122,8 +92,9 @@ TEST_F(InferenceFixture, TracedReportsFiredRulesDescending) {
                          "IF x is hi THEN z is large"});
   const RuleBase rb(rs, inputs, output);
   const InferenceEngine engine(inputs, output, rb);
-  std::vector<FiredRule> fired;
-  engine.infer_traced(std::vector<double>{2.0, 4.0}, fired);
+  InferenceScratch scratch;
+  engine.infer_traced_into(std::vector<double>{2.0, 4.0}, scratch);
+  const std::vector<FiredRule>& fired = scratch.fired;
   // x=2: lo=0.8, hi=0.2; y=4: lo=0.6.
   ASSERT_EQ(fired.size(), 3u);
   EXPECT_EQ(fired[0].rule_index, 0u);
@@ -134,62 +105,42 @@ TEST_F(InferenceFixture, TracedReportsFiredRulesDescending) {
   EXPECT_DOUBLE_EQ(fired[2].strength, 0.2);
 }
 
-TEST_F(InferenceFixture, OutputSetGradeMinImplication) {
-  const auto rs = rules({"IF x is lo THEN z is large"});
-  const RuleBase rb(rs, inputs, output);
-  const InferenceEngine engine(inputs, output, rb);
-  const auto res = engine.infer(std::vector<double>{2.0, 0.0});  // act 0.8
-  // large is right_shoulder(0.75, 0.5): mu(1.0) = 1 -> clipped to 0.8.
-  EXPECT_DOUBLE_EQ(res.grade(output, 1.0), 0.8);
-  // At 0.5, mu_large = 0.5 -> min(0.8, 0.5) = 0.5.
-  EXPECT_DOUBLE_EQ(res.grade(output, 0.5), 0.5);
-}
-
-TEST_F(InferenceFixture, OutputSetGradeProductImplication) {
-  const auto rs = rules({"IF x is lo THEN z is large"});
-  const RuleBase rb(rs, inputs, output);
-  InferenceOptions opt;
-  opt.implication = Implication::kProduct;
-  const InferenceEngine engine(inputs, output, rb, opt);
-  const auto res = engine.infer(std::vector<double>{2.0, 0.0});  // act 0.8
-  EXPECT_DOUBLE_EQ(res.grade(output, 0.5), 0.8 * 0.5);
-}
-
-TEST_F(InferenceFixture, InferIntoMatchesInfer) {
+TEST_F(InferenceFixture, InferIntoMatchesTracedScan) {
+  // Wildcard-free and duplicate-free, so infer_into() takes the dense
+  // sparse-fire path while infer_traced_into() keeps the linear scan.
   const auto rs = rules({"IF x is lo AND y is lo THEN z is small",
                          "IF x is hi AND y is hi THEN z is large",
                          "IF x is lo AND y is hi THEN z is mid"});
   const RuleBase rb(rs, inputs, output);
   const InferenceEngine engine(inputs, output, rb);
-  InferenceScratch scratch;
+  InferenceScratch dense, traced;
   for (double x = 0.0; x <= 10.0; x += 2.5) {
     for (double y = 0.0; y <= 10.0; y += 2.5) {
       const std::vector<double> in = {x, y};
-      const auto legacy = engine.infer(in);
-      engine.infer_into(in, scratch);
-      ASSERT_EQ(scratch.activations.size(), legacy.activations.size());
-      for (std::size_t k = 0; k < legacy.activations.size(); ++k)
-        EXPECT_DOUBLE_EQ(scratch.activations[k], legacy.activations[k])
-            << "x=" << x << " y=" << y << " term " << k;
+      engine.infer_into(in, dense);
+      engine.infer_traced_into(in, traced);
+      EXPECT_EQ(dense.activations, traced.activations)
+          << "x=" << x << " y=" << y;
     }
   }
 }
 
-TEST_F(InferenceFixture, TracedIntoMatchesTraced) {
+TEST_F(InferenceFixture, TracedIntoRefillsFiredRules) {
   const auto rs = rules({"IF x is lo THEN z is small",
                          "IF x is hi THEN z is large",
                          "IF y is hi THEN z is mid"});
   const RuleBase rb(rs, inputs, output);
   const InferenceEngine engine(inputs, output, rb);
-  std::vector<FiredRule> fired;
-  InferenceScratch scratch;
+  InferenceScratch fresh, reused;
   const std::vector<double> in = {3.0, 8.0};
-  (void)engine.infer_traced(in, fired);
-  engine.infer_traced_into(in, scratch);
-  ASSERT_EQ(scratch.fired.size(), fired.size());
-  for (std::size_t i = 0; i < fired.size(); ++i) {
-    EXPECT_EQ(scratch.fired[i].rule_index, fired[i].rule_index);
-    EXPECT_DOUBLE_EQ(scratch.fired[i].strength, fired[i].strength);
+  engine.infer_traced_into(in, fresh);
+  // A warm scratch holding another evaluation's fired rules is cleared.
+  engine.infer_traced_into(std::vector<double>{10.0, 10.0}, reused);
+  engine.infer_traced_into(in, reused);
+  ASSERT_EQ(reused.fired.size(), fresh.fired.size());
+  for (std::size_t i = 0; i < fresh.fired.size(); ++i) {
+    EXPECT_EQ(reused.fired[i].rule_index, fresh.fired[i].rule_index);
+    EXPECT_DOUBLE_EQ(reused.fired[i].strength, fresh.fired[i].strength);
   }
 }
 
@@ -217,9 +168,8 @@ TEST_F(InferenceFixture, WrongInputArityThrows) {
   const auto rs = rules({"IF x is lo THEN z is small"});
   const RuleBase rb(rs, inputs, output);
   const InferenceEngine engine(inputs, output, rb);
-  EXPECT_THROW(engine.infer(std::vector<double>{1.0}),
-               facsp::ContractViolation);
-  EXPECT_THROW(engine.infer(std::vector<double>{1.0, 2.0, 3.0}),
+  EXPECT_THROW(activations_at(engine, {1.0}), facsp::ContractViolation);
+  EXPECT_THROW(activations_at(engine, {1.0, 2.0, 3.0}),
                facsp::ContractViolation);
 }
 

@@ -2,6 +2,7 @@
 // exercised on the paper's own controllers (FLC1, FLC1-D, FLC2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "cac/facs_flc.h"
@@ -81,7 +82,9 @@ TEST_P(PaperControllerProperty, SomeRuleAlwaysFires) {
     }
     const auto ex = flc->explain(in);
     EXPECT_FALSE(ex.fired.empty()) << GetParam().label;
-    EXPECT_GT(ex.aggregated.height(), 0.0) << GetParam().label;
+    EXPECT_GT(*std::max_element(ex.activations.begin(), ex.activations.end()),
+              0.0)
+        << GetParam().label;
     // explain() defuzzifies through the same primed path as evaluate().
     EXPECT_EQ(ex.crisp, flc->evaluate(in)) << GetParam().label;
   }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "fuzzy/inference.h"
 #include "workload/catalog.h"
 
 namespace facsp::serve {
@@ -187,6 +188,11 @@ TEST(DecisionServer, RenderingHasStableShape) {
   EXPECT_NE(summary.find("\"latency_histogram\": {\"sub_bucket_bits\": 4, "
                          "\"max_shift\": 37, \"buckets\": 624}"),
             std::string::npos)
+      << summary;
+  // "simd" names the lane kernels that run on this machine, not the build
+  // flag.
+  const std::string simd = fuzzy::lane_simd_available() ? "true" : "false";
+  EXPECT_NE(summary.find("\"simd\": " + simd + ","), std::string::npos)
       << summary;
 
   const sim::Figure fig = telemetry_figure(result);
