@@ -1,9 +1,14 @@
 // Micro-benchmarks (google-benchmark): throughput of the fuzzy pipeline —
-// membership evaluation, FLC1/FLC2 inference, the full two-stage admission
-// decision, and one simulated replication.  The paper motivates triangular
+// membership evaluation, FLC1/FLC2 inference, centroid defuzzification, the
+// full two-stage admission decision (one fixed input, and a seeded service
+// mix at the serve batch size), and one simulated replication.  The paper motivates triangular
 // and trapezoidal membership functions as "suitable for real-time
 // operation"; these numbers quantify that.
 #include <benchmark/benchmark.h>
+
+#include <array>
+#include <string>
+#include <vector>
 
 #include "cac/facs.h"
 #include "cac/facs_p.h"
@@ -123,6 +128,97 @@ void BM_DecisionBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(rows));
 }
 BENCHMARK(BM_DecisionBatch)->Arg(256);
+
+/// The serve mix: Sp U(0,120), An U(-180,180), Sr = Rq cycling 1/5/10 BU,
+/// Cs U(0,40).  One row per entry of FLC1's and FLC2's inputs; FLC2's Cv
+/// is FLC1's output on the same row.
+struct ServeMix {
+  std::vector<std::array<double, 3>> flc1_in, flc2_in;
+};
+
+ServeMix make_serve_mix(const fuzzy::FuzzyController& flc1, std::size_t rows) {
+  static constexpr double kBandwidths[] = {1.0, 5.0, 10.0};
+  sim::RandomStream rng(23);
+  ServeMix mix;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double bw = kBandwidths[r % 3];
+    const std::array<double, 3> in1 = {rng.uniform(0.0, 120.0),
+                                       rng.uniform(-180.0, 180.0), bw};
+    const double cv = flc1.evaluate({in1[0], in1[1], in1[2]});
+    mix.flc1_in.push_back(in1);
+    mix.flc2_in.push_back({cv, bw, rng.uniform(0.0, 40.0)});
+  }
+  return mix;
+}
+
+/// Centroid defuzzification alone, over output activations recorded once
+/// from the serve mix (the inference stage is not timed).
+void BM_DefuzzCentroid(benchmark::State& state, int stage) {
+  const auto flc1 = cac::make_flc1();
+  const auto flc2 = cac::make_flc2();
+  const fuzzy::FuzzyController& flc = stage == 1 ? *flc1 : *flc2;
+  const ServeMix mix = make_serve_mix(*flc1, 256);
+  std::vector<std::vector<double>> activations;
+  for (const auto& in : stage == 1 ? mix.flc1_in : mix.flc2_in)
+    activations.push_back(flc.explain(in).activations);
+  std::vector<double> mu;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(flc.defuzzifier().defuzzify(
+        activations[i++ & 255], flc.output(), mu));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_DefuzzCentroid, FLC1, 1);
+BENCHMARK_CAPTURE(BM_DefuzzCentroid, FLC2, 2);
+
+/// decide_batch at the serve batch size over a seeded mix of service
+/// classes, request kinds and kinematics, against eight cells whose loads
+/// spread Cs across its universe.
+void BM_DecideBatchMix(benchmark::State& state) {
+  cac::FacsPPolicy policy;
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kCells = 8, kBatches = 64;
+  sim::RandomStream rng(29);
+  std::vector<cellular::BaseStation> cells;
+  cells.reserve(kCells);
+  cellular::ConnectionId next_id = 1;
+  for (std::size_t c = 0; c < kCells; ++c) {
+    cells.emplace_back(static_cast<cellular::BaseStationId>(c),
+                       cellular::HexCoord{0, 0}, cellular::Point{0.0, 0.0},
+                       40.0);
+    // Fill to about 5*c BU with random classes.
+    while (cells[c].used() + 10.0 <= 5.0 * static_cast<double>(c)) {
+      cellular::Connection conn;
+      conn.id = next_id++;
+      conn.service = static_cast<cellular::ServiceClass>(rng.uniform_int(0, 2));
+      conn.bandwidth = cellular::service_bandwidth(conn.service);
+      cells[c].allocate(conn, 0.0, rng.bernoulli(0.3));
+    }
+  }
+  std::vector<cac::AdmissionRequest> reqs(rows * kBatches);
+  for (auto& req : reqs) {
+    req.id = next_id++;
+    req.service = static_cast<cellular::ServiceClass>(rng.uniform_int(0, 2));
+    req.bandwidth = cellular::service_bandwidth(req.service);
+    req.kind = rng.bernoulli(0.3) ? cellular::RequestKind::kHandoff
+                                  : cellular::RequestKind::kNew;
+    req.speed_kmh = rng.uniform(0.0, 120.0);
+    req.angle_deg = rng.uniform(-180.0, 180.0);
+  }
+  std::vector<cac::AdmissionDecision> out(rows);
+  std::size_t b = 0;
+  for (auto _ : state) {
+    const std::span<const cac::AdmissionRequest> batch(
+        reqs.data() + (b % kBatches) * rows, rows);
+    policy.decide_batch(batch, cells[b % kCells], out);
+    benchmark::DoNotOptimize(out.data());
+    ++b;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows));
+}
+BENCHMARK(BM_DecideBatchMix)->Arg(50);
 
 void BM_SccDecide(benchmark::State& state) {
   cellular::CellularNetwork net(1, 2000.0, 40.0);

@@ -1,7 +1,6 @@
 #include "fuzzy/defuzzifier.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <vector>
 
@@ -14,88 +13,94 @@ namespace {
 
 // --- analytic alpha-cut centroid -------------------------------------------
 //
-// Under min (clip) implication a clipped piecewise-linear term is the
-// pointwise MIN of at most three affine functions of y: the alpha plateau,
-// the rising edge and the falling edge.  A min of affine functions is
-// concave piecewise linear, so its only breakpoints are pairwise line
-// crossings and it can be integrated exactly with the trapezoid rule between
-// consecutive crossings — no term-piece domain bookkeeping at all.
+// Under min (clip) implication the aggregated set is max_k min(alpha_k, g_k)
+// with every g_k piecewise linear.  prime() cuts each g_k, and each adjacent
+// pair's min(g_k, g_{k+1}), into affine segments once; a call only clips
+// those segments at its activations and integrates them exactly.  (The
+// helpers are templated on the segment type: Defuzzifier::Segment is
+// private.)
 
-/// A small bag of affine functions y -> s*y + t representing one concave
-/// min.  Capacity 6: {plateau, rise, fall} for each term of an adjacent
-/// overlap pair.
-struct AffineMin {
-  double s[6];
-  double t[6];
-  int n = 0;
+/// Value at x of the affine piece of `mf` that covers m, for m strictly
+/// inside the support and x in the same piece (its closure).
+double piece_value(const MembershipFunction& mf, double m, double x) noexcept {
+  if (m < mf.b()) return (x - mf.a()) / (mf.b() - mf.a());
+  if (m <= mf.c()) return 1.0;
+  return (mf.d() - x) / (mf.d() - mf.c());
+}
 
-  void add(double slope, double intercept) noexcept {
-    s[n] = slope;
-    t[n] = intercept;
-    ++n;
-  }
-
-  double eval(double x) const noexcept {
-    double v = s[0] * x + t[0];
-    for (int i = 1; i < n; ++i) {
-      const double w = s[i] * x + t[i];
-      v = w < v ? w : v;
-    }
-    return v;
-  }
-};
-
-/// Exactly integrate m(y) = min_i(s_i*y + t_i) over [x0, x1], adding
-/// sign * (area, first moment) into the accumulators.  Between consecutive
-/// pairwise crossings m is affine, so the trapezoid rule is exact; the
-/// closed-form first moment of an affine segment is
-///   integral y*m(y) dy = h/6 * (m0*(2*x0 + x1) + m1*(x0 + 2*x1)).
-void integrate_concave_min(const AffineMin& f, double x0, double x1,
-                           double sign, double& area,
-                           double& moment) noexcept {
+template <typename Segment>
+void push_segment(double x0, double x1, double v0, double v1,
+                  std::vector<Segment>& out) {
   if (!(x0 < x1)) return;
-  double xs[2 + 15];  // endpoints + C(6,2) pairwise crossings
-  int m = 0;
-  xs[m++] = x0;
-  for (int i = 0; i < f.n; ++i) {
-    for (int j = i + 1; j < f.n; ++j) {
-      const double ds = f.s[i] - f.s[j];
-      if (ds == 0.0) continue;
-      const double x = (f.t[j] - f.t[i]) / ds;
-      if (x > x0 && x < x1) xs[m++] = x;
+  out.push_back({x0, x1, v0, v1, v1 != v0 ? (x1 - x0) / (v1 - v0) : 0.0});
+}
+
+/// Append min(f, g) on [x0, x1] as affine segments: vertices at every
+/// breakpoint of f and g inside the interval, and between two of them at
+/// the crossing of f's and g's pieces when they cross.  (f == g gives the
+/// term's own polyline.)  Both supports must cover [x0, x1].
+template <typename Segment>
+void append_min_polyline(const MembershipFunction& f,
+                         const MembershipFunction& g, double x0, double x1,
+                         std::vector<Segment>& out) {
+  if (!(x0 < x1)) return;
+  std::vector<double> xs = {x0, x1};
+  for (const MembershipFunction* mf : {&f, &g})
+    for (double x : {mf->a(), mf->b(), mf->c(), mf->d()})
+      if (x > x0 && x < x1) xs.push_back(x);
+  std::sort(xs.begin(), xs.end());
+  xs.erase(std::unique(xs.begin(), xs.end()), xs.end());
+  for (std::size_t i = 1; i < xs.size(); ++i) {
+    const double lo = xs[i - 1], hi = xs[i];
+    const double m = 0.5 * (lo + hi);
+    const double f0 = piece_value(f, m, lo), f1 = piece_value(f, m, hi);
+    const double g0 = piece_value(g, m, lo), g1 = piece_value(g, m, hi);
+    const double d0 = f0 - g0, d1 = f1 - g1;
+    const double v0 = std::min(f0, g0), v1 = std::min(f1, g1);
+    if ((d0 < 0.0 && d1 > 0.0) || (d0 > 0.0 && d1 < 0.0)) {
+      const double xc = lo + (hi - lo) * (d0 / (d0 - d1));
+      const double vc =
+          std::min(piece_value(f, m, xc), piece_value(g, m, xc));
+      push_segment(lo, xc, v0, vc, out);
+      push_segment(xc, hi, vc, v1, out);
+    } else {
+      push_segment(lo, hi, v0, v1, out);
     }
-  }
-  xs[m++] = x1;
-  // Candidates arrive nearly sorted; insertion sort is O(m) then.
-  for (int i = 1; i < m; ++i) {
-    const double v = xs[i];
-    int j = i - 1;
-    for (; j >= 0 && xs[j] > v; --j) xs[j + 1] = xs[j];
-    xs[j + 1] = v;
-  }
-  double xp = xs[0];
-  double mp = f.eval(xp);
-  for (int i = 1; i < m; ++i) {
-    const double x = xs[i];
-    if (!(x > xp)) continue;
-    const double mu = f.eval(x);
-    const double h = x - xp;
-    area += sign * (0.5 * h * (mp + mu));
-    moment += sign * (h * (mp * (2.0 * xp + x) + mu * (xp + 2.0 * x)) / 6.0);
-    xp = x;
-    mp = mu;
   }
 }
 
-/// Append the affine pieces of one term clipped at alpha.  Valid on the
-/// term's support (where rise/fall are non-negative), which is exactly where
-/// it is integrated.
-void clipped_term_lines(const MembershipFunction& mf, double alpha,
-                        AffineMin& f) noexcept {
-  f.add(0.0, alpha);
-  const double a = mf.a(), b = mf.b(), c = mf.c(), d = mf.d();
-  if (std::isfinite(b) && b > a) f.add(1.0 / (b - a), -a / (b - a));
-  if (std::isfinite(c) && d > c) f.add(-1.0 / (d - c), d / (d - c));
+/// Twice the area and six times the first moment of h(y) = v0 + (v1 - v0) *
+/// (y - x0) / (x1 - x0) over [x0, x1] (trapezoid moment formula).
+inline void add_trapezoid(double x0, double x1, double v0, double v1,
+                          double& area2, double& moment6) noexcept {
+  const double h = x1 - x0;
+  area2 += h * (v0 + v1);
+  moment6 += h * (v0 * (2.0 * x0 + x1) + v1 * (x0 + 2.0 * x1));
+}
+
+/// Integrate min(alpha, P) over the polyline [s, e): a segment lies wholly
+/// below alpha, wholly above it, or crosses it once at x0 + (alpha - v0) *
+/// dxdv.
+template <typename Segment>
+void add_clipped(const Segment* s, const Segment* e, double alpha,
+                 double& area2, double& moment6) noexcept {
+  for (; s != e; ++s) {
+    const bool lo_in = s->v0 <= alpha, hi_in = s->v1 <= alpha;
+    if (lo_in && hi_in) {
+      add_trapezoid(s->x0, s->x1, s->v0, s->v1, area2, moment6);
+    } else if (!lo_in && !hi_in) {
+      add_trapezoid(s->x0, s->x1, alpha, alpha, area2, moment6);
+    } else {
+      const double xc = s->x0 + (alpha - s->v0) * s->dxdv;
+      if (lo_in) {
+        add_trapezoid(s->x0, xc, s->v0, alpha, area2, moment6);
+        add_trapezoid(xc, s->x1, alpha, alpha, area2, moment6);
+      } else {
+        add_trapezoid(s->x0, xc, alpha, alpha, area2, moment6);
+        add_trapezoid(xc, s->x1, alpha, s->v1, area2, moment6);
+      }
+    }
+  }
 }
 
 /// The analytic decomposition needs the output terms to be sorted left to
@@ -157,6 +162,29 @@ void Defuzzifier::prime(const LinguisticVariable& output) {
     const MembershipFunction& mf = output.term(k).mf;
     double* row = grid->term_grades.data() + k * n;
     for (std::size_t i = 0; i < n; ++i) row[i] = mf.grade(grid->ys[i]);
+  }
+  if (grid->analytic_ok) {
+    // Term polylines, then adjacent-pair polylines over each overlap (the
+    // partition keeps an overlap inside both supports).  A singleton has
+    // zero measure alone and in any pair, so it contributes no segments.
+    auto& segs = grid->segments;
+    grid->first.reserve(2 * terms);
+    for (std::size_t k = 0; k < terms; ++k) {
+      grid->first.push_back(static_cast<std::uint32_t>(segs.size()));
+      const MembershipFunction& mf = output.term(k).mf;
+      append_min_polyline(mf, mf, std::max(mf.a(), lo), std::min(mf.d(), hi),
+                          segs);
+    }
+    for (std::size_t k = 0; k + 1 < terms; ++k) {
+      grid->first.push_back(static_cast<std::uint32_t>(segs.size()));
+      const MembershipFunction& f = output.term(k).mf;
+      const MembershipFunction& g = output.term(k + 1).mf;
+      if (f.is_singleton() || g.is_singleton()) continue;
+      append_min_polyline(f, g, std::max(g.a(), lo), std::min(f.d(), hi),
+                          segs);
+    }
+    grid->first.push_back(static_cast<std::uint32_t>(segs.size()));
+    segs.shrink_to_fit();
   }
   grid_ = std::move(grid);
 }
@@ -268,39 +296,38 @@ bool Defuzzifier::analytic_applicable(
 
 double Defuzzifier::centroid_analytic(std::span<const double> activations,
                                       const LinguisticVariable& output) const {
-  const double lo = output.universe_lo();
-  const double hi = output.universe_hi();
-  double area = 0.0, moment = 0.0;
+  const std::size_t terms = activations.size();
+  const Segment* const segs = grid_->segments.data();
+  const std::uint32_t* const first = grid_->first.data();
+  // Twice the area and six times the first moment: the trapezoid weights
+  // cancel in the final quotient.
+  double area2 = 0.0, moment6 = 0.0;
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::size_t prev = kNone;      // last integrated term index
   double prev_alpha = 0.0;       // its (clamped) activation
-  for (std::size_t k = 0; k < activations.size(); ++k) {
+  for (std::size_t k = 0; k < terms; ++k) {
     double alpha = activations[k];
     if (alpha <= 0.0) continue;
-    const MembershipFunction& mf = output.term(k).mf;
-    if (mf.is_singleton()) continue;  // zero measure under any integral
     // Clip implication saturates at the term's height 1, so alpha > 1 (only
     // reachable through the raw API) behaves exactly like alpha == 1.
     if (alpha > 1.0) alpha = 1.0;
-    AffineMin one;
-    clipped_term_lines(mf, alpha, one);
-    integrate_concave_min(one, std::max(mf.a(), lo), std::min(mf.d(), hi),
-                          1.0, area, moment);
+    add_clipped(segs + first[k], segs + first[k + 1], alpha, area2, moment6);
     if (prev != kNone && k == prev + 1) {
       // Adjacent overlap: max(f, g) = f + g - min(f, g), and the partition
       // property guarantees no third term is positive there.
-      const MembershipFunction& pm = output.term(prev).mf;
-      AffineMin pair;
-      clipped_term_lines(pm, prev_alpha, pair);
-      clipped_term_lines(mf, alpha, pair);
-      integrate_concave_min(pair, std::max(mf.a(), lo), std::min(pm.d(), hi),
-                            -1.0, area, moment);
+      const std::size_t p = terms + prev;
+      double pair_area2 = 0.0, pair_moment6 = 0.0;
+      add_clipped(segs + first[p], segs + first[p + 1],
+                  std::min(prev_alpha, alpha), pair_area2, pair_moment6);
+      area2 -= pair_area2;
+      moment6 -= pair_moment6;
     }
     prev = k;
     prev_alpha = alpha;
   }
-  if (area <= 0.0) return 0.5 * (lo + hi);
-  return moment / area;
+  if (area2 <= 0.0)
+    return 0.5 * (output.universe_lo() + output.universe_hi());
+  return moment6 / (3.0 * area2);
 }
 
 double Defuzzifier::weighted_average(std::span<const double> activations,

@@ -15,17 +15,21 @@
 //    loops over flat arrays with zero allocations;
 //  * for the centroid method over an output variable whose terms form an
 //    ordered partition with only adjacent-pair support overlap (every paper
-//    variable) the centroid is computed *analytically*: each clipped term
-//    is a concave min of affine functions (alpha cut + rising/falling
-//    edges), so its area and first moment integrate in closed form, and the
-//    max envelope decomposes by inclusion-exclusion as single-term integrals
-//    minus the pairwise min over each adjacent overlap.  No O(resolution)
-//    work, exact up to rounding.
+//    variable) the centroid is computed *analytically*.  prime() stores each
+//    term's membership over its universe-clipped support, and each adjacent
+//    pair's min over their overlap, as polylines whose segments are affine.
+//    A call clips those polylines at the activations (min implication: at
+//    most one alpha crossing per segment, found by a multiply with the
+//    segment's precomputed dx/dv) and integrates area and first moment in
+//    closed form; the max envelope decomposes by inclusion-exclusion as
+//    single-term integrals minus the adjacent-pair integrals.  No
+//    O(resolution) work and no division before the final moment / area.
 // Other methods and term layouts take the grid automatically;
 // set_analytic_centroid(false) forces the grid path (used by the
 // grid-vs-analytic cross-checks).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -95,6 +99,12 @@ class Defuzzifier {
   bool analytic_centroid() const noexcept { return analytic_; }
 
  private:
+  /// One affine piece of a membership polyline: value v0 at x0 rising
+  /// (or falling) to v1 at x1; dxdv = (x1 - x0) / (v1 - v0), 0 when flat.
+  struct Segment {
+    double x0, x1, v0, v1, dxdv;
+  };
+
   /// Precomputed sample tables for one output variable.  Immutable after
   /// construction and shared by copies of the defuzzifier.
   struct Grid {
@@ -102,6 +112,11 @@ class Defuzzifier {
     std::vector<double> ys;           ///< y value of each grid point
     std::vector<double> term_grades;  ///< term-major: [term * resolution + i]
     bool analytic_ok = false;  ///< term layout admits the analytic centroid
+    /// Analytic-centroid polylines (empty unless analytic_ok).  Polyline p
+    /// is segments[first[p] .. first[p + 1]); p < terms is term p's
+    /// membership, p = terms + k the min of terms k and k + 1.
+    std::vector<Segment> segments;
+    std::vector<std::uint32_t> first;
   };
 
   double defuzzify_grid(const Grid& grid, std::span<const double> activations,

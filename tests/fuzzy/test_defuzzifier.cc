@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "cac/facs_flc.h"
 #include "common/error.h"
 #include "common/math_util.h"
 #include "fuzzy/builder.h"
@@ -408,6 +409,77 @@ TEST(DefuzzAnalyticCentroid, MatchesAdaptiveExactReference) {
     }
   }
   EXPECT_GT(checked, 500);  // the skip guard must not hollow out the test
+}
+
+/// Seeded activation sets covering the analytic path's cases: each term
+/// alone (alpha < 1, == 1, > 1), each adjacent pair, each non-adjacent
+/// pair, and random mixes.
+std::vector<std::vector<double>> structured_activations(std::size_t terms,
+                                                        std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> uni(0.05, 1.0);
+  std::vector<std::vector<double>> sets;
+  for (std::size_t k = 0; k < terms; ++k) {
+    for (double alpha : {uni(rng), 1.0, 1.4}) {
+      sets.emplace_back(terms, 0.0);
+      sets.back()[k] = alpha;
+    }
+    for (std::size_t j = k + 1; j < terms; ++j) {
+      sets.emplace_back(terms, 0.0);
+      sets.back()[k] = uni(rng);
+      sets.back()[j] = j == k + 1 && k % 2 == 0 ? 1.0 : uni(rng);
+    }
+  }
+  for (int t = 0; t < 64; ++t) sets.push_back(random_activations(rng, terms));
+  return sets;
+}
+
+/// Analytic centroid of `output` against the adaptive exact reference for
+/// every structured activation set; returns how many sets were checked.
+int expect_exact_centroids(const Defuzzifier& d,
+                           const LinguisticVariable& output, double tol) {
+  EXPECT_TRUE(d.analytic_applicable(output)) << output.name();
+  std::vector<double> mu_scratch;
+  int checked = 0;
+  for (const auto& acts : structured_activations(output.term_count(), 23)) {
+    const ExactIntegral ref = exact_integral(output, acts);
+    if (ref.area <= 0.0) continue;
+    ++checked;
+    EXPECT_NEAR(d.defuzzify(acts, output, mu_scratch), ref.moment / ref.area,
+                tol)
+        << output.name() << " set " << checked;
+  }
+  return checked;
+}
+
+TEST(DefuzzAnalyticCentroid, PaperOutputsMatchAdaptiveExactReference) {
+  // FLC1's 9-term Cv and FLC2's 5-term A/R through the controllers' own
+  // primed defuzzifiers.
+  const auto flc1 = cac::make_flc1();
+  const auto flc2 = cac::make_flc2();
+  ASSERT_EQ(flc1->output().term_count(), 9u);
+  ASSERT_EQ(flc2->output().term_count(), 5u);
+  EXPECT_GT(expect_exact_centroids(flc1->defuzzifier(), flc1->output(), 1e-12),
+            100);
+  EXPECT_GT(expect_exact_centroids(flc2->defuzzifier(), flc2->output(), 1e-12),
+            40);
+
+  // Touching supports (the shoulder's d equals the next term's a) and
+  // shoulders cut by the universe on their sloped edges.
+  const LinguisticVariable edges =
+      VariableBuilder("edges", -1.0, 1.0)
+          .term("lo", MembershipFunction::from_breakpoints(-kInf, -kInf, -1.2,
+                                                           -0.6))
+          .term("touch", MembershipFunction::from_breakpoints(-0.6, -0.3,
+                                                              -0.3, 0.0))
+          .term("mid", MembershipFunction::from_breakpoints(-0.2, 0.1, 0.3,
+                                                            0.6))
+          .term("hi", MembershipFunction::from_breakpoints(0.4, 1.3, kInf,
+                                                           kInf))
+          .build();
+  Defuzzifier d(DefuzzMethod::kCentroid, 64);
+  d.prime(edges);
+  EXPECT_GT(expect_exact_centroids(d, edges, 1e-12), 40);
 }
 
 TEST(DefuzzAnalyticCentroid, HighResGridAgreesWithinItsErrorBound) {
