@@ -244,7 +244,7 @@ void BM_NetLoopbackDecide(benchmark::State& state) {
   }
   state.SetItemsProcessed(decisions);
 }
-BENCHMARK(BM_NetLoopbackDecide)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_NetLoopbackDecide)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // --- steady-state allocation audit -----------------------------------------
 

@@ -35,6 +35,7 @@ struct LoopMetrics {
   obs::Counter& frames_out;
   obs::Counter& bytes_in;
   obs::Counter& bytes_out;
+  obs::Counter& write_calls;
   obs::Counter& decode_errors;
   obs::Counter& accept_exhausted;
   obs::Counter& orphaned;
@@ -49,7 +50,8 @@ struct LoopMetrics {
         r.counter("net.accepted"),      r.counter("net.closed"),
         r.counter("net.frames_in"),     r.counter("net.frames_out"),
         r.counter("net.bytes_in"),      r.counter("net.bytes_out"),
-        r.counter("net.decode_errors"), r.counter("net.accept_exhausted"),
+        r.counter("net.write_calls"),   r.counter("net.decode_errors"),
+        r.counter("net.accept_exhausted"),
         r.counter("net.orphaned_responses"),
         r.counter("net.backpressure_pauses"), r.counter("net.timeouts"),
         r.counter("net.scrapes"),       r.gauge("net.connections"),
@@ -95,6 +97,7 @@ struct NetServer::Connection {
   bool paused = false;    ///< reads disabled (write backlog)
   bool closing = false;   ///< flush out, then close
   bool want_write = false;
+  bool dirty = false;     ///< queued responses wait for flush_dirty()
 
   Connection() : in(kReadBuf), out(kWriteBuf) {}
 };
@@ -119,6 +122,7 @@ NetServer::NetServer(const serve::ServerConfig& serve_config,
   by_fd_.resize(256, nullptr);
   by_id_.reserve(256);
   events_.reserve(64);
+  dirty_.reserve(64);
   scrape_scratch_.reserve(4096);
 
   if (net_.metrics_interval_s > 0) {
@@ -221,6 +225,7 @@ void NetServer::run() {
     if (service_.has_open_batches() && last_submit_wall_ >= 0.0 &&
         now - last_submit_wall_ >= net_.flush_idle_s)
       service_.flush_open_batches();
+    flush_dirty();
     if (now - last_sweep >= 0.1) {
       sweep_timeouts(now);
       last_sweep = now;
@@ -309,7 +314,8 @@ void NetServer::on_readable(Connection& c) {
       if (static_cast<std::size_t>(n) < room) break;  // drained the socket
       continue;
     }
-    if (n == 0) {  // orderly EOF
+    if (n == 0) {  // orderly EOF: answers this read decided still go out
+      if (c.dirty) flush_writes(c);
       close_connection(c);
       return;
     }
@@ -429,14 +435,23 @@ void NetServer::queue_frame(Connection& c, FrameType type,
     return;
   }
   if (obs::metrics_enabled()) LoopMetrics::get().frames_out.add(1);
-  if (!c.paused && c.out.size() > kWriteHighWatermark) {
-    // Backpressure: stop reading this connection until its backlog drains
-    // below half the watermark.
+  if (c.out.size() <= kWriteHighWatermark) {
+    // Coalesce: flush_dirty() writes the whole backlog once per loop pass.
+    // A connection waiting for POLLOUT is written by on_writable instead.
+    if (!c.want_write && !c.dirty) {
+      c.dirty = true;
+      dirty_.push_back(&c);
+    }
+    return;
+  }
+  if (!c.want_write) flush_writes(c);
+  if (c.open && !c.paused && c.out.size() > kWriteHighWatermark) {
+    // Backpressure: the peer is not taking the backlog, so stop reading
+    // this connection until it drains below half the watermark.
     c.paused = true;
     update_interest(c);
     if (obs::metrics_enabled()) LoopMetrics::get().pauses.add(1);
   }
-  if (!c.want_write) flush_writes(c);
 }
 
 void NetServer::queue_frame_to(std::uint64_t conn_id, FrameType type,
@@ -450,11 +465,19 @@ void NetServer::queue_frame_to(std::uint64_t conn_id, FrameType type,
   queue_frame(*it->second, type, payload, len);
 }
 
+void NetServer::flush_dirty() {
+  for (Connection* c : dirty_)
+    if (c->dirty) flush_writes(*c);
+  dirty_.clear();
+}
+
 void NetServer::flush_writes(Connection& c) {
   const auto write_start = std::chrono::steady_clock::now();
+  c.dirty = false;
   std::size_t total = 0;
   while (c.open && !c.out.empty()) {
     const ssize_t n = ::write(c.fd.get(), c.out.data(), c.out.size());
+    if (obs::metrics_enabled()) LoopMetrics::get().write_calls.add(1);
     if (n > 0) {
       c.out.consume(static_cast<std::size_t>(n));
       total += static_cast<std::size_t>(n);
@@ -514,6 +537,7 @@ void NetServer::close_connection(Connection& c) {
   by_id_.erase(c.id);
   c.fd.reset();
   c.open = false;
+  c.dirty = false;
   c.in.clear();
   c.out.clear();
   free_.push_back(&c);
@@ -576,6 +600,7 @@ void NetServer::drain() {
 
   // Decide everything buffered and seal the telemetry.
   service_.drain();
+  flush_dirty();
   drained_wall_ = now_s();
   if (snapshot_) snapshot_->flush();
 

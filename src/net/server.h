@@ -11,10 +11,18 @@
 //     finalized telemetry row in the exact CSV encoding, plus the metrics
 //     registry snapshot), connection closes.  `nc host port` is a client.
 //
+// Responses are coalesced: a frame is appended to its connection's
+// backlog and the connection marked dirty; each loop pass (and drain)
+// then makes at most one write() per dirty connection, so a burst of
+// decisions costs one syscall, not one per 32-byte frame.  Frame bytes
+// and their order per connection are unchanged.  A backlog above the
+// write high watermark is written at once, and error frames and the
+// telemetry scrape are written immediately.
+//
 // Robustness model:
 //   * bounded per-connection buffers: reads stop (backpressure) while a
-//     connection's response backlog sits above the write high watermark,
-//     and resume when it drains below half of it;
+//     connection's response backlog stays above the write high watermark
+//     after a write, and resume when it drains below half of it;
 //   * a global pending cap sheds the oldest undecided request
 //     (AdmissionService, kDropped frame, counted in the registry);
 //   * per-connection timeouts: a stalled partial frame (read), an
@@ -124,6 +132,8 @@ class NetServer {
   void queue_frame_to(std::uint64_t conn_id, FrameType type,
                       const std::uint8_t* payload, std::size_t len);
   void flush_writes(Connection& c);
+  /// Writes every connection queue_frame marked dirty since the last call.
+  void flush_dirty();
   void update_interest(Connection& c);
   void close_connection(Connection& c);
   void sweep_timeouts(double now_s);
@@ -146,6 +156,7 @@ class NetServer {
   std::vector<Connection*> by_fd_;  ///< index = fd, nullptr when unused
   std::unordered_map<std::uint64_t, Connection*> by_id_;
   std::vector<PollEvent> events_;
+  std::vector<Connection*> dirty_;  ///< connections with unflushed frames
   std::uint64_t next_conn_id_ = 1;
   std::size_t open_connections_ = 0;
 

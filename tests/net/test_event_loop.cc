@@ -1,17 +1,21 @@
 // NetServer end to end over real loopback sockets: request/response round
 // trips, the FLUSH barrier, malformed-input error frames, partial writes,
-// mid-batch disconnects, the telemetry scrape, connection-slot reuse, and
-// graceful stop.  The server runs on its own thread
-// (which is also what gives TSan a cross-thread schedule to check);
+// mid-batch disconnects, the telemetry scrape, connection-slot reuse,
+// response coalescing and backpressure, and graceful stop.  The server
+// runs on its own thread (which is also what gives TSan a cross-thread
+// schedule to check);
 // clients are plain blocking sockets with a receive timeout so a server
 // bug fails the test instead of hanging it.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -20,6 +24,7 @@
 
 #include "net/frame.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 #include "workload/catalog.h"
 
 namespace facsp::net {
@@ -100,25 +105,67 @@ void send_request(int fd, const serve::StampedRequest& r) {
   send_all(fd, buf, sizeof buf);
 }
 
+/// `count` request frames with ids first_id, first_id + 1, ... arriving
+/// 1 ms apart, optionally followed by a FLUSH, as one byte stream.
+std::vector<std::uint8_t> encode_burst(std::uint64_t first_id, int count,
+                                       bool flush) {
+  std::vector<std::uint8_t> out(count * kRequestFrameSize +
+                                (flush ? kFlushFrameSize : 0));
+  std::uint8_t* w = out.data();
+  for (int i = 0; i < count; ++i, w += kRequestFrameSize) {
+    const std::uint64_t id = first_id + static_cast<std::uint64_t>(i);
+    encode_header({static_cast<std::uint32_t>(kRequestPayloadSize),
+                   FrameType::kRequest, kProtocolVersion, 0},
+                  w);
+    encode_request(request_at(0.1 + 0.001 * static_cast<double>(id), id),
+                   w + kHeaderSize);
+  }
+  if (flush) encode_header({0, FrameType::kFlush, kProtocolVersion, 0}, w);
+  return out;
+}
+
 void send_flush(int fd) {
   std::uint8_t buf[kFlushFrameSize];
   encode_header({0, FrameType::kFlush, kProtocolVersion, 0}, buf);
   send_all(fd, buf, sizeof buf);
 }
 
+/// Turns the metrics registry on for one test and off again after it.
+struct MetricsOn {
+  MetricsOn() { obs::set_metrics_enabled(true); }
+  ~MetricsOn() { obs::set_metrics_enabled(false); }
+};
+
+std::uint64_t counter(const char* name) {
+  return obs::Registry::instance().counter(name).value();
+}
+
+/// Polls `name` until it reaches `target` (the server runs on another
+/// thread); false after five seconds.
+bool wait_for_counter(const char* name, std::uint64_t target) {
+  for (int i = 0; i < 5000 && counter(name) < target; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  return counter(name) >= target;
+}
+
 class EventLoopTest : public ::testing::Test {
  protected:
-  void start(NetConfig net = {}) {
+  /// Quick idle flush: tests that skip the FLUSH barrier still see their
+  /// responses promptly.
+  static NetConfig quick_net() {
+    NetConfig net;
+    net.flush_idle_s = 0.01;
+    return net;
+  }
+
+  void start(NetConfig net = quick_net(), int shards = 2) {
     serve_config_.scenario = workload::catalog_scenario("paper-grid");
     serve_config_.scenario_label = "paper-grid";
-    serve_config_.shards = 2;
+    serve_config_.shards = shards;
     serve_config_.batch_window_s = 0.05;
     serve_config_.batch_max = 64;
     net.port = 0;
     net.telemetry_port = 0;
-    // Quick idle flush: tests that skip the FLUSH barrier still see their
-    // responses promptly.
-    net.flush_idle_s = 0.01;
     server_ = std::make_unique<NetServer>(serve_config_, net);
     thread_ = std::thread([this] { server_->run(); });
   }
@@ -535,6 +582,140 @@ TEST_F(EventLoopTest, StopSealsTelemetryAndReportsResult) {
   ASSERT_EQ(result.telemetry.size(), 2u);  // seconds 0 and 1
   EXPECT_EQ(result.total_decisions, 2);
   EXPECT_GE(result.wall_s, 0.0);
+}
+
+TEST_F(EventLoopTest, BurstIsAnsweredInFewWrites) {
+  MetricsOn metrics;
+  NetConfig net;
+  net.flush_idle_s = 3600.0;  // only the FLUSH closes batches
+  start(net);
+  UniqueFd fd = connect_client(server_->admission_port());
+  // Warm-up round trip: the accept and its bookkeeping happen before the
+  // counters are read.
+  send_flush(fd.get());
+  Frame f;
+  ASSERT_TRUE(read_frame(fd.get(), f));
+  ASSERT_EQ(f.header.type, FrameType::kFlush);
+
+  constexpr int kBurst = 512;
+  const std::vector<std::uint8_t> burst =
+      encode_burst(/*first_id=*/0, kBurst, /*flush=*/true);
+  const std::uint64_t frames0 = counter("net.frames_out");
+  const std::uint64_t writes0 = counter("net.write_calls");
+  send_all(fd.get(), burst.data(), burst.size());
+
+  int responses = 0;
+  for (;;) {
+    ASSERT_TRUE(read_frame(fd.get(), f));
+    if (f.header.type == FrameType::kFlush) break;
+    ASSERT_EQ(f.header.type, FrameType::kResponse);
+    ++responses;
+  }
+  EXPECT_EQ(responses, kBurst);
+  EXPECT_EQ(counter("net.frames_out") - frames0, kBurst + 1u);
+  // Responses are coalesced per loop pass; one write per frame would be
+  // 513.
+  EXPECT_LE(counter("net.write_calls") - writes0, 16u);
+}
+
+TEST_F(EventLoopTest, StopAnswersRequestsStillInOpenBatches) {
+  MetricsOn metrics;
+  NetConfig net;
+  net.flush_idle_s = 3600.0;  // nothing closes the batches before stop
+  start(net);
+  UniqueFd fd = connect_client(server_->admission_port());
+  constexpr int kRequests = 10;
+  const std::uint64_t frames_in0 = counter("net.frames_in");
+  for (int i = 0; i < kRequests; ++i)
+    send_request(fd.get(), request_at(0.1 + 0.001 * i, 300 + i));
+  // The server must have read every request before the stop, or the
+  // drain has nothing to decide.
+  ASSERT_TRUE(wait_for_counter("net.frames_in", frames_in0 + kRequests));
+
+  server_->request_stop();
+  std::vector<std::uint64_t> ids;
+  Frame f;
+  while (read_frame(fd.get(), f)) {
+    ASSERT_EQ(f.header.type, FrameType::kResponse);
+    ResponseFrame r;
+    ASSERT_EQ(decode_response(f.payload.data(), f.payload.size(), r),
+              WireError::kNone);
+    ids.push_back(r.id);
+  }
+  thread_.join();
+  std::sort(ids.begin(), ids.end());
+  ASSERT_EQ(ids.size(), static_cast<std::size_t>(kRequests));
+  for (int i = 0; i < kRequests; ++i) EXPECT_EQ(ids[i], 300u + i) << i;
+}
+
+TEST_F(EventLoopTest, SlowReaderGetsEveryResponseInOrder) {
+  MetricsOn metrics;
+  start(quick_net(), /*shards=*/1);  // one shard answers in id order
+
+  // A small receive buffer keeps the client's window small; the server's
+  // send buffer (which the kernel may grow to megabytes) fills next, and
+  // only then does the server's backlog pass the high watermark.
+  UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(fd.valid());
+  const int rcvbuf = 4096;
+  setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  timeval tv{5, 0};
+  setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  setsockopt(fd.get(), SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server_->admission_port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0)
+      << std::strerror(errno);
+
+  const std::uint64_t pauses0 = counter("net.backpressure_pauses");
+  const std::uint64_t closed0 = counter("net.closed");
+  // The writer streams bursts without reading until the server pauses,
+  // then ends with a FLUSH.  It blocks while the server is paused and
+  // finishes once the reader below drains the backlog (or fails on the
+  // send timeout, so a failed read cannot leave it hanging).
+  constexpr int kBurst = 512;
+  constexpr int kMaxRequests = 1 << 20;  // ~32 MiB of responses
+  std::atomic<bool> stop{false};
+  int sent = 0;
+  std::thread writer([&] {
+    while (sent < kMaxRequests && !stop.load()) {
+      const std::vector<std::uint8_t> burst =
+          encode_burst(static_cast<std::uint64_t>(sent), kBurst,
+                       /*flush=*/false);
+      send_all(fd.get(), burst.data(), burst.size());
+      sent += kBurst;
+    }
+    send_flush(fd.get());
+  });
+  EXPECT_TRUE(wait_for_counter("net.backpressure_pauses", pauses0 + 1));
+  stop.store(true);
+
+  std::uint64_t next = 0;
+  bool flush_seen = false;
+  [&] {
+    Frame f;
+    while (read_frame(fd.get(), f)) {
+      if (f.header.type == FrameType::kFlush) {
+        flush_seen = true;
+        return;
+      }
+      ASSERT_EQ(f.header.type, FrameType::kResponse);
+      ResponseFrame r;
+      ASSERT_EQ(decode_response(f.payload.data(), f.payload.size(), r),
+                WireError::kNone);
+      ASSERT_EQ(r.id, next);
+      ++next;
+    }
+  }();
+  writer.join();
+  EXPECT_TRUE(flush_seen);
+  EXPECT_EQ(next, static_cast<std::uint64_t>(sent));
+  EXPECT_EQ(counter("net.closed"), closed0);  // never dropped
+  EXPECT_GE(counter("net.backpressure_pauses"), pauses0 + 1);
 }
 
 TEST(NetConfigValidate, RejectsNonsense) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "common/error.h"
 
@@ -110,6 +112,97 @@ TEST(Trace, FileRoundTrip) {
   ASSERT_EQ(parsed.size(), records.size());
   EXPECT_EQ(parsed[0].req.id, records[0].req.id);
   EXPECT_THROW(read_trace_file(path + ".does-not-exist"), Error);
+}
+
+/// Deterministic generator for the fuzzer (FrameFuzz's LCG recurrence).
+struct Lcg {
+  std::uint64_t s;
+  std::uint64_t next() {
+    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+    return s >> 33;
+  }
+  std::size_t below(std::size_t n) {
+    return static_cast<std::size_t>(next() % n);
+  }
+};
+
+/// Replaces the `column`-th cell of the line starting at `line_start`.
+void set_cell(std::string& text, std::size_t line_start, int column,
+              const std::string& value) {
+  std::size_t begin = line_start;
+  for (int c = 0; c < column; ++c) begin = text.find(',', begin) + 1;
+  std::size_t end = text.find_first_of(",\n", begin);
+  if (end == std::string::npos) end = text.size();
+  text.replace(begin, end - begin, value);
+}
+
+TEST(TraceFuzz, MutatedTracesParseOrThrowParseError) {
+  std::vector<StampedRequest> records = awkward_records();
+  for (int i = 0; i < 6; ++i) {
+    StampedRequest r = records[static_cast<std::size_t>(i % 2)];
+    r.req.now = 1.0 + 0.25 * i;
+    r.req.id = 10u + static_cast<std::uint64_t>(i);
+    r.req.service = cellular::kAllServices[static_cast<std::size_t>(i) %
+                                           cellular::kAllServices.size()];
+    r.req.priority = cellular::kAllPriorities[static_cast<std::size_t>(i) %
+                                              cellular::kAllPriorities.size()];
+    r.req.kind = i % 2 == 0 ? cellular::RequestKind::kNew
+                            : cellular::RequestKind::kHandoff;
+    records.push_back(r);
+  }
+  std::ostringstream os;
+  write_trace(records, os);
+  const std::string valid = os.str();
+  std::vector<std::size_t> data_lines;  // offsets of the record lines
+  for (std::size_t p = valid.find('\n'); p + 1 < valid.size();
+       p = valid.find('\n', p + 1))
+    data_lines.push_back(p + 1);
+  ASSERT_EQ(data_lines.size(), records.size());
+
+  // Every column except id (1), service (2), kind (4) and priority (5).
+  const int numeric[] = {0, 3, 6, 7, 8, 9, 10, 11, 12};
+  const char* const specials[] = {"nan", "-nan", "inf", "-inf", "1e999",
+                                  "-1e999", "1e-999", ""};
+  const char separators[] = {',', '\n', '\r', ' '};
+  Lcg rng{2024};
+  int parsed = 0;
+  int rejected = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string text = valid;
+    if (rng.below(4) == 0)  // a special number in a numeric field
+      set_cell(text, data_lines[rng.below(data_lines.size())],
+               numeric[rng.below(std::size(numeric))],
+               specials[rng.below(std::size(specials))]);
+    const std::size_t mutations = rng.below(4);
+    for (std::size_t m = 0; m < mutations && !text.empty(); ++m) {
+      switch (rng.below(3)) {
+        case 0:  // flip a byte
+          text[rng.below(text.size())] ^=
+              static_cast<char>(1 + rng.below(255));
+          break;
+        case 1:  // truncate
+          text.resize(rng.below(text.size()));
+          break;
+        default:  // insert a separator
+          text.insert(rng.below(text.size() + 1), 1,
+                      separators[rng.below(std::size(separators))]);
+          break;
+      }
+    }
+    std::istringstream in(text);
+    try {
+      const std::vector<StampedRequest> out = read_trace(in);
+      EXPECT_LE(out.size(), records.size()) << "case " << i;
+      ++parsed;
+    } catch (const ParseError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "case " << i << ": " << e.what() << "\n" << text;
+    }
+  }
+  // Both outcomes are exercised, not just one.
+  EXPECT_GT(parsed, 500);
+  EXPECT_GT(rejected, 500);
 }
 
 }  // namespace

@@ -45,10 +45,12 @@ class ReportError(Exception):
 
 
 def base_name(name):
-    """Benchmark family name: strip the '/repeats:N' segment google-benchmark
-    appends when repetitions are requested at registration time, so a guard
-    on BM_X matches however the bench was run."""
-    return "/".join(p for p in name.split("/") if not p.startswith("repeats:"))
+    """Benchmark family name: strip the '/repeats:N' and '/real_time'
+    segments google-benchmark appends for repetitions and UseRealTime() at
+    registration time, so a guard on BM_X matches however the bench was
+    run."""
+    return "/".join(p for p in name.split("/")
+                    if not p.startswith("repeats:") and p != "real_time")
 
 
 def per_op_ns(entry):
@@ -142,6 +144,8 @@ def selftest():
     assert base_name("BM_X/repeats:5") == "BM_X"
     assert base_name("BM_X/256/repeats:5") == "BM_X/256"
     assert base_name("BM_X/256") == "BM_X/256"
+    assert base_name("BM_X/real_time") == "BM_X"
+    assert base_name("BM_X/repeats:3/real_time") == "BM_X"
 
     # --rate mode: within budget, below the floor, missing, bad baseline.
     baseline = {"a_events_s": 1000.0, "b_events_s": 500.0, "bad": 0}
