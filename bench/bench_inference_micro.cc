@@ -172,32 +172,35 @@ void BM_DefuzzCentroid(benchmark::State& state, int stage) {
 BENCHMARK_CAPTURE(BM_DefuzzCentroid, FLC1, 1);
 BENCHMARK_CAPTURE(BM_DefuzzCentroid, FLC2, 2);
 
-/// decide_batch at the serve batch size over a seeded mix of service
-/// classes, request kinds and kinematics, against eight cells whose loads
-/// spread Cs across its universe.
-void BM_DecideBatchMix(benchmark::State& state) {
-  cac::FacsPPolicy policy;
-  const std::size_t rows = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kCells = 8, kBatches = 64;
-  sim::RandomStream rng(29);
+/// A seeded mix of service classes, request kinds and kinematics in
+/// batches of `rows`, against eight cells whose loads spread Cs across its
+/// universe.  Batch b is decided against cell b % kCells.
+struct DecideMix {
+  static constexpr std::size_t kCells = 8, kBatches = 64;
   std::vector<cellular::BaseStation> cells;
-  cells.reserve(kCells);
+  std::vector<cac::AdmissionRequest> reqs;
+};
+
+DecideMix make_decide_mix(std::size_t rows) {
+  sim::RandomStream rng(29);
+  DecideMix mix;
+  mix.cells.reserve(DecideMix::kCells);
   cellular::ConnectionId next_id = 1;
-  for (std::size_t c = 0; c < kCells; ++c) {
-    cells.emplace_back(static_cast<cellular::BaseStationId>(c),
-                       cellular::HexCoord{0, 0}, cellular::Point{0.0, 0.0},
-                       40.0);
+  for (std::size_t c = 0; c < DecideMix::kCells; ++c) {
+    cellular::BaseStation& bs = mix.cells.emplace_back(
+        static_cast<cellular::BaseStationId>(c), cellular::HexCoord{0, 0},
+        cellular::Point{0.0, 0.0}, 40.0);
     // Fill to about 5*c BU with random classes.
-    while (cells[c].used() + 10.0 <= 5.0 * static_cast<double>(c)) {
+    while (bs.used() + 10.0 <= 5.0 * static_cast<double>(c)) {
       cellular::Connection conn;
       conn.id = next_id++;
       conn.service = static_cast<cellular::ServiceClass>(rng.uniform_int(0, 2));
       conn.bandwidth = cellular::service_bandwidth(conn.service);
-      cells[c].allocate(conn, 0.0, rng.bernoulli(0.3));
+      bs.allocate(conn, 0.0, rng.bernoulli(0.3));
     }
   }
-  std::vector<cac::AdmissionRequest> reqs(rows * kBatches);
-  for (auto& req : reqs) {
+  mix.reqs.resize(rows * DecideMix::kBatches);
+  for (auto& req : mix.reqs) {
     req.id = next_id++;
     req.service = static_cast<cellular::ServiceClass>(rng.uniform_int(0, 2));
     req.bandwidth = cellular::service_bandwidth(req.service);
@@ -206,12 +209,20 @@ void BM_DecideBatchMix(benchmark::State& state) {
     req.speed_kmh = rng.uniform(0.0, 120.0);
     req.angle_deg = rng.uniform(-180.0, 180.0);
   }
+  return mix;
+}
+
+/// decide_batch at the serve batch size over the decide mix.
+void BM_DecideBatchMix(benchmark::State& state) {
+  cac::FacsPPolicy policy;
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  const DecideMix mix = make_decide_mix(rows);
   std::vector<cac::AdmissionDecision> out(rows);
   std::size_t b = 0;
   for (auto _ : state) {
     const std::span<const cac::AdmissionRequest> batch(
-        reqs.data() + (b % kBatches) * rows, rows);
-    policy.decide_batch(batch, cells[b % kCells], out);
+        mix.reqs.data() + (b % DecideMix::kBatches) * rows, rows);
+    policy.decide_batch(batch, mix.cells[b % DecideMix::kCells], out);
     benchmark::DoNotOptimize(out.data());
     ++b;
   }
@@ -219,6 +230,28 @@ void BM_DecideBatchMix(benchmark::State& state) {
                           static_cast<std::int64_t>(rows));
 }
 BENCHMARK(BM_DecideBatchMix)->Arg(50);
+
+/// Scalar decide() row by row over the same decide mix and batches as
+/// BM_DecideBatchMix, so scalar and batched decisions are timed on one
+/// input.
+void BM_FacsPDecideMix(benchmark::State& state) {
+  cac::FacsPPolicy policy;
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  const DecideMix mix = make_decide_mix(rows);
+  std::vector<cac::AdmissionDecision> out(rows);
+  std::size_t b = 0;
+  for (auto _ : state) {
+    const cac::AdmissionRequest* batch =
+        mix.reqs.data() + (b % DecideMix::kBatches) * rows;
+    const cellular::BaseStation& bs = mix.cells[b % DecideMix::kCells];
+    for (std::size_t i = 0; i < rows; ++i) out[i] = policy.decide(batch[i], bs);
+    benchmark::DoNotOptimize(out.data());
+    ++b;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows));
+}
+BENCHMARK(BM_FacsPDecideMix)->Arg(50);
 
 void BM_SccDecide(benchmark::State& state) {
   cellular::CellularNetwork net(1, 2000.0, 40.0);

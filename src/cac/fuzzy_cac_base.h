@@ -32,12 +32,11 @@ class FuzzyCacBase : public AdmissionPolicy {
                            const cellular::BaseStation& bs) final;
 
   /// Batched form: stages all rows of FLC1, then all rows of FLC2, through
-  /// the structure-of-arrays lane kernels (SIMD when enabled) instead of
-  /// cascading per request.  Both controllers are stateless and the counter
-  /// state does not depend on the request, so every decision is identical —
-  /// bit-identical, by the lane kernels' contract — to decide() on that
-  /// request.  Allocation-free at steady state (asserted by the zero-alloc
-  /// audit).
+  /// the structure-of-arrays lane kernel instead of cascading per request.
+  /// Both controllers are stateless and the counter state does not depend
+  /// on the request, so every decision is identical — bit-identical, by the
+  /// lane kernel's contract — to decide() on that request.  Allocation-free
+  /// at steady state (asserted by the zero-alloc audit).
   void decide_batch(std::span<const AdmissionRequest> reqs,
                     const cellular::BaseStation& bs,
                     std::span<AdmissionDecision> out) final;

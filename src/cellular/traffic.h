@@ -99,9 +99,6 @@ class TrafficGenerator {
   void generate_into(int n, sim::SimTime t0, std::vector<CallRequest>& out);
 
   const TrafficConfig& config() const noexcept { return config_; }
-  const workload::ArrivalProcess& arrival_process() const noexcept {
-    return *arrival_;
-  }
 
  private:
   CallRequest make_request(sim::SimTime arrival, sim::SimTime t0);

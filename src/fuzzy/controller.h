@@ -66,7 +66,8 @@ class FuzzyController {
 
   /// Explicit-scratch form of evaluate_batch(): rows are processed in
   /// structure-of-arrays blocks of InferenceEngine::kLanes through the lane
-  /// kernels (SIMD when lane_simd_available()), then defuzzified per row.
+  /// kernel (4 doubles per vector operation when lane_simd_available(),
+  /// else 2), then defuzzified per row.
   /// Each output is bit-identical to evaluate_with() on that row.  Zero heap
   /// allocations once `scratch` is warm.
   void evaluate_batch_with(InferenceScratch& scratch,

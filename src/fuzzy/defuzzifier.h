@@ -96,7 +96,6 @@ class Defuzzifier {
   /// disabled every centroid evaluation uses the resolution-point grid —
   /// retained as an independent cross-check and for error measurement.
   void set_analytic_centroid(bool enabled) noexcept { analytic_ = enabled; }
-  bool analytic_centroid() const noexcept { return analytic_; }
 
  private:
   /// One affine piece of a membership polyline: value v0 at x0 rising

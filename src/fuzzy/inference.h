@@ -18,10 +18,10 @@
 
 namespace facsp::fuzzy {
 
-/// True when the hand-written SIMD lane kernels run on this machine: the
-/// library was built with FACSP_SIMD and the CPU supports them (AVX2 on
-/// x86-64, NEON on AArch64).  Otherwise infer_batch_into() takes the
-/// portable loops, which are bit-identical.
+/// True when infer_batch_into() runs its lane kernel 4 doubles wide: an
+/// x86-64 CPU with AVX2 (checked once, at the first call).  Otherwise the
+/// kernel runs 2 wide (SSE2 on x86-64, NEON on AArch64); both widths are
+/// bit-identical to the scalar path.
 bool lane_simd_available() noexcept;
 
 /// Per-rule firing record, for explanation/tracing (rule_explorer example).
@@ -45,8 +45,8 @@ struct InferenceScratch {
 
   // Structure-of-arrays block for the batched path (infer_batch_into /
   // evaluate_batch_with): lane-major flat arrays of kLanes decisions each,
-  // laid out so one index step moves across decisions, not across terms —
-  // the per-lane loops then compile to (or are hand-written as) SIMD.
+  // laid out so one index step moves across decisions, not across terms,
+  // and one vector operation covers several decisions.
   std::vector<double> lane_inputs;       ///< [input * kLanes + lane]
   std::vector<double> lane_grades;       ///< [grade slot * kLanes + lane]
   std::vector<double> lane_activations;  ///< [output term * kLanes + lane]
@@ -88,14 +88,20 @@ class InferenceEngine {
   /// row-major; scratch.lane_activations receives every output term's
   /// activation per lane ([term * kLanes + lane]; lanes >= rows are padding
   /// and must be ignored).  Per lane the result is bit-identical to
-  /// infer_into() on that lane's row — whether lane_simd_available() or not
-  /// (kernels use only min/max/mul/add/sub/div lane ops, never FMA, in the
-  /// scalar evaluation order).  Zero heap allocations once scratch is warm.
+  /// infer_into() on that lane's row (the kernel uses only min/max/and/mul/
+  /// sub/div lane ops, never FMA, in the scalar evaluation order).  Runs
+  /// infer_batch_w4() when lane_simd_available(), else infer_batch_w2().
+  /// Zero heap allocations once scratch is warm.
   void infer_batch_into(std::span<const double> crisp_inputs,
                         std::size_t rows, InferenceScratch& scratch) const;
 
-  /// Total input-grade slots a scratch uses (sum of input term counts).
-  std::size_t grade_count() const noexcept { return total_grades_; }
+  /// The lane kernel at one vector width: 4 doubles per operation (built
+  /// for AVX2; call only when lane_simd_available()) or 2 (baseline).  Same
+  /// contract as infer_batch_into().
+  void infer_batch_w4(std::span<const double> crisp_inputs, std::size_t rows,
+                      InferenceScratch& scratch) const;
+  void infer_batch_w2(std::span<const double> crisp_inputs, std::size_t rows,
+                      InferenceScratch& scratch) const;
 
  private:
   /// One rule flattened for the hot loops: a window into rule_slots_ (the
@@ -141,10 +147,10 @@ class InferenceEngine {
   void run(std::span<const double> crisp_inputs, InferenceScratch& scratch,
            std::vector<FiredRule>* fired) const;
 
-  /// Lane kernels behind infer_batch_into(): portable flat loops vs
-  /// hand-written SIMD (defined in inference_batch.cc).
-  void infer_lanes_generic(InferenceScratch& scratch) const;
-  void infer_lanes_simd(InferenceScratch& scratch) const;
+  /// The lane kernel, N doubles per vector operation (inference_batch.cc).
+  template <std::size_t N>
+  void infer_lanes(std::span<const double> crisp_inputs, std::size_t rows,
+                   InferenceScratch& scratch) const;
 
   const std::vector<LinguisticVariable>& inputs_;
   const LinguisticVariable& output_;

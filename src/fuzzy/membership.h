@@ -62,14 +62,6 @@ class MembershipFunction {
   double c() const noexcept { return c_; }
   double d() const noexcept { return d_; }
 
-  /// Smallest / largest x with grade > 0 (support). May be +/-infinity.
-  double support_lo() const noexcept { return a_; }
-  double support_hi() const noexcept { return d_; }
-
-  /// Smallest / largest x with grade == 1 (core). May be +/-infinity.
-  double core_lo() const noexcept { return b_; }
-  double core_hi() const noexcept { return c_; }
-
   /// Midpoint of the core; for shoulders the finite end of the plateau.
   /// Used by weighted-average style defuzzifiers.
   double core_center() const noexcept;

@@ -1,7 +1,6 @@
 #include "net/frame.h"
 
 #include <bit>
-#include <cmath>
 #include <cstring>
 
 namespace facsp::net {
@@ -165,22 +164,8 @@ WireError decode_request(const std::uint8_t* in, std::size_t len,
   q.service = static_cast<cellular::ServiceClass>(service);
   q.kind = static_cast<cellular::RequestKind>(kind);
   q.priority = static_cast<cellular::UserPriority>(priority);
-
-  // A non-finite double anywhere poisons batching / expiry arithmetic.
-  const double doubles[] = {q.now,          q.bandwidth,
-                            q.speed_kmh,    q.angle_deg,
-                            q.distance_m,   out.holding_s,
-                            q.mobile.position.x, q.mobile.position.y,
-                            q.mobile.heading_deg};
-  for (const double v : doubles)
-    if (!std::isfinite(v)) return WireError::kBadValue;
-  if (q.now < 0.0 || out.holding_s < 0.0) return WireError::kBadValue;
-  // An absurd arrival time would wedge the server finalizing empty seconds
-  // (and overflow the double->int64 second cast); a non-positive bandwidth
-  // would trip BaseStation::allocate's precondition downstream.
-  if (q.now > kMaxArrivalS) return WireError::kBadValue;
-  if (q.bandwidth <= 0.0) return WireError::kBadValue;
-  return WireError::kNone;
+  return serve::request_value_error(out) == nullptr ? WireError::kNone
+                                                    : WireError::kBadValue;
 }
 
 void encode_response(std::uint64_t id, const cac::AdmissionDecision& d,

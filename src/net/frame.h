@@ -70,11 +70,9 @@ inline constexpr std::uint8_t kProtocolVersion = 1;
 /// (88 bytes) so the format can grow, far below the read buffer so a
 /// hostile length prefix can never wedge a connection.
 inline constexpr std::uint32_t kMaxPayload = 4096;
-/// Largest arrival_s a request frame may carry (2^32 simulated seconds,
-/// ~136 years).  A hard sanity cap: it keeps every downstream
-/// double->int64 second computation far from overflow regardless of the
-/// server's (tighter, watermark-relative) max-skew horizon.
-inline constexpr double kMaxArrivalS = 4294967296.0;
+/// Largest arrival_s a request frame may carry: the request rule's cap
+/// (serve/trace.h), on top of which the server bounds forward skew.
+using serve::kMaxArrivalS;
 
 enum class FrameType : std::uint8_t {
   kRequest = 1,
@@ -92,8 +90,9 @@ enum class WireError : std::uint32_t {
   kOversized = 3,    ///< length prefix > kMaxPayload
   kBadLength = 4,    ///< payload size wrong for the frame type
   kBadEnum = 5,      ///< service/kind/priority byte out of range
-  kBadValue = 6,     ///< non-finite double, non-positive bandwidth,
-                     ///< negative time/holding, arrival_s > kMaxArrivalS
+  kBadValue = 6,     ///< breaks serve::request_value_error() (non-finite,
+                     ///< negative time/holding, arrival_s > kMaxArrivalS,
+                     ///< non-positive bandwidth)
   kTimeOrder = 7,    ///< arrival_s below the server's watermark
   kHorizon = 8,      ///< arrival_s too far above the watermark (max skew)
 };

@@ -6,6 +6,7 @@
 #include <csignal>
 #include <cstring>
 #include <sstream>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "common/expects.h"
@@ -476,7 +477,10 @@ void NetServer::flush_writes(Connection& c) {
   c.dirty = false;
   std::size_t total = 0;
   while (c.open && !c.out.empty()) {
-    const ssize_t n = ::write(c.fd.get(), c.out.data(), c.out.size());
+    // MSG_NOSIGNAL: a peer that closed with answers still pending makes
+    // this EPIPE, which closes its connection, not SIGPIPE the process.
+    const ssize_t n =
+        ::send(c.fd.get(), c.out.data(), c.out.size(), MSG_NOSIGNAL);
     if (obs::metrics_enabled()) LoopMetrics::get().write_calls.add(1);
     if (n > 0) {
       c.out.consume(static_cast<std::size_t>(n));

@@ -67,8 +67,9 @@ struct ServerConfig {
   int threads = 1;
   /// Admission-batching window: requests buffer at most this long before
   /// the batch is decided (seconds, <= 1).  0.1 s keeps batches large
-  /// enough (~50 requests at the paper-grid rate) for the SIMD lanes of
-  /// decide_batch to pay off.
+  /// enough (~50 requests at the paper-grid rate) to fill decide_batch's
+  /// blocks of InferenceEngine::kLanes decisions, which its vector lane
+  /// kernel evaluates together.
   double batch_window_s = 0.1;
   /// A batch also closes when it reaches this many requests.
   int batch_max = 256;

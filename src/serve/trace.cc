@@ -1,6 +1,7 @@
 #include "serve/trace.h"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -61,6 +62,22 @@ cellular::RequestKind parse_kind(const std::string& cell, int row) {
 
 }  // namespace
 
+const char* request_value_error(const StampedRequest& r) noexcept {
+  const cac::AdmissionRequest& q = r.req;
+  const double doubles[] = {q.now,          q.bandwidth,
+                            q.speed_kmh,    q.angle_deg,
+                            q.distance_m,   r.holding_s,
+                            q.mobile.position.x, q.mobile.position.y,
+                            q.mobile.heading_deg};
+  for (const double v : doubles)
+    if (!std::isfinite(v)) return "non-finite value";
+  if (q.now < 0.0) return "negative arrival time";
+  if (r.holding_s < 0.0) return "negative holding time";
+  if (q.now > kMaxArrivalS) return "arrival time above 2^32 s";
+  if (q.bandwidth <= 0.0) return "non-positive bandwidth";
+  return nullptr;
+}
+
 void write_trace(const std::vector<StampedRequest>& records,
                  std::ostream& os) {
   os << kTraceHeader << '\n';
@@ -117,6 +134,8 @@ std::vector<StampedRequest> read_trace(std::istream& is) {
     r.req.mobile.position.y = parse_double(cells[11], rowno);
     r.req.mobile.heading_deg = parse_double(cells[12], rowno);
     r.req.mobile.speed_kmh = r.req.speed_kmh;
+    if (const char* why = request_value_error(r))
+      throw ParseError(std::string("trace: ") + why, rowno);
     records.push_back(r);
   }
   return records;

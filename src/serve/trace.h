@@ -28,6 +28,19 @@ struct StampedRequest {
   double holding_s = 0.0;
 };
 
+/// Largest arrival time a request may carry (2^32 simulated seconds, ~136
+/// years).  A hard sanity cap: it keeps every downstream double->int64
+/// second computation far from overflow.
+inline constexpr double kMaxArrivalS = 4294967296.0;
+
+/// The value rule for a request from outside the process (a trace row or a
+/// wire frame): every double finite, 0 <= now <= kMaxArrivalS, holding >= 0
+/// and bandwidth > 0.  A non-finite value poisons batching and expiry, an
+/// absurd arrival time wedges the server finalizing empty seconds, and a
+/// non-positive bandwidth trips BaseStation::allocate's precondition.
+/// Returns what is wrong, or nullptr when the request is usable.
+const char* request_value_error(const StampedRequest& r) noexcept;
+
 /// The trace header line (column order is part of the format).
 extern const char kTraceHeader[];
 
@@ -38,7 +51,8 @@ void write_trace_file(const std::vector<StampedRequest>& records,
                       const std::string& path);
 
 /// Parse a trace CSV.  Throws facsp::ParseError on a malformed header,
-/// unknown enum name, or unparsable number.
+/// unknown enum name, unparsable number, or a row that breaks
+/// request_value_error().
 std::vector<StampedRequest> read_trace(std::istream& is);
 std::vector<StampedRequest> read_trace_file(const std::string& path);
 

@@ -1,17 +1,21 @@
 // Bit-identity of the structure-of-arrays batched inference path.
 //
 // The contract under test (inference.h, infer_batch_into): per row, batched
-// evaluation returns the *bit-identical* double the scalar path produces —
-// whether the lane kernels are the portable flat loops or the hand-written
-// SIMD ones (lane_simd_available(): FACSP_SIMD + CPU support; the
-// -DFACSP_SIMD=OFF build runs this suite against the portable loops).
-// Every comparison here is EXPECT_EQ on doubles, not EXPECT_NEAR: the
-// determinism guarantees of the sweep/multicell layers (thread-count
-// invariance, golden replay) ride on exact equality.
+// evaluation returns the *bit-identical* double the scalar path produces.
+// The lane kernel has two widths, infer_batch_w2() and infer_batch_w4()
+// (AVX2); the Width* tests call each directly against scalar infer_into(),
+// so both are proven on every x86-64 build with AVX2, whichever one
+// infer_batch_into() dispatches to.  Every comparison here is exact (EXPECT_EQ
+// on doubles or on their bits), not EXPECT_NEAR: the determinism guarantees
+// of the sweep/multicell layers (thread-count invariance, golden replay) ride
+// on exact equality.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <random>
 #include <span>
 #include <vector>
@@ -80,54 +84,58 @@ TEST(BatchInference, Flc2MatchesScalarBitwise) {
   expect_batch_bitwise_identical(*flc2, 202);
 }
 
+/// Rule weights below 1 and wildcard antecedents — rule shapes the paper's
+/// complete, unit-weight tables never use.
+std::unique_ptr<FuzzyController> make_weighted() {
+  return ControllerBuilder("weights")
+      .input(VariableBuilder("x", 0.0, 10.0)
+                 .triangular("lo", 0.0, 5.0, 5.0)
+                 .triangular("mid", 5.0, 5.0, 5.0)
+                 .right_shoulder("hi", 10.0, 5.0)
+                 .build())
+      .input(VariableBuilder("y", -1.0, 1.0)
+                 .left_shoulder("neg", -0.5, 0.5)
+                 .triangular("zero", 0.0, 0.5, 0.5)
+                 .right_shoulder("pos", 0.5, 0.5)
+                 .build())
+      .output(VariableBuilder("z", 0.0, 1.0).uniform_partition("Z", 5).build())
+      .rule({"lo", "neg"}, "Z1", 0.7)
+      .rule({"lo", "zero"}, "Z2")
+      .rule({"lo", "pos"}, "Z3", 0.4)
+      .rule({"mid", "*"}, "Z3")
+      .rule({"hi", "neg"}, "Z2", 1.0)
+      .rule({"hi", "zero"}, "Z4", 0.9)
+      .rule({"hi", "pos"}, "Z5")
+      .rule({"*", "pos"}, "Z4", 0.2)
+      .build();
+}
+
+/// Singleton and zero-width-edge terms, which the lane kernel grades per
+/// lane through MembershipFunction::grade() itself.
+std::unique_ptr<FuzzyController> make_degenerate() {
+  return ControllerBuilder("degenerate")
+      .input(VariableBuilder("x", 0.0, 1.0)
+                 .term("spike", MembershipFunction::singleton(0.5))
+                 .term("step", MembershipFunction::from_breakpoints(0.5, 0.5,
+                                                                    1.0, 1.0))
+                 .triangular("tri", 0.5, 0.5, 0.5)
+                 .build())
+      .output(VariableBuilder("z", 0.0, 1.0).uniform_partition("Z", 3).build())
+      .rule({"spike"}, "Z3")
+      .rule({"step"}, "Z2")
+      .rule({"tri"}, "Z1")
+      .build();
+}
+
 TEST(BatchInference, WeightsAndWildcardsMatchScalarBitwise) {
-  // Rule weights below 1 and wildcard antecedents — rule shapes the paper's
-  // complete, unit-weight tables never use.
-  auto c = ControllerBuilder("weights")
-             .input(VariableBuilder("x", 0.0, 10.0)
-                        .triangular("lo", 0.0, 5.0, 5.0)
-                        .triangular("mid", 5.0, 5.0, 5.0)
-                        .right_shoulder("hi", 10.0, 5.0)
-                        .build())
-             .input(VariableBuilder("y", -1.0, 1.0)
-                        .left_shoulder("neg", -0.5, 0.5)
-                        .triangular("zero", 0.0, 0.5, 0.5)
-                        .right_shoulder("pos", 0.5, 0.5)
-                        .build())
-             .output(VariableBuilder("z", 0.0, 1.0)
-                         .uniform_partition("Z", 5)
-                         .build())
-             .rule({"lo", "neg"}, "Z1", 0.7)
-             .rule({"lo", "zero"}, "Z2")
-             .rule({"lo", "pos"}, "Z3", 0.4)
-             .rule({"mid", "*"}, "Z3")
-             .rule({"hi", "neg"}, "Z2", 1.0)
-             .rule({"hi", "zero"}, "Z4", 0.9)
-             .rule({"hi", "pos"}, "Z5")
-             .rule({"*", "pos"}, "Z4", 0.2)
-             .build();
-  expect_batch_bitwise_identical(*c, 404, 17);
+  expect_batch_bitwise_identical(*make_weighted(), 404, 17);
 }
 
 TEST(BatchInference, DegenerateTermsTakeTheScalarFallbackBitwise) {
-  // Singleton and zero-width-edge terms are flagged fast=false and graded
-  // per lane through MembershipFunction::grade() itself — identical bits by
-  // construction, but the routing must actually happen (a branchless kernel
-  // would divide by zero and yield NaN grades).
-  auto c = ControllerBuilder("degenerate")
-               .input(VariableBuilder("x", 0.0, 1.0)
-                          .term("spike", MembershipFunction::singleton(0.5))
-                          .term("step", MembershipFunction::from_breakpoints(
-                                            0.5, 0.5, 1.0, 1.0))
-                          .triangular("tri", 0.5, 0.5, 0.5)
-                          .build())
-               .output(VariableBuilder("z", 0.0, 1.0)
-                           .uniform_partition("Z", 3)
-                           .build())
-               .rule({"spike"}, "Z3")
-               .rule({"step"}, "Z2")
-               .rule({"tri"}, "Z1")
-               .build();
+  // The degenerate terms are flagged fast=false and graded per lane through
+  // grade() — identical bits by construction, but the routing must actually
+  // happen (a branchless kernel would divide by zero and yield NaN grades).
+  const auto c = make_degenerate();
   // Hit the singleton exactly (grade 1 only at x == 0.5) and around it.
   InferenceScratch batch_scratch, scalar_scratch;
   const std::vector<double> data = {0.5, 0.25, 0.75, 0.4999999, 1.0,
@@ -141,6 +149,50 @@ TEST(BatchInference, DegenerateTermsTakeTheScalarFallbackBitwise) {
                           std::span<const double>(data.data() + r, 1)))
         << "row=" << r;
   }
+}
+
+using LaneKernel = void (InferenceEngine::*)(std::span<const double>,
+                                             std::size_t,
+                                             InferenceScratch&) const;
+
+/// One lane-kernel width against scalar infer_into(): every output term's
+/// activation, for every row of blocks of 1..kLanes rows, must have the same
+/// bits (so a -0.0 where the scalar path has +0.0 fails too).
+void expect_width_bitwise_identical(LaneKernel kernel, std::uint64_t seed) {
+  constexpr std::size_t W = InferenceEngine::kLanes;
+  std::unique_ptr<FuzzyController> controllers[] = {
+      cac::make_flc1(), cac::make_flc2(), make_weighted(), make_degenerate()};
+  std::mt19937_64 rng(seed);
+  for (const auto& c : controllers) {
+    const InferenceEngine engine(c->inputs(), c->output(), c->rules());
+    const std::size_t ni = c->input_count();
+    InferenceScratch lanes, scalar;
+    for (int block = 0; block < 64; ++block) {
+      const std::size_t rows = 1 + block % W;
+      const auto data = fuzz_rows(rng, *c, rows);
+      (engine.*kernel)(data, rows, lanes);
+      for (std::size_t r = 0; r < rows; ++r) {
+        engine.infer_into(std::span<const double>(data.data() + r * ni, ni),
+                          scalar);
+        for (std::size_t k = 0; k < c->output().term_count(); ++k) {
+          const double lane = lanes.lane_activations[k * W + r];
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(lane),
+                    std::bit_cast<std::uint64_t>(scalar.activations[k]))
+              << c->name() << " block=" << block << " row=" << r
+              << " term=" << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchInference, Width2KernelMatchesScalarInferBitwise) {
+  expect_width_bitwise_identical(&InferenceEngine::infer_batch_w2, 505);
+}
+
+TEST(BatchInference, Width4KernelMatchesScalarInferBitwise) {
+  if (!lane_simd_available()) GTEST_SKIP() << "CPU has no AVX2";
+  expect_width_bitwise_identical(&InferenceEngine::infer_batch_w4, 505);
 }
 
 TEST(BatchInference, EmptyBatchIsANoOp) {

@@ -104,6 +104,30 @@ TEST(Trace, RejectsBadCells) {
   }
 }
 
+TEST(Trace, RejectsValuesTheWireRejects) {
+  // One rule for both readers: each row breaks request_value_error(), and
+  // replaying it would admit a call that never ends (nan holding) or count
+  // a malformed request as blocked (nan bandwidth).
+  const std::string header(kTraceHeader);
+  const char* const rows[] = {
+      "0,1,text,1,new,normal,0,0,0,nan,0,0,0",         // holding nan
+      "0,1,text,nan,new,normal,0,0,0,1,0,0,0",         // bandwidth nan
+      "inf,1,text,1,new,normal,0,0,0,1,0,0,0",         // now inf
+      "0,1,text,1,new,normal,0,-inf,0,1,0,0,0",        // angle -inf
+      "-0.5,1,text,1,new,normal,0,0,0,1,0,0,0",        // negative now
+      "0,1,text,1,new,normal,0,0,0,-1,0,0,0",          // negative holding
+      "4294967297,1,text,1,new,normal,0,0,0,1,0,0,0",  // now above 2^32 s
+      "0,1,text,0,new,normal,0,0,0,1,0,0,0",           // zero bandwidth
+  };
+  for (const char* row : rows) {
+    std::istringstream in(header + "\n" + row + "\n");
+    EXPECT_THROW(read_trace(in), ParseError) << row;
+  }
+  std::istringstream edge(header +
+                          "\n4294967296,1,text,1,new,normal,0,0,0,0,0,0,0\n");
+  EXPECT_EQ(read_trace(edge).size(), 1u);  // the caps themselves are valid
+}
+
 TEST(Trace, FileRoundTrip) {
   const std::string path = testing::TempDir() + "facsp_trace_roundtrip.csv";
   const std::vector<StampedRequest> records = awkward_records();
@@ -167,13 +191,18 @@ TEST(TraceFuzz, MutatedTracesParseOrThrowParseError) {
   Lcg rng{2024};
   int parsed = 0;
   int rejected = 0;
+  int specials_rejected = 0;
   for (int i = 0; i < 20000; ++i) {
     std::string text = valid;
-    if (rng.below(4) == 0)  // a special number in a numeric field
+    const bool special = rng.below(4) == 0;
+    if (special)  // a special number in a numeric field
       set_cell(text, data_lines[rng.below(data_lines.size())],
                numeric[rng.below(std::size(numeric))],
                specials[rng.below(std::size(specials))]);
     const std::size_t mutations = rng.below(4);
+    // Every special is non-finite, out of range or empty: a trace carrying
+    // one, and nothing else changed, must be refused.
+    const bool must_reject = special && mutations == 0;
     for (std::size_t m = 0; m < mutations && !text.empty(); ++m) {
       switch (rng.below(3)) {
         case 0:  // flip a byte
@@ -193,9 +222,13 @@ TEST(TraceFuzz, MutatedTracesParseOrThrowParseError) {
     try {
       const std::vector<StampedRequest> out = read_trace(in);
       EXPECT_LE(out.size(), records.size()) << "case " << i;
+      EXPECT_FALSE(must_reject) << "case " << i << " accepted:\n" << text;
+      for (const StampedRequest& r : out)
+        EXPECT_EQ(request_value_error(r), nullptr) << "case " << i;
       ++parsed;
     } catch (const ParseError&) {
       ++rejected;
+      if (must_reject) ++specials_rejected;
     } catch (const std::exception& e) {
       ADD_FAILURE() << "case " << i << ": " << e.what() << "\n" << text;
     }
@@ -203,6 +236,7 @@ TEST(TraceFuzz, MutatedTracesParseOrThrowParseError) {
   // Both outcomes are exercised, not just one.
   EXPECT_GT(parsed, 500);
   EXPECT_GT(rejected, 500);
+  EXPECT_GT(specials_rejected, 500);
 }
 
 }  // namespace
