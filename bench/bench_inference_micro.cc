@@ -82,17 +82,6 @@ void BM_Flc1EvaluateBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_Flc1EvaluateBatch)->Arg(256);
 
-void BM_Flc2EvaluateByResolution(benchmark::State& state) {
-  cac::Flc2Params params;
-  const auto flc2 = cac::make_flc2(
-      params,
-      fuzzy::Defuzzifier(fuzzy::DefuzzMethod::kCentroid,
-                         static_cast<int>(state.range(0))));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(flc2->evaluate({0.4, 5.0, 17.0}));
-}
-BENCHMARK(BM_Flc2EvaluateByResolution)->Arg(64)->Arg(256)->Arg(1024);
-
 void BM_FacsPDecide(benchmark::State& state) {
   cac::FacsPPolicy policy;
   cellular::BaseStation bs(0, {0, 0}, {0.0, 0.0}, 40.0);
@@ -161,11 +150,10 @@ void BM_DefuzzCentroid(benchmark::State& state, int stage) {
   std::vector<std::vector<double>> activations;
   for (const auto& in : stage == 1 ? mix.flc1_in : mix.flc2_in)
     activations.push_back(flc.explain(in).activations);
-  std::vector<double> mu;
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(flc.defuzzifier().defuzzify(
-        activations[i++ & 255], flc.output(), mu));
+        activations[i++ & 255], flc.output()));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

@@ -4,11 +4,7 @@ namespace facsp::cac {
 
 FacsPolicy::FacsPolicy(const FacsConfig& config)
     : FuzzyCacBase(
-          make_flc1_distance(config.flc1,
-                             fuzzy::Defuzzifier(config.defuzz_method,
-                                                kPolicyDefuzzResolution)),
-          make_flc2(config.flc2, fuzzy::Defuzzifier(config.defuzz_method,
-                                                    kPolicyDefuzzResolution)),
+          make_flc1_distance(config.flc1), make_flc2(config.flc2),
           config.accept_threshold, config.handoff_score_bonus),
       config_(config) {}
 

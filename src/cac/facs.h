@@ -17,7 +17,6 @@ namespace facsp::cac {
 struct FacsConfig {
   Flc1DistanceParams flc1{};
   Flc2Params flc2{};
-  fuzzy::DefuzzMethod defuzz_method = fuzzy::DefuzzMethod::kCentroid;
   /// Admit when the crisp A/R exceeds this (0 = the NRNA centre).
   double accept_threshold = 0.28;
   /// Handoffs carry on-going calls, so even FACS favours them mildly

@@ -176,38 +176,35 @@ LinguisticVariable make_accept_reject_variable(const Flc2Params& p) {
 }
 
 std::unique_ptr<fuzzy::FuzzyController> make_flc1(
-    const Flc1Params& params, fuzzy::Defuzzifier defuzz) {
+    const Flc1Params& params) {
   return ControllerBuilder("FLC1")
       .input(make_speed_variable(params))
       .input(make_angle_variable(params))
       .input(make_service_request_variable(params))
       .output(make_correction_output_variable(params))
       .rule_table(frb1_consequents())
-      .defuzzifier(defuzz)
       .build();
 }
 
 std::unique_ptr<fuzzy::FuzzyController> make_flc1_distance(
-    const Flc1DistanceParams& params, fuzzy::Defuzzifier defuzz) {
+    const Flc1DistanceParams& params) {
   return ControllerBuilder("FLC1-D")
       .input(make_speed_variable(params.base))
       .input(make_angle_variable(params.base))
       .input(make_distance_variable(params))
       .output(make_correction_output_variable(params.base))
       .rule_table(frb1_distance_consequents(params))
-      .defuzzifier(defuzz)
       .build();
 }
 
 std::unique_ptr<fuzzy::FuzzyController> make_flc2(
-    const Flc2Params& params, fuzzy::Defuzzifier defuzz) {
+    const Flc2Params& params) {
   return ControllerBuilder("FLC2")
       .input(make_correction_input_variable(params))
       .input(make_request_type_variable(params))
       .input(make_counter_state_variable(params))
       .output(make_accept_reject_variable(params))
       .rule_table(frb2_consequents())
-      .defuzzifier(defuzz)
       .build();
 }
 

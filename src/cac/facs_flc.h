@@ -110,24 +110,16 @@ fuzzy::LinguisticVariable make_request_type_variable(const Flc2Params& p = {});
 fuzzy::LinguisticVariable make_counter_state_variable(const Flc2Params& p = {});
 fuzzy::LinguisticVariable make_accept_reject_variable(const Flc2Params& p = {});
 
-/// Grid resolution of the defuzzifiers FACS and FACS-P build.  The centroid
-/// is analytic; the grid serves the other methods of the defuzzification
-/// ablation.
-inline constexpr int kPolicyDefuzzResolution = 256;
-
 /// FLC1 of FACS-P: (Sp, An, Sr) -> Cv.
 std::unique_ptr<fuzzy::FuzzyController> make_flc1(
-    const Flc1Params& params = {},
-    fuzzy::Defuzzifier defuzz = fuzzy::Defuzzifier{});
+    const Flc1Params& params = {});
 
 /// FLC1-D of the previous FACS: (Sp, An, Di) -> Cv.
 std::unique_ptr<fuzzy::FuzzyController> make_flc1_distance(
-    const Flc1DistanceParams& params = {},
-    fuzzy::Defuzzifier defuzz = fuzzy::Defuzzifier{});
+    const Flc1DistanceParams& params = {});
 
 /// FLC2 (shared): (Cv, Rq, Cs) -> A/R.
 std::unique_ptr<fuzzy::FuzzyController> make_flc2(
-    const Flc2Params& params = {},
-    fuzzy::Defuzzifier defuzz = fuzzy::Defuzzifier{});
+    const Flc2Params& params = {});
 
 }  // namespace facsp::cac

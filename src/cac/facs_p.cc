@@ -9,14 +9,12 @@ namespace facsp::cac {
 
 std::shared_ptr<const fuzzy::FuzzyController> make_facs_p_flc1(
     const FacsPConfig& config) {
-  return make_flc1(config.flc1, fuzzy::Defuzzifier(config.defuzz_method,
-                                                   kPolicyDefuzzResolution));
+  return make_flc1(config.flc1);
 }
 
 std::shared_ptr<const fuzzy::FuzzyController> make_facs_p_flc2(
     const FacsPConfig& config) {
-  return make_flc2(config.flc2, fuzzy::Defuzzifier(config.defuzz_method,
-                                                   kPolicyDefuzzResolution));
+  return make_flc2(config.flc2);
 }
 
 FacsPPolicy::FacsPPolicy(const FacsPConfig& config)

@@ -27,7 +27,6 @@ struct FacsPConfig {
   Flc1Params flc1{};
   Flc2Params flc2{};
   PriorityWeights weights{};
-  fuzzy::DefuzzMethod defuzz_method = fuzzy::DefuzzMethod::kCentroid;
   /// Admit when the crisp A/R exceeds this (0 = the NRNA centre).
   double accept_threshold = 0.08;
   /// Score bonus for handoff continuations of on-going calls (stronger than
@@ -36,7 +35,7 @@ struct FacsPConfig {
 };
 
 /// FLC1 (Table 1) and FLC2 (Table 2) as `config` describes them: its
-/// membership breakpoints and defuzzification method.
+/// membership breakpoints.
 /// Each controller is immutable once built, so one pair may back every
 /// FacsPPolicy (and FacsPrPolicy) made from the same config, on any thread.
 std::shared_ptr<const fuzzy::FuzzyController> make_facs_p_flc1(

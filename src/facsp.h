@@ -11,7 +11,7 @@
 // Generic fuzzy logic
 #include "fuzzy/builder.h"      // fluent variable/controller construction
 #include "fuzzy/controller.h"   // crisp-in/crisp-out Mamdani FLC
-#include "fuzzy/defuzzifier.h"  // centroid, bisector, MOM, ...
+#include "fuzzy/defuzzifier.h"  // analytic centroid
 #include "fuzzy/inference.h"    // min-max Mamdani inference engine
 #include "fuzzy/membership.h"   // triangular / trapezoidal / shoulders
 #include "fuzzy/rule_parser.h"  // textual IF-THEN rules

@@ -1,6 +1,7 @@
 #include "fuzzy/builder.h"
 
 #include "common/error.h"
+#include "common/math_util.h"
 #include "fuzzy/rule_parser.h"
 #include "fuzzy/rulebase.h"
 
@@ -55,16 +56,22 @@ VariableBuilder& VariableBuilder::uniform_partition(const std::string& prefix,
                                                     int count) {
   if (count < 2)
     throw ConfigError("uniform_partition: need at least 2 terms");
+  // Each term's feet sit exactly on its neighbours' centres (center +/- step
+  // can miss them by an ulp), so only adjacent supports overlap: the layout
+  // the analytic centroid needs.
   const double step = (hi_ - lo_) / (count - 1);
+  const auto center = [&](int k) { return lo_ + k * step; };
   for (int k = 0; k < count; ++k) {
     const std::string name = prefix + std::to_string(k + 1);
-    const double center = lo_ + k * step;
     if (k == 0) {
-      left_shoulder(name, center, step);
+      term(name, MembershipFunction::from_breakpoints(-kInf, -kInf, center(0),
+                                                      center(1)));
     } else if (k == count - 1) {
-      right_shoulder(name, center, step);
+      term(name, MembershipFunction::from_breakpoints(center(k - 1),
+                                                      center(k), kInf, kInf));
     } else {
-      triangular(name, center, step, step);
+      term(name, MembershipFunction::from_breakpoints(
+                     center(k - 1), center(k), center(k), center(k + 1)));
     }
   }
   return *this;
@@ -124,11 +131,6 @@ ControllerBuilder& ControllerBuilder::rule_table(
   return *this;
 }
 
-ControllerBuilder& ControllerBuilder::defuzzifier(Defuzzifier d) {
-  defuzz_ = d;
-  return *this;
-}
-
 std::unique_ptr<FuzzyController> ControllerBuilder::build() {
   if (output_.empty())
     throw ConfigError("controller '" + name_ + "': no output variable");
@@ -142,7 +144,7 @@ std::unique_ptr<FuzzyController> ControllerBuilder::build() {
     throw ConfigError("controller '" + name_ + "': no rules");
   return std::make_unique<FuzzyController>(name_, std::move(inputs_),
                                            std::move(output_.front()),
-                                           std::move(rules_), defuzz_);
+                                           std::move(rules_));
 }
 
 }  // namespace facsp::fuzzy

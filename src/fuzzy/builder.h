@@ -46,7 +46,8 @@ class VariableBuilder {
 
   /// Evenly spaced triangular partition with `count` terms named
   /// prefix1..prefixN; first/last become shoulders so the universe is fully
-  /// covered (used for the Cv1..Cv9 output in FLC1).
+  /// covered (used for the Cv1..Cv9 output in FLC1).  Each term's support
+  /// ends exactly at its neighbours' centres.
   VariableBuilder& uniform_partition(const std::string& prefix, int count);
 
   /// Validates and constructs the variable (throws facsp::ConfigError).
@@ -79,10 +80,9 @@ class ControllerBuilder {
   /// paper's Table 1 / Table 2 are printed.
   ControllerBuilder& rule_table(const std::vector<std::string>& consequents);
 
-  ControllerBuilder& defuzzifier(Defuzzifier d);
-
   /// Validates and constructs the controller (throws facsp::ConfigError if
-  /// no output was set, no rules were added, or validation fails).
+  /// no output was set, no rules were added, or validation fails — the
+  /// output's terms included, see Defuzzifier).
   std::unique_ptr<FuzzyController> build();
 
  private:
@@ -91,7 +91,6 @@ class ControllerBuilder {
   std::vector<LinguisticVariable> output_;  // 0 or 1 elements
   std::vector<FuzzyRule> rules_;
   std::vector<std::string> pending_table_;
-  Defuzzifier defuzz_{};
 };
 
 }  // namespace facsp::fuzzy

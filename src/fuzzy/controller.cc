@@ -11,18 +11,13 @@ namespace facsp::fuzzy {
 FuzzyController::FuzzyController(std::string name,
                                  std::vector<LinguisticVariable> inputs,
                                  LinguisticVariable output,
-                                 std::vector<FuzzyRule> rules,
-                                 Defuzzifier defuzzifier)
+                                 std::vector<FuzzyRule> rules)
     : name_(std::move(name)),
       inputs_(std::move(inputs)),
       output_(std::move(output)),
       rules_(std::move(rules), inputs_, output_),
-      defuzz_(defuzzifier),
-      engine_(std::make_unique<InferenceEngine>(inputs_, output_, rules_)) {
-  // Build the defuzzifier's sample tables for our output variable once;
-  // every evaluation then takes the table-driven fast path.
-  defuzz_.prime(output_);
-}
+      defuzz_(output_),
+      engine_(std::make_unique<InferenceEngine>(inputs_, output_, rules_)) {}
 
 double FuzzyController::evaluate(std::span<const double> crisp_inputs) const {
   static thread_local InferenceScratch scratch;
@@ -38,7 +33,7 @@ double FuzzyController::evaluate(
 double FuzzyController::evaluate_with(
     InferenceScratch& scratch, std::span<const double> crisp_inputs) const {
   engine_->infer_into(crisp_inputs, scratch);
-  return defuzz_.defuzzify(scratch.activations, output_, scratch.mu);
+  return defuzz_.defuzzify(scratch.activations, output_);
 }
 
 void FuzzyController::evaluate_batch(std::span<const double> crisp_inputs,
@@ -71,8 +66,7 @@ void FuzzyController::evaluate_batch_with(InferenceScratch& scratch,
     for (std::size_t l = 0; l < rows; ++l) {
       for (std::size_t k = 0; k < terms; ++k)
         scratch.activations[k] = scratch.lane_activations[k * W + l];
-      out[r0 + l] = defuzz_.defuzzify(scratch.activations, output_,
-                                      scratch.mu);
+      out[r0 + l] = defuzz_.defuzzify(scratch.activations, output_);
     }
   }
 }
@@ -84,7 +78,7 @@ Explanation FuzzyController::explain(
   Explanation ex;
   ex.fired = std::move(scratch.fired);
   ex.activations = std::move(scratch.activations);
-  ex.crisp = defuzz_.defuzzify(ex.activations, output_, scratch.mu);
+  ex.crisp = defuzz_.defuzzify(ex.activations, output_);
   ex.rule_text.reserve(ex.fired.size());
   for (const auto& f : ex.fired)
     ex.rule_text.push_back(to_string(rules_.rule(f.rule_index), inputs_,

@@ -32,10 +32,10 @@ struct Explanation {
 class FuzzyController {
  public:
   /// Throws facsp::ConfigError when the rule base does not match the
-  /// variables (arity/term indices) — see RuleBase.
+  /// variables (arity/term indices) — see RuleBase — or when the output's
+  /// terms do not admit the analytic centroid — see Defuzzifier.
   FuzzyController(std::string name, std::vector<LinguisticVariable> inputs,
-                  LinguisticVariable output, std::vector<FuzzyRule> rules,
-                  Defuzzifier defuzzifier = Defuzzifier{});
+                  LinguisticVariable output, std::vector<FuzzyRule> rules);
 
   FuzzyController(const FuzzyController&) = delete;
   FuzzyController& operator=(const FuzzyController&) = delete;

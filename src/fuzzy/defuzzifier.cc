@@ -11,12 +11,10 @@ namespace facsp::fuzzy {
 
 namespace {
 
-// --- analytic alpha-cut centroid -------------------------------------------
-//
 // Under min (clip) implication the aggregated set is max_k min(alpha_k, g_k)
-// with every g_k piecewise linear.  prime() cuts each g_k, and each adjacent
-// pair's min(g_k, g_{k+1}), into affine segments once; a call only clips
-// those segments at its activations and integrates them exactly.  (The
+// with every g_k piecewise linear.  The constructor cuts each g_k, and each
+// adjacent pair's min(g_k, g_{k+1}), into affine segments once; a call only
+// clips those segments at its activations and integrates them exactly.  (The
 // helpers are templated on the segment type: Defuzzifier::Segment is
 // private.)
 
@@ -108,7 +106,7 @@ void add_clipped(const Segment* s, const Segment* e, double alpha,
 /// positive terms, and max over terms = sum of terms minus the min over each
 /// adjacent overlapping pair (inclusion-exclusion that terminates at pairs).
 /// Every paper output variable (Cv's 9-term and A/R's 5-term uniform
-/// partitions) satisfies this; anything else falls back to the grid.
+/// partitions) satisfies this; the Defuzzifier refuses anything else.
 bool ordered_adjacent_partition(const LinguisticVariable& v) noexcept {
   const auto& terms = v.terms();
   const std::size_t n = terms.size();
@@ -125,83 +123,48 @@ bool ordered_adjacent_partition(const LinguisticVariable& v) noexcept {
 
 }  // namespace
 
-const char* to_string(DefuzzMethod m) noexcept {
-  switch (m) {
-    case DefuzzMethod::kCentroid: return "centroid";
-    case DefuzzMethod::kBisector: return "bisector";
-    case DefuzzMethod::kMeanOfMaximum: return "mom";
-    case DefuzzMethod::kSmallestOfMaximum: return "som";
-    case DefuzzMethod::kLargestOfMaximum: return "lom";
-    case DefuzzMethod::kWeightedAverage: return "wavg";
-  }
-  return "centroid";
-}
-
-Defuzzifier::Defuzzifier(DefuzzMethod method, int resolution)
-    : method_(method), resolution_(resolution) {
-  if (resolution_ < 8)
-    throw ConfigError("defuzzifier: resolution must be >= 8");
-}
-
-void Defuzzifier::prime(const LinguisticVariable& output) {
-  // Weighted average reads only term core centres, but it is bound to its
-  // variable like every other method, so it gets the same grid.
-  auto grid = std::make_shared<Grid>();
-  grid->variable = &output;
-  grid->analytic_ok = ordered_adjacent_partition(output);
+Defuzzifier::Defuzzifier(const LinguisticVariable& output)
+    : variable_(&output) {
+  if (!ordered_adjacent_partition(output))
+    throw ConfigError("defuzzifier: the terms of output '" + output.name() +
+                      "' are not an ordered partition with adjacent-only "
+                      "overlap, which the analytic centroid needs");
+  // Term polylines, then adjacent-pair polylines over each overlap (the
+  // partition keeps an overlap inside both supports).  A singleton has zero
+  // measure alone and in any pair, so it contributes no segments.
   const double lo = output.universe_lo();
   const double hi = output.universe_hi();
-  const double dy = (hi - lo) / (resolution_ - 1);
-  const std::size_t n = static_cast<std::size_t>(resolution_);
   const std::size_t terms = output.term_count();
-  grid->ys.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    grid->ys[i] = lo + static_cast<double>(i) * dy;
-  grid->term_grades.resize(terms * n);
+  first_.reserve(2 * terms);
   for (std::size_t k = 0; k < terms; ++k) {
+    first_.push_back(static_cast<std::uint32_t>(segments_.size()));
     const MembershipFunction& mf = output.term(k).mf;
-    double* row = grid->term_grades.data() + k * n;
-    for (std::size_t i = 0; i < n; ++i) row[i] = mf.grade(grid->ys[i]);
+    append_min_polyline(mf, mf, std::max(mf.a(), lo), std::min(mf.d(), hi),
+                        segments_);
   }
-  if (grid->analytic_ok) {
-    // Term polylines, then adjacent-pair polylines over each overlap (the
-    // partition keeps an overlap inside both supports).  A singleton has
-    // zero measure alone and in any pair, so it contributes no segments.
-    auto& segs = grid->segments;
-    grid->first.reserve(2 * terms);
-    for (std::size_t k = 0; k < terms; ++k) {
-      grid->first.push_back(static_cast<std::uint32_t>(segs.size()));
-      const MembershipFunction& mf = output.term(k).mf;
-      append_min_polyline(mf, mf, std::max(mf.a(), lo), std::min(mf.d(), hi),
-                          segs);
-    }
-    for (std::size_t k = 0; k + 1 < terms; ++k) {
-      grid->first.push_back(static_cast<std::uint32_t>(segs.size()));
-      const MembershipFunction& f = output.term(k).mf;
-      const MembershipFunction& g = output.term(k + 1).mf;
-      if (f.is_singleton() || g.is_singleton()) continue;
-      append_min_polyline(f, g, std::max(g.a(), lo), std::min(f.d(), hi),
-                          segs);
-    }
-    grid->first.push_back(static_cast<std::uint32_t>(segs.size()));
-    segs.shrink_to_fit();
+  for (std::size_t k = 0; k + 1 < terms; ++k) {
+    first_.push_back(static_cast<std::uint32_t>(segments_.size()));
+    const MembershipFunction& f = output.term(k).mf;
+    const MembershipFunction& g = output.term(k + 1).mf;
+    if (f.is_singleton() || g.is_singleton()) continue;
+    append_min_polyline(f, g, std::max(g.a(), lo), std::min(f.d(), hi),
+                        segments_);
   }
-  grid_ = std::move(grid);
+  first_.push_back(static_cast<std::uint32_t>(segments_.size()));
+  segments_.shrink_to_fit();
 }
 
-bool Defuzzifier::primed_for(const LinguisticVariable& output) const noexcept {
+bool Defuzzifier::bound_to(const LinguisticVariable& output) const noexcept {
   // The shape check guards the address key: if a new variable reuses a
   // destroyed variable's address with a different term count, the stale
-  // grid must not match.
-  return grid_ != nullptr && grid_->variable == &output &&
-         grid_->term_grades.size() == output.term_count() * grid_->ys.size();
+  // polylines must not match.
+  return variable_ == &output && first_.size() == 2 * output.term_count();
 }
 
 double Defuzzifier::defuzzify(std::span<const double> activations,
-                              const LinguisticVariable& output,
-                              std::vector<double>& mu_scratch) const {
-  FACSP_EXPECTS_MSG(primed_for(output), "defuzzifier is not primed for '"
-                                            << output.name() << "'");
+                              const LinguisticVariable& output) const {
+  FACSP_EXPECTS_MSG(bound_to(output), "defuzzifier is not bound to '"
+                                          << output.name() << "'");
   FACSP_EXPECTS(activations.size() == output.term_count());
   bool empty = true;
   for (double a : activations) {
@@ -211,94 +174,14 @@ double Defuzzifier::defuzzify(std::span<const double> activations,
     }
   }
   if (empty) return 0.5 * (output.universe_lo() + output.universe_hi());
-
-  if (method_ == DefuzzMethod::kWeightedAverage)
-    return weighted_average(activations, output);
-  if (analytic_ && method_ == DefuzzMethod::kCentroid && grid_->analytic_ok)
-    return centroid_analytic(activations, output);
-  return defuzzify_grid(*grid_, activations, output, mu_scratch);
-}
-
-double Defuzzifier::defuzzify_grid(const Grid& grid,
-                                   std::span<const double> activations,
-                                   const LinguisticVariable& output,
-                                   std::vector<double>& mu_scratch) const {
-  const std::size_t n = grid.ys.size();
-  const double* const ys = grid.ys.data();
-  // Max-aggregate the clipped term columns into the sample buffer, in term
-  // order.
-  mu_scratch.assign(n, 0.0);
-  double* const mu = mu_scratch.data();
-  for (std::size_t k = 0; k < activations.size(); ++k) {
-    const double a = activations[k];
-    if (a <= 0.0) continue;
-    const double* row = grid.term_grades.data() + k * n;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double g = a < row[i] ? a : row[i];
-      mu[i] = mu[i] > g ? mu[i] : g;
-    }
-  }
-
-  const double mid = 0.5 * (output.universe_lo() + output.universe_hi());
-  switch (method_) {
-    case DefuzzMethod::kCentroid:
-    case DefuzzMethod::kBisector: {
-      // One shared accumulation pass: trapezoid-weighted moments for the
-      // centroid, the unweighted mass for the bisector.
-      double num = 0.0, den = 0.0, total = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double w = (i == 0 || i == n - 1) ? 0.5 : 1.0;
-        const double m = mu[i] * w;
-        num += m * ys[i];
-        den += m;
-        total += mu[i];
-      }
-      if (method_ == DefuzzMethod::kCentroid)
-        return den <= 0.0 ? mid : num / den;
-      if (total <= 0.0) return mid;
-      double acc = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        acc += mu[i];
-        if (acc >= 0.5 * total) return ys[i];
-      }
-      return output.universe_hi();
-    }
-    default: {
-      double max_mu = 0.0;
-      for (std::size_t i = 0; i < n; ++i) max_mu = std::max(max_mu, mu[i]);
-      if (max_mu <= 0.0) return mid;
-      const double tol = 1e-9;
-      double first = output.universe_hi(), last = output.universe_lo();
-      double sum = 0.0;
-      std::size_t count = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (mu[i] >= max_mu - tol) {
-          first = std::min(first, ys[i]);
-          last = std::max(last, ys[i]);
-          sum += ys[i];
-          ++count;
-        }
-      }
-      switch (method_) {
-        case DefuzzMethod::kSmallestOfMaximum: return first;
-        case DefuzzMethod::kLargestOfMaximum: return last;
-        default: return sum / static_cast<double>(count);
-      }
-    }
-  }
-}
-
-bool Defuzzifier::analytic_applicable(
-    const LinguisticVariable& output) const noexcept {
-  return analytic_ && method_ == DefuzzMethod::kCentroid &&
-         primed_for(output) && grid_->analytic_ok;
+  return centroid_analytic(activations, output);
 }
 
 double Defuzzifier::centroid_analytic(std::span<const double> activations,
                                       const LinguisticVariable& output) const {
   const std::size_t terms = activations.size();
-  const Segment* const segs = grid_->segments.data();
-  const std::uint32_t* const first = grid_->first.data();
+  const Segment* const segs = segments_.data();
+  const std::uint32_t* const first = first_.data();
   // Twice the area and six times the first moment: the trapezoid weights
   // cancel in the final quotient.
   double area2 = 0.0, moment6 = 0.0;
@@ -328,20 +211,6 @@ double Defuzzifier::centroid_analytic(std::span<const double> activations,
   if (area2 <= 0.0)
     return 0.5 * (output.universe_lo() + output.universe_hi());
   return moment6 / (3.0 * area2);
-}
-
-double Defuzzifier::weighted_average(std::span<const double> activations,
-                                     const LinguisticVariable& output) const {
-  double num = 0.0, den = 0.0;
-  for (std::size_t k = 0; k < activations.size(); ++k) {
-    const double a = activations[k];
-    if (a <= 0.0) continue;
-    num += a * output.term(k).mf.core_center();
-    den += a;
-  }
-  if (den <= 0.0)
-    return 0.5 * (output.universe_lo() + output.universe_hi());
-  return num / den;
 }
 
 }  // namespace facsp::fuzzy

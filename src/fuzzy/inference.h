@@ -41,7 +41,6 @@ struct InferenceScratch {
   std::vector<double> grades;       ///< fuzzified input grades, flat per input
   std::vector<double> activations;  ///< one activation per output term
   std::vector<FiredRule> fired;     ///< fired-rule buffer (traced path only)
-  std::vector<double> mu;           ///< defuzzifier sample buffer
 
   // Structure-of-arrays block for the batched path (infer_batch_into /
   // evaluate_batch_with): lane-major flat arrays of kLanes decisions each,

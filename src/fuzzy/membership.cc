@@ -110,15 +110,6 @@ double MembershipFunction::grade(double x) const noexcept {
   return g < 1.0 ? g : 1.0;
 }
 
-double MembershipFunction::core_center() const noexcept {
-  const bool lo_open = !std::isfinite(b_);
-  const bool hi_open = !std::isfinite(c_);
-  if (lo_open && hi_open) return 0.0;  // degenerate "always 1" set
-  if (lo_open) return c_;
-  if (hi_open) return b_;
-  return 0.5 * (b_ + c_);
-}
-
 double MembershipFunction::alpha_cut_lo(double alpha) const {
   FACSP_EXPECTS(alpha > 0.0 && alpha <= 1.0);
   if (!std::isfinite(b_)) return -kInf;

@@ -62,10 +62,6 @@ class MembershipFunction {
   double c() const noexcept { return c_; }
   double d() const noexcept { return d_; }
 
-  /// Midpoint of the core; for shoulders the finite end of the plateau.
-  /// Used by weighted-average style defuzzifiers.
-  double core_center() const noexcept;
-
   bool is_singleton() const noexcept { return a_ == d_; }
   bool is_triangular() const noexcept { return b_ == c_ && a_ < b_ && c_ < d_; }
 

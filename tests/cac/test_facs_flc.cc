@@ -218,27 +218,5 @@ TEST(Flc2, GoodCorrectionAcceptsDeeperIntoLoad) {
             flc2->evaluate({0.05, 1.0, 20.0}));
 }
 
-TEST(Flc2, EveryDefuzzMethodEvaluates) {
-  // The policies build FLC2 with whichever method the config names (the
-  // defuzzification ablation sweeps them); the controller primes each one,
-  // weighted average included, and every score stays inside A/R's universe.
-  for (auto m : {fuzzy::DefuzzMethod::kCentroid, fuzzy::DefuzzMethod::kBisector,
-                 fuzzy::DefuzzMethod::kMeanOfMaximum,
-                 fuzzy::DefuzzMethod::kSmallestOfMaximum,
-                 fuzzy::DefuzzMethod::kLargestOfMaximum,
-                 fuzzy::DefuzzMethod::kWeightedAverage}) {
-    const auto flc2 =
-        make_flc2({}, fuzzy::Defuzzifier(m, kPolicyDefuzzResolution));
-    EXPECT_EQ(flc2->defuzzifier().method(), m);
-    for (double cv : {0.1, 0.5, 0.9}) {
-      for (double cs : {0.0, 20.0, 40.0}) {
-        const double y = flc2->evaluate({cv, 5.0, cs});
-        EXPECT_GE(y, flc2->output().universe_lo()) << fuzzy::to_string(m);
-        EXPECT_LE(y, flc2->output().universe_hi()) << fuzzy::to_string(m);
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace facsp::cac

@@ -43,6 +43,19 @@ TEST(VariableBuilder, UniformPartitionSumsToOneInside) {
   }
 }
 
+TEST(VariableBuilder, UniformPartitionAdmitsTheAnalyticCentroid) {
+  // Only adjacent supports overlap, not even by an ulp, for any universe
+  // and term count: the defuzzifier accepts every such output.
+  for (const auto& [lo, hi] : {std::pair{0.0, 1.0}, std::pair{-1.0, 1.0},
+                               std::pair{0.0, 0.3}, std::pair{-2.0, 3.0}}) {
+    for (int count = 2; count <= 20; ++count) {
+      const auto v =
+          VariableBuilder("v", lo, hi).uniform_partition("p", count).build();
+      EXPECT_NO_THROW(Defuzzifier{v}) << lo << " " << hi << " " << count;
+    }
+  }
+}
+
 TEST(VariableBuilder, PropagatesValidationErrors) {
   // Duplicate names surface at build().
   VariableBuilder b("v", 0.0, 1.0);
@@ -84,28 +97,6 @@ TEST(ControllerBuilder, RuleTableValidatedAtBuild) {
                .build());
   b.rule_table({"s"});  // wrong size: 2 combinations expected
   EXPECT_THROW(b.build(), ConfigError);
-}
-
-TEST(ControllerBuilder, DefuzzifierKnobApplied) {
-  auto make = [](Defuzzifier d) {
-    return ControllerBuilder("knobs")
-        .input(VariableBuilder("x", 0.0, 1.0)
-                   .left_shoulder("lo", 0.0, 1.0)
-                   .right_shoulder("hi", 1.0, 1.0)
-                   .build())
-        .output(VariableBuilder("y", 0.0, 1.0)
-                    .triangular("s", 0.25, 0.25, 0.25)
-                    .triangular("l", 0.75, 0.25, 0.25)
-                    .build())
-        .rule_table({"s", "l"})
-        .defuzzifier(d)
-        .build();
-  };
-  const auto a = make(Defuzzifier{});
-  const auto b = make(Defuzzifier(DefuzzMethod::kMeanOfMaximum, 1024));
-  EXPECT_EQ(b->defuzzifier().method(), DefuzzMethod::kMeanOfMaximum);
-  // Different methods, measurably different outputs at a blend point.
-  EXPECT_NE(a->evaluate({0.31}), b->evaluate({0.31}));
 }
 
 }  // namespace

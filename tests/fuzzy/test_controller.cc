@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "common/math_util.h"
 #include "fuzzy/builder.h"
 
 namespace facsp::fuzzy {
@@ -20,8 +21,13 @@ std::unique_ptr<FuzzyController> tip_controller() {
                  .left_shoulder("bad", 0.0, 10.0)
                  .right_shoulder("tasty", 10.0, 10.0)
                  .build())
+      // low's right edge is spelled out: left_shoulder("low", 0.05, 0.10)
+      // would put it at 0.05 + 0.10 = 0.15000000000000002, one ulp past
+      // high's left edge (0.25 - 0.10 = 0.15), and the output would no
+      // longer be the adjacent-overlap partition the defuzzifier needs.
       .output(VariableBuilder("tip", 0.0, 0.30)
-                  .left_shoulder("low", 0.05, 0.10)
+                  .term("low", MembershipFunction::from_breakpoints(
+                                   -kInf, -kInf, 0.05, 0.15))
                   .triangular("medium", 0.15, 0.10, 0.10)
                   .right_shoulder("high", 0.25, 0.10)
                   .build())

@@ -149,17 +149,6 @@ TEST(Membership, AlphaCutRejectsOutOfRange) {
   EXPECT_THROW(mf.alpha_cut_hi(1.5), ContractViolation);
 }
 
-TEST(Membership, CoreCenter) {
-  EXPECT_DOUBLE_EQ(
-      MembershipFunction::triangular(7.0, 1.0, 1.0).core_center(), 7.0);
-  EXPECT_DOUBLE_EQ(
-      MembershipFunction::trapezoidal(2.0, 6.0, 1.0, 1.0).core_center(), 4.0);
-  EXPECT_DOUBLE_EQ(
-      MembershipFunction::left_shoulder(3.0, 1.0).core_center(), 3.0);
-  EXPECT_DOUBLE_EQ(
-      MembershipFunction::right_shoulder(-2.0, 1.0).core_center(), -2.0);
-}
-
 TEST(Membership, DescribeNamesShape) {
   EXPECT_NE(MembershipFunction::triangular(0, 1, 1).describe().find("tri"),
             std::string::npos);
