@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <functional>
@@ -31,12 +32,13 @@ struct Field {
   std::function<void(ScenarioConfig&, const std::string&)> parse;
 };
 
-// Strict parsers: the whole string must be one number.  They throw the
-// std exceptions whose what() the config-file error messages quote.
+// Strict parsers: the whole string must be one finite number.  They throw
+// the std exceptions whose what() the config-file error messages quote.
 double strict_double(const std::string& v) {
   std::size_t used = 0;
   const double x = std::stod(v, &used);
   if (used != v.size()) throw std::invalid_argument("trailing characters");
+  if (!std::isfinite(x)) throw std::invalid_argument("not finite");
   return x;
 }
 

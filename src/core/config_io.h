@@ -28,7 +28,7 @@ namespace facsp::core {
 std::string format_double(double v);
 
 /// Strict number parsers for command-line flags: the whole of `v` must be
-/// one number (parse_u64 also refuses a sign).  Throw facsp::ConfigError
+/// one number, and a finite one (parse_u64 also refuses a sign).  Throw facsp::ConfigError
 /// "bad <what> '<v>'", so the message names the flag.
 int parse_int(const std::string& v, const char* what);
 double parse_double(const std::string& v, const char* what);

@@ -1,6 +1,7 @@
 #include "workload/mix_schedule.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -52,6 +53,10 @@ MixSchedule MixSchedule::from_string(const std::string& text) {
     if (std::sscanf(token.c_str(), "%lf:%lf/%lf/%lf%c", &start, &t, &v, &d,
                     &trailing) != 4)
       throw ConfigError("mix_schedule: expected 'start:text/voice/video', got '" +
+                        token + "'");
+    if (!std::isfinite(start) || !std::isfinite(t) || !std::isfinite(v) ||
+        !std::isfinite(d))
+      throw ConfigError("mix_schedule: numbers must be finite, got '" +
                         token + "'");
     seg.start_s = start;
     seg.mix = cellular::TrafficMix{t, v, d};

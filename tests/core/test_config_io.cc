@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "core/paper.h"
+#include "workload/catalog.h"
 
 namespace facsp::core {
 namespace {
@@ -213,6 +216,33 @@ TEST(ConfigIo, MalformedMixScheduleIsAnError) {
       ParseError);
 }
 
+TEST(ConfigIo, NonFiniteNumbersAreRefused) {
+  // nan and inf parse as doubles but pass every `x <= 0` style check in
+  // validate(); the parsers refuse them instead (found by ConfigFuzz).
+  for (const char* v : {"nan", "-nan", "inf", "-inf", "infinity"}) {
+    const std::string value = v;
+    for (const char* key : {"capacity_bu", "horizon_s",
+                            "traffic.arrival.diurnal_phase_rad",
+                            "traffic.fixed_speed_kmh"})
+      EXPECT_THROW(scenario_from_string(std::string(key) + " = " + value),
+                   ParseError)
+          << key << " = " << value;
+    EXPECT_THROW(
+        scenario_from_string("traffic.mix_schedule = " + value +
+                             ":0.7/0.2/0.1\n"),
+        ParseError)
+        << value;
+    EXPECT_THROW(scenario_from_string("traffic.mix_schedule = 0:0.7/" +
+                                      value + "/0.1\n"),
+                 ParseError)
+        << value;
+    EXPECT_THROW(parse_double(value, "--rate"), ConfigError) << value;
+  }
+  EXPECT_THROW(
+      scenario_from_string("traffic.mix_schedule = 1e999:0.7/0.2/0.1\n"),
+      ParseError);
+}
+
 TEST(ConfigIo, ScenarioKeysEnumerateTheWholeRegistry) {
   // scenario_keys() is the sweep layer's and `--list-keys`' view of the
   // field registry: every key must round-trip through apply_scenario_key
@@ -234,6 +264,146 @@ TEST(ConfigIo, ScenarioKeysEnumerateTheWholeRegistry) {
   for (const char* key : {"no.such.key", "sim.epoch_adaptive",
                           "sim.epoch_min_s", "sim.epoch_max_s"})
     EXPECT_THROW(apply_scenario_key(rebuilt, key, "1"), ConfigError) << key;
+}
+
+// --- deterministic fuzzer ---------------------------------------------------
+
+struct Lcg {
+  std::uint64_t s;
+  std::size_t below(std::size_t n) {
+    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<std::size_t>((s >> 33) % n);
+  }
+};
+
+/// Splits `text` into lines (without their '\n').
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines = split_fields(text, '\n');
+  if (!lines.empty() && lines.back().empty()) lines.pop_back();
+  return lines;
+}
+
+/// Key and value of a `key = value` line (empty for a comment or a line
+/// without " = ").
+std::pair<std::string, std::string> key_value(const std::string& line) {
+  const std::size_t eq = line.find(" = ");
+  if (eq == std::string::npos || line.front() == '#') return {};
+  return {line.substr(0, eq), line.substr(eq + 3)};
+}
+
+/// [begin, end) of each number in `value`: a maximal run of digits, signs,
+/// points and exponent marks holding at least one digit.
+std::vector<std::pair<std::size_t, std::size_t>> number_runs(
+    const std::string& value) {
+  std::vector<std::pair<std::size_t, std::size_t>> runs;
+  std::size_t i = 0;
+  while (i < value.size()) {
+    const std::size_t begin = value.find_first_of("0123456789.eE+-", i);
+    if (begin == std::string::npos) break;
+    std::size_t end = value.find_first_not_of("0123456789.eE+-", begin);
+    if (end == std::string::npos) end = value.size();
+    if (value.find_first_of("0123456789", begin) < end)
+      runs.emplace_back(begin, end);
+    i = end;
+  }
+  return runs;
+}
+
+TEST(ConfigFuzz, MutatedScenariosLoadValidOrThrowLibraryErrors) {
+  // The dumped text of every catalog scenario, mutated line-wise: dropped,
+  // duplicated or equals-less lines, truncated values, swapped keys and
+  // special values.  Every case is either refused with the library's own
+  // ParseError/ConfigError, or loads a config that passes validate(), holds
+  // only finite numbers and round-trips byte for byte.
+  std::vector<std::vector<std::string>> bases;
+  for (const auto& entry : workload::ScenarioCatalog::instance().entries())
+    bases.push_back(lines_of(scenario_to_string(entry.build())));
+  ASSERT_GE(bases.size(), 10u);
+  const char* const specials[] = {"nan", "-nan", "inf",  "-inf", "1e999",
+                                  "-1e999", "-1", "",   "0",    "1e-999"};
+  constexpr std::size_t kNonFinite = 6;  // specials[0..6) never load
+  Lcg rng{2026};
+  int loaded = 0, parse_errors = 0, config_errors = 0, non_finite_refused = 0;
+  for (int i = 0; i < 6000; ++i) {
+    std::vector<std::string> lines = bases[rng.below(bases.size())];
+    const std::size_t mutations = 1 + rng.below(3);
+    bool must_reject = false;
+    for (std::size_t m = 0; m < mutations && !lines.empty(); ++m) {
+      const std::size_t at = rng.below(lines.size());
+      auto [key, value] = key_value(lines[at]);
+      switch (rng.below(6)) {
+        case 0:  // drop a line
+          lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at));
+          break;
+        case 1:  // duplicate a line somewhere later
+          lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(
+                                           at + rng.below(lines.size() - at) +
+                                           1),
+                       lines[at]);
+          break;
+        case 2:  // truncate a value
+          if (!key.empty())
+            lines[at] = key + " = " + value.substr(0, rng.below(value.size() + 1));
+          break;
+        case 3: {  // swap the keys of two lines
+          const std::size_t other = rng.below(lines.size());
+          auto [key2, value2] = key_value(lines[other]);
+          if (key.empty() || key2.empty()) break;
+          lines[at] = key2 + " = " + value;
+          lines[other] = key + " = " + value2;
+          break;
+        }
+        case 4: {  // a special value, for the value or one number in it
+          if (key.empty()) break;
+          const std::size_t pick = rng.below(std::size(specials));
+          const auto runs = number_runs(value);
+          if (runs.empty() || rng.below(2) == 0) {
+            value = specials[pick];
+          } else {  // e.g. one share of a mix schedule
+            const auto [begin, end] = runs[rng.below(runs.size())];
+            value.replace(begin, end - begin, specials[pick]);
+          }
+          lines[at] = key + " = " + value;
+          must_reject = must_reject || (pick < kNonFinite && mutations == 1);
+          break;
+        }
+        default:  // remove the '='
+          if (!key.empty()) lines[at] = key + "  " + value;
+          break;
+      }
+    }
+    std::string text;
+    for (const std::string& line : lines) text += line + '\n';
+    try {
+      const ScenarioConfig config = scenario_from_string(text);
+      EXPECT_NO_THROW(config.validate()) << "case " << i;
+      const std::string dump = scenario_to_string(config);
+      EXPECT_EQ(scenario_to_string(scenario_from_string(dump)), dump)
+          << "case " << i;
+      for (const std::string& line : lines_of(dump)) {
+        const std::string value = key_value(line).second;
+        EXPECT_EQ(value.find("nan"), std::string::npos)
+            << "case " << i << ": " << line;
+        EXPECT_EQ(value.find("inf"), std::string::npos)
+            << "case " << i << ": " << line;
+      }
+      EXPECT_FALSE(must_reject) << "case " << i << " accepted:\n" << text;
+      ++loaded;
+    } catch (const ParseError&) {
+      ++parse_errors;
+      if (must_reject) ++non_finite_refused;
+    } catch (const ConfigError&) {
+      ++config_errors;
+      if (must_reject) ++non_finite_refused;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "case " << i << ": " << e.what() << "\n" << text;
+    }
+  }
+  // Every outcome is exercised, not just one.
+  EXPECT_GT(loaded, 500);
+  EXPECT_GT(parse_errors, 500);
+  EXPECT_GT(config_errors, 50);
+  EXPECT_GT(non_finite_refused, 100);
 }
 
 // --- FlagReader / run_cli ---------------------------------------------------
