@@ -127,7 +127,7 @@ int MultiCellEngine::route_target(int cell, double heading_deg) const {
 }
 
 cellular::MobileState MultiCellEngine::entry_state(
-    const SessionDriver::CellDeparture& dep) const {
+    const SessionDriver::Handover& dep) const {
   // Re-materialise in the destination frame: entering its centre cell from
   // the side the user came from — entry_fraction * cell_radius behind the
   // centre BS along the (unchanged) travel direction.  entry_fraction stays
@@ -160,7 +160,7 @@ void MultiCellEngine::route_epoch(sim::SimTime t_end) {
   // Phase 1 — route departures, in fixed (cell, drain-event) order.
   for (const int k : drain_) {
     Shard& src = shards_[static_cast<std::size_t>(k)];
-    for (SessionDriver::CellDeparture& dep : src.outbox) {
+    for (SessionDriver::Handover& dep : src.outbox) {
       ++es.departures;
       const int dst = route_target(k, dep.state.heading_deg);
       if (observer_) es.routes.emplace_back(k, dst);
@@ -178,13 +178,9 @@ void MultiCellEngine::route_epoch(sim::SimTime t_end) {
       Shard& dsh = shards_[static_cast<std::size_t>(dst)];
       ++dsh.handoffs_in;
       if (dsh.inbox.empty()) touched_.push_back(dst);  // first touch
-      SessionDriver::CellArrival a;
-      a.conn = dep.conn;
-      a.state = entry_state(dep);
-      a.when = t_end;
-      a.remaining_holding_s = dep.remaining_holding_s;
-      a.measured = dep.measured;
-      dsh.inbox.push_back(std::move(a));
+      dep.state = entry_state(dep);
+      dep.when = t_end;
+      dsh.inbox.push_back(std::move(dep));
     }
     src.outbox.clear();
   }
@@ -252,7 +248,7 @@ MultiCellResult MultiCellEngine::run(int n_requests_per_cell) {
     Shard& sh = shards_[k];
     Shard* self = &sh;  // shards_ is stable from here on
     sh.driver->set_departure_sink(
-        [self](SessionDriver::CellDeparture dep) {
+        [self](SessionDriver::Handover dep) {
           self->outbox.push_back(std::move(dep));
         });
     // workload_cells > 0 restricts fresh traffic to the first spiral cells;

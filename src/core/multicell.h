@@ -134,15 +134,14 @@ class MultiCellEngine {
  private:
   struct Shard {
     std::unique_ptr<SessionDriver> driver;
-    std::vector<SessionDriver::CellDeparture> outbox;  ///< filled during drain
-    std::vector<SessionDriver::CellArrival> inbox;     ///< filled at barrier
+    std::vector<SessionDriver::Handover> outbox;  ///< filled during drain
+    std::vector<SessionDriver::Handover> inbox;   ///< filled at barrier
     std::uint64_t handoffs_out = 0;
     std::uint64_t handoffs_in = 0;
     std::uint64_t left_world = 0;
   };
 
-  cellular::MobileState entry_state(
-      const SessionDriver::CellDeparture& dep) const;
+  cellular::MobileState entry_state(const SessionDriver::Handover& dep) const;
   void route_epoch(sim::SimTime t_end);
 
   /// Active-shard index maintenance (swap-remove vector + position map —

@@ -140,8 +140,8 @@ void SessionDriver::finish(Session& s, ConnectionState final_state) {
   sessions_.erase(s.conn.id);
 }
 
-SessionDriver::CellDeparture SessionDriver::depart(Session& s) {
-  CellDeparture d;
+SessionDriver::Handover SessionDriver::depart(Session& s) {
+  Handover d;
   d.conn = s.conn;
   d.state = s.state;
   d.when = sim_.now();
@@ -215,10 +215,10 @@ void SessionDriver::handle_mobility(ConnectionId id) {
                                  [this, id] { handle_mobility(id); });
 }
 
-std::size_t SessionDriver::admit_inbound(std::span<const CellArrival> inbox) {
+std::size_t SessionDriver::admit_inbound(std::span<const Handover> inbox) {
   cellular::BaseStation& bs = network_->center();
   batch_requests_.clear();
-  for (const CellArrival& a : inbox) {
+  for (const Handover& a : inbox) {
     // entry_fraction keeps every entry point inside the centre cell.
     FACSP_ENSURES(network_->station_covering(a.state.position) == &bs);
     auto req = make_request(a.conn, a.state, RequestKind::kHandoff, bs);
@@ -230,7 +230,7 @@ std::size_t SessionDriver::admit_inbound(std::span<const CellArrival> inbox) {
 
   std::size_t admitted = 0;
   for (std::size_t i = 0; i < inbox.size(); ++i) {
-    const CellArrival& a = inbox[i];
+    const Handover& a = inbox[i];
     const bool ok = batch_decisions_[i].admitted &&
                     cac::admit(*policy_, bs, batch_requests_[i]);
     if (a.measured) {

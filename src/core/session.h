@@ -72,31 +72,26 @@ class SessionDriver {
 
   // --- incremental interface (multi-cell engine) ---------------------------
 
-  /// A session leaving this driver's service area.  When a departure sink is
-  /// installed the session's resources are released here and the record is
-  /// handed to the sink (the inter-cell layer decides its fate); without a
-  /// sink the call simply leaves the modelled area as a completion.
-  struct CellDeparture {
-    cellular::Connection conn;
-    cellular::MobileState state;          ///< position just outside the disc
-    sim::SimTime when = 0.0;
-    sim::SimTime remaining_holding_s = 0.0;
-    bool measured = true;
-  };
-  using DepartureSink = std::function<void(CellDeparture)>;
-  void set_departure_sink(DepartureSink sink) {
-    departure_sink_ = std::move(sink);
-  }
-
-  /// An inter-cell handover arriving into this driver's world at `when`
-  /// (state already mapped into this driver's coordinate frame).
-  struct CellArrival {
+  /// An inter-cell handover.  Leaving a driver's service area, `state` is
+  /// the position just outside the disc and `when` the departure time; the
+  /// multi-cell engine then maps `state` into the destination's frame and
+  /// sets `when` to the barrier time, and the same record arrives there.
+  struct Handover {
     cellular::Connection conn;
     cellular::MobileState state;
     sim::SimTime when = 0.0;
     sim::SimTime remaining_holding_s = 0.0;
     bool measured = true;
   };
+
+  /// When a departure sink is installed a session leaving this driver's
+  /// service area releases its resources here and is handed to the sink as
+  /// a Handover (the inter-cell layer decides its fate); without a sink the
+  /// call simply leaves the modelled area as a completion.
+  using DepartureSink = std::function<void(Handover)>;
+  void set_departure_sink(DepartureSink sink) {
+    departure_sink_ = std::move(sink);
+  }
 
   /// Schedule the replication's arrivals and start the utilization meters.
   /// First half of run(); must be called exactly once before advance_until.
@@ -124,7 +119,7 @@ class SessionDriver {
   /// what no longer fits is dropped.  Records each attempt (and drop) of a
   /// measured call and starts the admitted sessions at their `when`.
   /// Returns the number admitted.
-  std::size_t admit_inbound(std::span<const CellArrival> inbox);
+  std::size_t admit_inbound(std::span<const Handover> inbox);
 
   /// Mutable metrics access for the inter-cell layer (left-world
   /// completions are attributed per cell).
@@ -155,7 +150,7 @@ class SessionDriver {
   void finish(Session& s, cellular::ConnectionState final_state);
   /// Release the session's resources and erase it *without* recording a
   /// completion or drop: its fate now belongs to the inter-cell layer.
-  CellDeparture depart(Session& s);
+  Handover depart(Session& s);
 
   cac::AdmissionRequest make_request(const cellular::Connection& conn,
                                      const cellular::MobileState& state,
