@@ -47,6 +47,7 @@ std::ostream& operator<<(std::ostream& os, UserPriority p) {
 }
 
 void TrafficMix::validate() const {
+  require_finite("traffic mix", {text, voice, video});
   if (text < 0.0 || voice < 0.0 || video < 0.0)
     throw ConfigError("traffic mix: probabilities must be non-negative");
   const double sum = text + voice + video;

@@ -10,6 +10,11 @@
 namespace facsp::cellular {
 
 void TrafficConfig::validate() const {
+  require_finite("traffic",
+                 {arrival_window_s, mean_holding_s, min_speed_kmh,
+                  max_speed_kmh, fixed_speed_kmh.value_or(0.0),
+                  fixed_angle_deg.value_or(0.0), priority_low,
+                  priority_normal, priority_high});
   mix.validate();
   arrival.validate();
   mix_schedule.validate();

@@ -6,6 +6,7 @@
 // throw ConfigError; violated API contracts throw ContractViolation.
 #pragma once
 
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 
@@ -43,5 +44,10 @@ class ParseError : public Error {
  private:
   int line_;
 };
+
+/// Throws ConfigError("<what>: numbers must be finite") unless every value
+/// is finite.  Every config validate() calls it before its range checks,
+/// which NaN would pass (NaN <= 0.0 is false) and infinity could.
+void require_finite(const char* what, std::initializer_list<double> values);
 
 }  // namespace facsp

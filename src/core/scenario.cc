@@ -5,6 +5,7 @@
 namespace facsp::core {
 
 void MultiCellConfig::validate() const {
+  require_finite("multicell", {epoch_s, entry_fraction});
   if (cells < 1) throw ConfigError("multicell: cells must be >= 1");
   if (epoch_s <= 0.0) throw ConfigError("multicell: epoch_s must be > 0");
   if (workload_cells < 0)
@@ -17,6 +18,12 @@ void MultiCellConfig::validate() const {
 }
 
 void ScenarioConfig::validate() const {
+  require_finite("scenario",
+                 {cell_radius_m, capacity_bu, mobility_update_s, horizon_s,
+                  mobility.base_sigma_deg, mobility.reference_kmh,
+                  mobility.update_interval_s, mobility.min_speed_kmh,
+                  mobility.max_speed_kmh, mobility.speed_sigma_kmh,
+                  predictor.base_sigma_deg, predictor.reference_kmh});
   if (rings < 0) throw ConfigError("scenario: rings must be >= 0");
   if (cell_radius_m <= 0.0)
     throw ConfigError("scenario: cell radius must be > 0");

@@ -71,6 +71,8 @@ void stop_on_signal(int) {
 }  // namespace
 
 void NetConfig::validate() const {
+  require_finite("net", {max_skew_s, read_timeout_s, write_timeout_s,
+                         idle_timeout_s, flush_idle_s});
   if (port < 0 || port > 65535)
     throw ConfigError("net: port must be in [0, 65535]");
   if (telemetry_port < -1 || telemetry_port > 65535)

@@ -23,6 +23,7 @@ using core::format_double;
 
 void ServerConfig::validate(bool live) const {
   scenario.validate();
+  require_finite("server", {handoff_fraction, batch_window_s});
   if (shards < 1) throw ConfigError("server: shards must be >= 1");
   if (threads < 0) throw ConfigError("server: threads must be >= 0");
   if (batch_window_s <= 0.0 || batch_window_s > 1.0)

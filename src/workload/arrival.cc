@@ -9,6 +9,10 @@
 namespace facsp::workload {
 
 void ArrivalSpec::validate() const {
+  require_finite("arrival",
+                 {on_rate, off_rate, mean_on_s, mean_off_s, diurnal_amplitude,
+                  diurnal_period_s, diurnal_phase_rad, flash_fraction,
+                  flash_start_s, flash_duration_s});
   switch (kind) {
     case ArrivalKind::kConditionedUniform:
       return;

@@ -2,8 +2,7 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <stdexcept>
+#include <string_view>
 
 #include "common/error.h"
 
@@ -29,6 +28,7 @@ const cellular::TrafficMix& MixSchedule::mix_at(
 void MixSchedule::validate() const {
   double prev = -1.0;
   for (const MixSegment& seg : segments_) {
+    require_finite("mix_schedule", {seg.start_s});
     if (seg.start_s < 0.0)
       throw ConfigError("mix_schedule: segment start must be >= 0");
     if (seg.start_s <= prev)
@@ -39,6 +39,27 @@ void MixSchedule::validate() const {
   }
 }
 
+namespace {
+
+/// Reads "start:text/voice/video" into `out`.  Each field must be one whole
+/// number as std::from_chars reads it, as in the trace reader: no blanks,
+/// no '+', no hex float, nothing out of range.  False on any other shape.
+bool parse_segment(std::string_view token, double (&out)[4]) {
+  constexpr char kSeparators[4] = {':', '/', '/', '\0'};
+  for (int i = 0; i < 4; ++i) {
+    const char sep = kSeparators[i];
+    const std::size_t len = sep != '\0' ? token.find(sep) : token.size();
+    if (len == std::string_view::npos) return false;
+    const char* end = token.data() + len;
+    const auto [ptr, ec] = std::from_chars(token.data(), end, out[i]);
+    if (ec != std::errc() || ptr != end) return false;
+    token.remove_prefix(sep != '\0' ? len + 1 : len);
+  }
+  return true;
+}
+
+}  // namespace
+
 MixSchedule MixSchedule::from_string(const std::string& text) {
   if (text.empty() || text == "none") return MixSchedule{};
   std::vector<MixSegment> segments;
@@ -47,19 +68,17 @@ MixSchedule MixSchedule::from_string(const std::string& text) {
     const std::size_t semi = text.find(';', pos);
     const std::string token = text.substr(
         pos, semi == std::string::npos ? std::string::npos : semi - pos);
-    MixSegment seg;
-    double start = 0.0, t = 0.0, v = 0.0, d = 0.0;
-    char trailing = '\0';
-    if (std::sscanf(token.c_str(), "%lf:%lf/%lf/%lf%c", &start, &t, &v, &d,
-                    &trailing) != 4)
+    double x[4];  // start, text, voice, video
+    if (!parse_segment(token, x))
       throw ConfigError("mix_schedule: expected 'start:text/voice/video', got '" +
                         token + "'");
-    if (!std::isfinite(start) || !std::isfinite(t) || !std::isfinite(v) ||
-        !std::isfinite(d))
+    if (!std::isfinite(x[0]) || !std::isfinite(x[1]) || !std::isfinite(x[2]) ||
+        !std::isfinite(x[3]))
       throw ConfigError("mix_schedule: numbers must be finite, got '" +
                         token + "'");
-    seg.start_s = start;
-    seg.mix = cellular::TrafficMix{t, v, d};
+    MixSegment seg;
+    seg.start_s = x[0];
+    seg.mix = cellular::TrafficMix{x[1], x[2], x[3]};
     segments.push_back(seg);
     if (semi == std::string::npos) break;
     pos = semi + 1;

@@ -8,6 +8,8 @@
 namespace facsp::workload {
 
 void SpatialSpec::validate() const {
+  require_finite("spatial",
+                 {hotspot_decay, highway_halfwidth_m, highway_off_weight});
   switch (kind) {
     case SpatialKind::kCenterOnly:
     case SpatialKind::kUniform:

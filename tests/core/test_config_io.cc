@@ -6,12 +6,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "core/paper.h"
+#include "net/server.h"
+#include "serve/decision_loop.h"
 #include "workload/catalog.h"
 
 namespace facsp::core {
@@ -214,6 +217,91 @@ TEST(ConfigIo, MalformedMixScheduleIsAnError) {
   EXPECT_THROW(
       scenario_from_string("traffic.mix_schedule = 0:0.9/0.9/0.9\n"),
       ParseError);
+}
+
+TEST(ConfigIo, ValidateRefusesNonFiniteFieldsSetInCode) {
+  // A config built in code skips the parsers, so validate() itself must
+  // refuse NaN and infinity in every double field, including fields the
+  // selected arrival / spatial kind ignores.
+  using Set = void (*)(ScenarioConfig&, double);
+#define FIELD(f) {#f, [](ScenarioConfig& s, double v) { s.f = v; }}
+  const std::pair<const char*, Set> scenario_fields[] = {
+      FIELD(cell_radius_m), FIELD(capacity_bu), FIELD(mobility_update_s),
+      FIELD(horizon_s), FIELD(mobility.base_sigma_deg),
+      FIELD(mobility.reference_kmh), FIELD(mobility.update_interval_s),
+      FIELD(mobility.min_speed_kmh), FIELD(mobility.max_speed_kmh),
+      FIELD(mobility.speed_sigma_kmh), FIELD(predictor.base_sigma_deg),
+      FIELD(predictor.reference_kmh), FIELD(multicell.epoch_s),
+      FIELD(multicell.entry_fraction), FIELD(traffic.arrival_window_s),
+      FIELD(traffic.mean_holding_s), FIELD(traffic.min_speed_kmh),
+      FIELD(traffic.max_speed_kmh), FIELD(traffic.fixed_speed_kmh),
+      FIELD(traffic.fixed_angle_deg), FIELD(traffic.priority_low),
+      FIELD(traffic.priority_normal), FIELD(traffic.priority_high),
+      FIELD(traffic.mix.text), FIELD(traffic.mix.voice),
+      FIELD(traffic.mix.video), FIELD(traffic.arrival.on_rate),
+      FIELD(traffic.arrival.off_rate), FIELD(traffic.arrival.mean_on_s),
+      FIELD(traffic.arrival.mean_off_s),
+      FIELD(traffic.arrival.diurnal_amplitude),
+      FIELD(traffic.arrival.diurnal_period_s),
+      FIELD(traffic.arrival.diurnal_phase_rad),
+      FIELD(traffic.arrival.flash_fraction),
+      FIELD(traffic.arrival.flash_start_s),
+      FIELD(traffic.arrival.flash_duration_s),
+      FIELD(spatial.hotspot_decay), FIELD(spatial.highway_halfwidth_m),
+      FIELD(spatial.highway_off_weight),
+      {"mix_schedule start",
+       [](ScenarioConfig& s, double v) {
+         s.traffic.mix_schedule =
+             workload::MixSchedule({workload::MixSegment{v, {}}});
+       }},
+      {"mix_schedule text",
+       [](ScenarioConfig& s, double v) {
+         s.traffic.mix_schedule = workload::MixSchedule(
+             {workload::MixSegment{0.0, {v, 0.2, 0.1}}});
+       }},
+  };
+#undef FIELD
+  using SetServer = void (*)(serve::ServerConfig&, double);
+  const std::pair<const char*, SetServer> server_fields[] = {
+      {"handoff_fraction",
+       [](serve::ServerConfig& c, double v) { c.handoff_fraction = v; }},
+      {"batch_window_s",
+       [](serve::ServerConfig& c, double v) { c.batch_window_s = v; }},
+  };
+  using SetNet = void (*)(net::NetConfig&, double);
+  const std::pair<const char*, SetNet> net_fields[] = {
+      {"max_skew_s", [](net::NetConfig& c, double v) { c.max_skew_s = v; }},
+      {"read_timeout_s",
+       [](net::NetConfig& c, double v) { c.read_timeout_s = v; }},
+      {"write_timeout_s",
+       [](net::NetConfig& c, double v) { c.write_timeout_s = v; }},
+      {"idle_timeout_s",
+       [](net::NetConfig& c, double v) { c.idle_timeout_s = v; }},
+      {"flush_idle_s", [](net::NetConfig& c, double v) { c.flush_idle_s = v; }},
+  };
+
+  ASSERT_NO_THROW(ScenarioConfig{}.validate());
+  ASSERT_NO_THROW(serve::ServerConfig{}.validate(true));
+  ASSERT_NO_THROW(net::NetConfig{}.validate());
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    for (const auto& [name, set] : scenario_fields) {
+      ScenarioConfig s;
+      set(s, v);
+      EXPECT_THROW(s.validate(), ConfigError) << name << " = " << v;
+    }
+    for (const auto& [name, set] : server_fields) {
+      serve::ServerConfig c;
+      set(c, v);
+      EXPECT_THROW(c.validate(true), ConfigError) << name << " = " << v;
+    }
+    for (const auto& [name, set] : net_fields) {
+      net::NetConfig c;
+      set(c, v);
+      EXPECT_THROW(c.validate(), ConfigError) << name << " = " << v;
+    }
+  }
 }
 
 TEST(ConfigIo, NonFiniteNumbersAreRefused) {

@@ -44,6 +44,13 @@ TEST(MixSchedule, StringRoundTrip) {
 TEST(MixSchedule, FromStringRejectsMalformedInput) {
   EXPECT_THROW(MixSchedule::from_string("0:0.7/0.2"), facsp::ConfigError);
   EXPECT_THROW(MixSchedule::from_string("abc"), facsp::ConfigError);
+  // Each number is one whole std::from_chars token: no blanks, hex floats,
+  // '+' signs or out-of-range values.
+  for (const char* text :
+       {" 1:0.7/0.2/0.1", "1: 0.7/0.2/0.1", "0x1p3:0.7/0.2/0.1",
+        "1e-999:0.7/0.2/0.1", "1e999:0.7/0.2/0.1", "+1:0.7/0.2/0.1",
+        "1:0.7/0.2/0.1 ", "1:0.7/0.2/0.1/0", "1:0.7:0.2/0.1", ":0.7/0.2/0.1"})
+    EXPECT_THROW(MixSchedule::from_string(text), facsp::ConfigError) << text;
   EXPECT_THROW(MixSchedule::from_string("0:0.7/0.2/0.1x"),
                facsp::ConfigError);
   // Mixes must sum to 1.
