@@ -25,11 +25,11 @@ int main() {
       &core::ResultRow::acceptance_percent, "FACS");
 
   for (double w : weights) {
-    cac::FacsPConfig cfg;
-    cfg.weights.real_time = w;
+    cac::PriorityWeights priority;
+    priority.real_time = w;
     const std::string label = "w_rt=" + std::to_string(w).substr(0, 3);
     const auto table =
-        run_sweep(scenario, {label, core::make_facs_p_factory(cfg)});
+        run_sweep(scenario, {label, core::make_facs_p_factory(priority)});
     const auto s = core::metric_series(
         table, &core::ResultRow::acceptance_percent, label);
     const auto d =

@@ -33,7 +33,7 @@ void BM_MembershipGrade(benchmark::State& state) {
 BENCHMARK(BM_MembershipGrade);
 
 void BM_Flc1Evaluate(benchmark::State& state) {
-  const auto flc1 = cac::make_flc1();
+  const auto flc1 = cac::shared_flc1();
   sim::RandomStream rng(1);
   std::vector<std::array<double, 3>> inputs(256);
   for (auto& in : inputs)
@@ -48,7 +48,7 @@ void BM_Flc1Evaluate(benchmark::State& state) {
 BENCHMARK(BM_Flc1Evaluate);
 
 void BM_Flc2Evaluate(benchmark::State& state) {
-  const auto flc2 = cac::make_flc2();
+  const auto flc2 = cac::shared_flc2();
   sim::RandomStream rng(2);
   std::vector<std::array<double, 3>> inputs(256);
   for (auto& in : inputs)
@@ -63,7 +63,7 @@ void BM_Flc2Evaluate(benchmark::State& state) {
 BENCHMARK(BM_Flc2Evaluate);
 
 void BM_Flc1EvaluateBatch(benchmark::State& state) {
-  const auto flc1 = cac::make_flc1();
+  const auto flc1 = cac::shared_flc1();
   const std::size_t rows = static_cast<std::size_t>(state.range(0));
   sim::RandomStream rng(1);
   std::vector<double> inputs(rows * 3);
@@ -143,8 +143,8 @@ ServeMix make_serve_mix(const fuzzy::FuzzyController& flc1, std::size_t rows) {
 /// Centroid defuzzification alone, over output activations recorded once
 /// from the serve mix (the inference stage is not timed).
 void BM_DefuzzCentroid(benchmark::State& state, int stage) {
-  const auto flc1 = cac::make_flc1();
-  const auto flc2 = cac::make_flc2();
+  const auto flc1 = cac::shared_flc1();
+  const auto flc2 = cac::shared_flc2();
   const fuzzy::FuzzyController& flc = stage == 1 ? *flc1 : *flc2;
   const ServeMix mix = make_serve_mix(*flc1, 256);
   std::vector<std::vector<double>> activations;

@@ -12,7 +12,7 @@ int main() {
   using namespace facsp::cac;
 
   std::cout << "=== Table 1 reproduction: FRB1 (63 rules) ===\n\n";
-  const auto flc1 = make_flc1();
+  const auto flc1 = shared_flc1();
   const auto& rules = flc1->rules();
 
   // Print the rule base exactly as the paper tabulates it.

@@ -11,7 +11,7 @@ int main() {
   using namespace facsp::cac;
 
   std::cout << "=== Table 2 reproduction: FRB2 (27 rules) ===\n\n";
-  const auto flc2 = make_flc2();
+  const auto flc2 = shared_flc2();
   const auto& rules = flc2->rules();
 
   std::printf("%-5s %-4s %-4s %-4s %-5s\n", "Rule", "Cv", "Rq", "Cs", "A/R");

@@ -52,7 +52,7 @@ int main() {
   // counts 1.6x, handoff-continuing calls an extra 1.2x).
   cellular::BaseStation bs(/*id=*/0, cellular::HexCoord{0, 0},
                            cellular::Point{0.0, 0.0}, /*capacity=*/40.0);
-  cac::FacsPPolicy policy;  // default FacsPConfig
+  cac::FacsPPolicy policy;  // default PriorityWeights
 
   std::cout << "Empty cell — everything reasonable gets in:\n";
   decide_and_report(policy, bs, make_request(1, cellular::ServiceClass::kVideo,

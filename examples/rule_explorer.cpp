@@ -45,8 +45,8 @@ void explain_at(const fuzzy::FuzzyController& flc,
 }
 
 int run(int argc, char** argv) {
-  const auto flc1 = cac::make_flc1();
-  const auto flc2 = cac::make_flc2();
+  const auto flc1 = cac::shared_flc1();
+  const auto flc2 = cac::shared_flc2();
 
   if (argc == 5) {
     const std::vector<double> in = {core::parse_double(argv[2], "input 1"),

@@ -2,11 +2,9 @@
 
 namespace facsp::cac {
 
-FacsPolicy::FacsPolicy(const FacsConfig& config)
-    : FuzzyCacBase(
-          make_flc1_distance(config.flc1), make_flc2(config.flc2),
-          config.accept_threshold, config.handoff_score_bonus),
-      config_(config) {}
+FacsPolicy::FacsPolicy(const cellular::CellularNetwork& network)
+    : FuzzyCacBase(make_flc1_distance(network.layout().cell_radius()),
+                   shared_flc2(), kAcceptThreshold, kHandoffScoreBonus) {}
 
 double FacsPolicy::flc1_third_input(const AdmissionRequest& req) const {
   return req.distance_m;

@@ -10,37 +10,30 @@
 
 #include "cac/facs_flc.h"
 #include "cac/fuzzy_cac_base.h"
+#include "cellular/network.h"
 
 namespace facsp::cac {
 
-/// Configuration of the FACS baseline.
-struct FacsConfig {
-  Flc1DistanceParams flc1{};
-  Flc2Params flc2{};
-  /// Admit when the crisp A/R exceeds this (0 = the NRNA centre).
-  double accept_threshold = 0.28;
-  /// Handoffs carry on-going calls, so even FACS favours them mildly
-  /// (classic handoff prioritisation, ref [2]); FACS-P strengthens this.
-  double handoff_score_bonus = 0.15;
-};
-
 /// The previous-work fuzzy CAC: FLC1-D (Sp, An, Di) -> Cv, FLC2 (Cv, Rq,
-/// plain Cs) -> A/R.
+/// plain Cs) -> A/R.  FLC2 is the process's shared one; FLC1-D is built for
+/// the network's cell radius.
 class FacsPolicy final : public FuzzyCacBase {
  public:
-  explicit FacsPolicy(const FacsConfig& config = {});
+  /// Admit when the crisp A/R exceeds this (0 = the NRNA centre).
+  static constexpr double kAcceptThreshold = 0.28;
+  /// Handoffs carry on-going calls, so even FACS favours them mildly
+  /// (classic handoff prioritisation, ref [2]); FACS-P strengthens this.
+  static constexpr double kHandoffScoreBonus = 0.15;
+
+  /// Reads only the network's cell radius; keeps no reference to it.
+  explicit FacsPolicy(const cellular::CellularNetwork& network);
 
   std::string_view name() const noexcept override { return "FACS"; }
-
-  const FacsConfig& config() const noexcept { return config_; }
 
  protected:
   double flc1_third_input(const AdmissionRequest& req) const override;
   double counter_state(const AdmissionRequest& req,
                        const cellular::BaseStation& bs) const override;
-
- private:
-  FacsConfig config_;
 };
 
 }  // namespace facsp::cac

@@ -43,23 +43,22 @@ const std::vector<std::string>& frb1_consequents() {
   return kTable;
 }
 
-std::vector<std::string> frb1_distance_consequents(
-    const Flc1DistanceParams& params) {
+std::vector<std::string> frb1_distance_consequents() {
   // Derived for the previous FACS (see header comment): base level from
-  // Table 1's voice (Me) column per (Sp, An), then the configured Near /
-  // Middle / Far level shifts, clamped to [1, 9].
+  // Table 1's voice (Me) column per (Sp, An), then the Near / Middle / Far
+  // level shifts, clamped to [1, 9].  Far users will hand off soon, so
+  // admitting them wastes the cell's capacity.
   constexpr int kBase[3][7] = {
       {3, 4, 6, 9, 6, 4, 3},  // Sl
       {2, 4, 5, 9, 5, 4, 2},  // Mi
       {2, 3, 5, 9, 5, 3, 2},  // Fa
   };
-  const int deltas[3] = {params.near_delta, params.mid_delta,
-                         params.far_delta};
+  constexpr int kDeltas[3] = {+1, 0, -1};  // Ne, Md, Fr
   std::vector<std::string> t;
   t.reserve(63);
   for (int sp = 0; sp < 3; ++sp) {
     for (int an = 0; an < 7; ++an) {
-      for (int delta : deltas) {  // Ne, Md, Fr
+      for (int delta : kDeltas) {
         const int level = std::clamp(kBase[sp][an] + delta, 1, 9);
         t.push_back("Cv" + std::to_string(level));
       }
@@ -88,17 +87,18 @@ const std::vector<std::string>& frb2_consequents() {
   return kTable;
 }
 
-LinguisticVariable make_speed_variable(const Flc1Params& p) {
-  return VariableBuilder("Sp", 0.0, p.speed_max)
-      .left_shoulder("Sl", 0.0, p.speed_slow_zero)
-      .triangular("Mi", p.speed_mid_center, p.speed_mid_width,
-                  p.speed_mid_width)
-      .right_shoulder("Fa", p.speed_fast_plateau, p.speed_fast_rise)
+// Fig. 5(a): speed Sp in km/h over [0, 120].
+LinguisticVariable make_speed_variable() {
+  return VariableBuilder("Sp", 0.0, 120.0)
+      .left_shoulder("Sl", 0.0, 60.0)
+      .triangular("Mi", 60.0, 60.0, 60.0)
+      .right_shoulder("Fa", 120.0, 60.0)
       .build();
 }
 
-LinguisticVariable make_angle_variable(const Flc1Params& p) {
-  const double s = p.angle_step;
+// Fig. 5(b): angle An in degrees over [-180, 180], terms every 45 degrees.
+LinguisticVariable make_angle_variable() {
+  constexpr double s = 45.0;
   return VariableBuilder("An", -180.0, 180.0)
       .left_shoulder("B1", -3.0 * s, s)        // plateau ..-135, falls to -90
       .triangular("L1", -2.0 * s, s, s)        // -90
@@ -110,62 +110,67 @@ LinguisticVariable make_angle_variable(const Flc1Params& p) {
       .build();
 }
 
-LinguisticVariable make_service_request_variable(const Flc1Params& p) {
-  return VariableBuilder("Sr", 0.0, p.sr_max)
-      .left_shoulder("Sm", 0.0, p.sr_small_zero)
-      .triangular("Me", p.sr_med_center, p.sr_med_width, p.sr_med_width)
-      .right_shoulder("Bi", p.sr_big_plateau, p.sr_big_rise)
+// Fig. 5(c): service request Sr in BU over [0, 10].
+LinguisticVariable make_service_request_variable() {
+  return VariableBuilder("Sr", 0.0, 10.0)
+      .left_shoulder("Sm", 0.0, 5.0)
+      .triangular("Me", 5.0, 5.0, 5.0)
+      .right_shoulder("Bi", 10.0, 5.0)
       .build();
 }
 
-LinguisticVariable make_distance_variable(const Flc1DistanceParams& p) {
-  const double R = p.cell_radius_m;
-  if (R <= 0.0) throw ConfigError("distance variable: cell radius must be > 0");
-  return VariableBuilder("Di", 0.0, p.max_frac * R)
-      .left_shoulder("Ne", p.near_frac * R, p.edge_width_frac * R)
-      .triangular("Md", p.mid_frac * R, p.edge_width_frac * R,
-                  p.edge_width_frac * R)
-      .right_shoulder("Fr", R, p.edge_width_frac * R)
+// FACS's distance Di over [0, 1.2 R] (users may be polled slightly outside
+// the nominal radius before handoff): Near plateau to 0.2 R, Middle peak at
+// 0.6 R, Far plateau from R, edges 0.4 R wide.
+LinguisticVariable make_distance_variable(double cell_radius_m) {
+  const double R = cell_radius_m;
+  if (!(R > 0.0))
+    throw ConfigError("distance variable: cell radius must be > 0");
+  return VariableBuilder("Di", 0.0, 1.2 * R)
+      .left_shoulder("Ne", 0.2 * R, 0.4 * R)
+      .triangular("Md", 0.6 * R, 0.4 * R, 0.4 * R)
+      .right_shoulder("Fr", R, 0.4 * R)
       .build();
 }
 
-LinguisticVariable make_correction_output_variable(const Flc1Params& p) {
-  if (p.cv_terms < 2)
-    throw ConfigError("correction variable: need at least 2 terms");
+// Fig. 5(d): correction value Cv over [0, 1], uniform terms Cv1..Cv9.
+LinguisticVariable make_correction_output_variable() {
+  return VariableBuilder("Cv", 0.0, 1.0).uniform_partition("Cv", 9).build();
+}
+
+// Fig. 6(a): Cv as FLC2's input, Normal centred at 0.5.
+LinguisticVariable make_correction_input_variable() {
   return VariableBuilder("Cv", 0.0, 1.0)
-      .uniform_partition("Cv", p.cv_terms)
+      .left_shoulder("Bd", 0.0, 0.5)
+      .triangular("No", 0.5, 0.5, 0.5)
+      .right_shoulder("Go", 1.0, 0.5)
       .build();
 }
 
-LinguisticVariable make_correction_input_variable(const Flc2Params& p) {
-  const double c = p.cv_normal_center;
-  return VariableBuilder("Cv", 0.0, 1.0)
-      .left_shoulder("Bd", 0.0, c)
-      .triangular("No", c, c, 1.0 - c)
-      .right_shoulder("Go", 1.0, 1.0 - c)
+// Fig. 6(b): request type Rq in BU over [0, 10] (text=1, voice=5,
+// video=10).
+LinguisticVariable make_request_type_variable() {
+  return VariableBuilder("Rq", 0.0, 10.0)
+      .left_shoulder("Tx", 0.0, 5.0)
+      .triangular("Vo", 5.0, 5.0, 5.0)
+      .right_shoulder("Vi", 10.0, 5.0)
       .build();
 }
 
-LinguisticVariable make_request_type_variable(const Flc2Params& p) {
-  const double v = p.rq_voice_center;
-  return VariableBuilder("Rq", 0.0, p.rq_max)
-      .left_shoulder("Tx", 0.0, v)
-      .triangular("Vo", v, v, p.rq_max - v)
-      .right_shoulder("Vi", p.rq_max, p.rq_max - v)
-      .build();
-}
-
-LinguisticVariable make_counter_state_variable(const Flc2Params& p) {
-  const double m = p.cs_mid_center;
-  return VariableBuilder("Cs", 0.0, p.cs_max)
+// Fig. 6(c): counter state Cs in BU over [0, 40], Middle centred at 20.
+LinguisticVariable make_counter_state_variable() {
+  constexpr double m = kCounterStateMax / 2.0;
+  return VariableBuilder("Cs", 0.0, kCounterStateMax)
       .left_shoulder("Sa", 0.0, m)
-      .triangular("Md", m, m, p.cs_max - m)
-      .right_shoulder("Fu", p.cs_max, p.cs_max - m)
+      .triangular("Md", m, m, kCounterStateMax - m)
+      .right_shoulder("Fu", kCounterStateMax, kCounterStateMax - m)
       .build();
 }
 
-LinguisticVariable make_accept_reject_variable(const Flc2Params& p) {
-  const double s = p.ar_step;
+// Fig. 6(d): accept/reject A/R over [-1, 1]: WR / NRNA / WA at -0.3 / 0 /
+// +0.3, shoulders from +/-0.6.
+LinguisticVariable make_accept_reject_variable() {
+  constexpr double s = 0.3;
   return VariableBuilder("AR", -1.0, 1.0)
       .left_shoulder("R", -2.0 * s, s)
       .triangular("WR", -s, s, s)
@@ -175,36 +180,38 @@ LinguisticVariable make_accept_reject_variable(const Flc2Params& p) {
       .build();
 }
 
-std::unique_ptr<fuzzy::FuzzyController> make_flc1(
-    const Flc1Params& params) {
-  return ControllerBuilder("FLC1")
-      .input(make_speed_variable(params))
-      .input(make_angle_variable(params))
-      .input(make_service_request_variable(params))
-      .output(make_correction_output_variable(params))
-      .rule_table(frb1_consequents())
-      .build();
+std::shared_ptr<const fuzzy::FuzzyController> shared_flc1() {
+  static const std::shared_ptr<const fuzzy::FuzzyController> flc1 =
+      ControllerBuilder("FLC1")
+          .input(make_speed_variable())
+          .input(make_angle_variable())
+          .input(make_service_request_variable())
+          .output(make_correction_output_variable())
+          .rule_table(frb1_consequents())
+          .build();
+  return flc1;
+}
+
+std::shared_ptr<const fuzzy::FuzzyController> shared_flc2() {
+  static const std::shared_ptr<const fuzzy::FuzzyController> flc2 =
+      ControllerBuilder("FLC2")
+          .input(make_correction_input_variable())
+          .input(make_request_type_variable())
+          .input(make_counter_state_variable())
+          .output(make_accept_reject_variable())
+          .rule_table(frb2_consequents())
+          .build();
+  return flc2;
 }
 
 std::unique_ptr<fuzzy::FuzzyController> make_flc1_distance(
-    const Flc1DistanceParams& params) {
+    double cell_radius_m) {
   return ControllerBuilder("FLC1-D")
-      .input(make_speed_variable(params.base))
-      .input(make_angle_variable(params.base))
-      .input(make_distance_variable(params))
-      .output(make_correction_output_variable(params.base))
-      .rule_table(frb1_distance_consequents(params))
-      .build();
-}
-
-std::unique_ptr<fuzzy::FuzzyController> make_flc2(
-    const Flc2Params& params) {
-  return ControllerBuilder("FLC2")
-      .input(make_correction_input_variable(params))
-      .input(make_request_type_variable(params))
-      .input(make_counter_state_variable(params))
-      .output(make_accept_reject_variable(params))
-      .rule_table(frb2_consequents())
+      .input(make_speed_variable())
+      .input(make_angle_variable())
+      .input(make_distance_variable(cell_radius_m))
+      .output(make_correction_output_variable())
+      .rule_table(frb1_distance_consequents())
       .build();
 }
 

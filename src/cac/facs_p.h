@@ -14,54 +14,28 @@
 // against plain FACS.  The policy holds no per-call state of its own.
 #pragma once
 
-#include <memory>
-
 #include "cac/counters.h"
 #include "cac/facs_flc.h"
 #include "cac/fuzzy_cac_base.h"
 
 namespace facsp::cac {
 
-/// Configuration of FACS-P.
-struct FacsPConfig {
-  Flc1Params flc1{};
-  Flc2Params flc2{};
-  PriorityWeights weights{};
-  /// Admit when the crisp A/R exceeds this (0 = the NRNA centre).
-  double accept_threshold = 0.08;
-  /// Score bonus for handoff continuations of on-going calls (stronger than
-  /// FACS's: on-going connections are the priority class).
-  double handoff_score_bonus = 0.30;
-};
-
-/// FLC1 (Table 1) and FLC2 (Table 2) as `config` describes them: its
-/// membership breakpoints.
-/// Each controller is immutable once built, so one pair may back every
-/// FacsPPolicy (and FacsPrPolicy) made from the same config, on any thread.
-std::shared_ptr<const fuzzy::FuzzyController> make_facs_p_flc1(
-    const FacsPConfig& config);
-std::shared_ptr<const fuzzy::FuzzyController> make_facs_p_flc2(
-    const FacsPConfig& config);
-
 /// The proposed policy.  Reads Cs from the target base station's RTC/NRTC
 /// load (paper Fig. 4: the A/R output feeds the counters, which
-/// cac::admit's allocation updates).
+/// cac::admit's allocation updates).  Every FacsPPolicy (and FacsPrPolicy)
+/// shares the process's one FLC1/FLC2 pair and owns only its scratch.
 class FacsPPolicy final : public FuzzyCacBase {
  public:
-  /// Builds a private FLC1/FLC2 pair from `config`.  Throws
-  /// facsp::ConfigError when a priority weight is below 1.
-  explicit FacsPPolicy(const FacsPConfig& config = {});
+  /// Admit when the crisp A/R exceeds this (0 = the NRNA centre).
+  static constexpr double kAcceptThreshold = 0.08;
+  /// Score bonus for handoff continuations of on-going calls (stronger than
+  /// FACS's: on-going connections are the priority class).
+  static constexpr double kHandoffScoreBonus = 0.30;
 
-  /// Shares an already-built pair, which must be make_facs_p_flc1/flc2 of
-  /// this same `config` (the policy factories build it once per config).
-  /// Decisions are bit-identical to FacsPPolicy(config)'s.
-  FacsPPolicy(const FacsPConfig& config,
-              std::shared_ptr<const fuzzy::FuzzyController> flc1,
-              std::shared_ptr<const fuzzy::FuzzyController> flc2);
+  /// Throws facsp::ConfigError when a priority weight is below 1.
+  explicit FacsPPolicy(const PriorityWeights& weights = {});
 
   std::string_view name() const noexcept override { return "FACS-P"; }
-
-  const FacsPConfig& config() const noexcept { return config_; }
 
  protected:
   double flc1_third_input(const AdmissionRequest& req) const override;
@@ -69,7 +43,7 @@ class FacsPPolicy final : public FuzzyCacBase {
                        const cellular::BaseStation& bs) const override;
 
  private:
-  FacsPConfig config_;
+  PriorityWeights weights_;
 };
 
 }  // namespace facsp::cac

@@ -1,34 +1,18 @@
 #include "cac/facs_pr.h"
 
-#include <utility>
-
-#include "common/error.h"
-
 namespace facsp::cac {
 
-FacsPrPolicy::FacsPrPolicy(const FacsPrConfig& config)
-    : FacsPrPolicy(config, make_facs_p_flc1(config.base),
-                   make_facs_p_flc2(config.base)) {}
-
-FacsPrPolicy::FacsPrPolicy(const FacsPrConfig& config,
-                           std::shared_ptr<const fuzzy::FuzzyController> flc1,
-                           std::shared_ptr<const fuzzy::FuzzyController> flc2)
-    : config_(config), inner_(config.base, std::move(flc1), std::move(flc2)) {
-  if (config_.low_extra < config_.normal_extra ||
-      config_.normal_extra < config_.high_extra)
-    throw ConfigError(
-        "facs-pr: threshold extras must order low >= normal >= high "
-        "(higher priority must not face a stricter threshold)");
-}
+FacsPrPolicy::FacsPrPolicy(const PriorityWeights& weights)
+    : inner_(weights) {}
 
 double FacsPrPolicy::threshold_for(cellular::UserPriority p) const noexcept {
-  double extra = config_.normal_extra;
+  double extra = kNormalExtra;
   switch (p) {
-    case cellular::UserPriority::kLow: extra = config_.low_extra; break;
-    case cellular::UserPriority::kNormal: extra = config_.normal_extra; break;
-    case cellular::UserPriority::kHigh: extra = config_.high_extra; break;
+    case cellular::UserPriority::kLow: extra = kLowExtra; break;
+    case cellular::UserPriority::kNormal: extra = kNormalExtra; break;
+    case cellular::UserPriority::kHigh: extra = kHighExtra; break;
   }
-  return config_.base.accept_threshold + extra;
+  return FacsPPolicy::kAcceptThreshold + extra;
 }
 
 AdmissionDecision FacsPrPolicy::decide(const AdmissionRequest& req,

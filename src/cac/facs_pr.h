@@ -13,35 +13,26 @@
 // by bench_future_work is attributable to requesting-priority alone.
 #pragma once
 
-#include <memory>
 #include <span>
 
 #include "cac/facs_p.h"
 
 namespace facsp::cac {
 
-/// Configuration of FACS-PR.
-struct FacsPrConfig {
-  /// The underlying FACS-P configuration (on-going priority et al.).
-  FacsPConfig base{};
-  /// Threshold adjustments per requesting priority, *added* to
-  /// base.accept_threshold.  Low demands more, high demands less.
-  double low_extra = +0.15;
-  double normal_extra = 0.0;
-  double high_extra = -0.12;
-};
-
 /// FACS-P + priority of requesting connections.
 class FacsPrPolicy final : public AdmissionPolicy {
  public:
-  /// Builds a private FLC1/FLC2 pair from config.base.
-  explicit FacsPrPolicy(const FacsPrConfig& config = {});
+  /// Threshold adjustments per requesting priority, *added* to FACS-P's
+  /// accept threshold.  Low demands more, high demands less.
+  static constexpr double kLowExtra = +0.15;
+  static constexpr double kNormalExtra = 0.0;
+  static constexpr double kHighExtra = -0.12;
+  static_assert(kLowExtra >= kNormalExtra && kNormalExtra >= kHighExtra,
+                "higher priority must not face a stricter threshold");
 
-  /// Shares an already-built pair (make_facs_p_flc1/flc2 of config.base)
-  /// with the inner FACS-P.
-  FacsPrPolicy(const FacsPrConfig& config,
-               std::shared_ptr<const fuzzy::FuzzyController> flc1,
-               std::shared_ptr<const fuzzy::FuzzyController> flc2);
+  /// The on-going-priority weights of the inner FACS-P.  Throws
+  /// facsp::ConfigError when one is below 1.
+  explicit FacsPrPolicy(const PriorityWeights& weights = {});
 
   std::string_view name() const noexcept override { return "FACS-PR"; }
 
@@ -54,8 +45,6 @@ class FacsPrPolicy final : public AdmissionPolicy {
                     const cellular::BaseStation& bs,
                     std::span<AdmissionDecision> out) override;
 
-  const FacsPrConfig& config() const noexcept { return config_; }
-
   /// The effective accept threshold applied to a given priority.
   double threshold_for(cellular::UserPriority p) const noexcept;
 
@@ -63,7 +52,6 @@ class FacsPrPolicy final : public AdmissionPolicy {
   const fuzzy::FuzzyController& flc2() const noexcept { return inner_.flc2(); }
 
  private:
-  FacsPrConfig config_;
   FacsPPolicy inner_;
 };
 

@@ -7,8 +7,8 @@
 // Subclasses choose the third FLC1 input (service request vs distance) and
 // how the counter state is computed (plain vs priority-weighted occupancy).
 // The two controllers are immutable and held through shared_ptr<const>, so
-// one pair may back every policy a factory makes, on any thread; each
-// policy owns only its inference scratch.
+// the process's one FLC1/FLC2 pair (cac/facs_flc.h) backs every policy, on
+// any thread; each policy owns only its inference scratch.
 #pragma once
 
 #include <memory>

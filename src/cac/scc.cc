@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 
-#include "common/error.h"
 #include "common/expects.h"
 #include "common/math_util.h"
 
@@ -28,36 +27,21 @@ constexpr std::array<GhNode, 7> kGaussHermite = {{
     {2.651961356835233, 0.0009717812450995192 / 1.7724538509055160},
 }};
 
+double heading_sigma_deg(double speed_kmh) noexcept {
+  const double s = std::max(0.0, speed_kmh);
+  return SccPolicy::kHeadingSigmaBaseDeg * SccPolicy::kHeadingReferenceKmh /
+         (s + SccPolicy::kHeadingReferenceKmh);
+}
+
+/// Chance a call is still up after tau seconds (exponential holding).
+double survival(double tau) noexcept {
+  return std::exp(-tau / SccPolicy::kMeanHoldingS);
+}
+
 }  // namespace
 
-void SccConfig::validate() const {
-  if (windows < 1) throw ConfigError("scc: windows must be >= 1");
-  if (window_s <= 0.0) throw ConfigError("scc: window_s must be > 0");
-  if (admit_threshold <= 0.0 || admit_threshold > 1.0)
-    throw ConfigError("scc: admit_threshold must be in (0, 1]");
-  if (mean_holding_s <= 0.0)
-    throw ConfigError("scc: mean_holding_s must be > 0");
-  if (cluster_radius < 0) throw ConfigError("scc: cluster_radius must be >= 0");
-  if (heading_sigma_base_deg < 0.0 || heading_reference_kmh <= 0.0)
-    throw ConfigError("scc: heading model parameters invalid");
-}
-
-SccPolicy::SccPolicy(const cellular::CellularNetwork& network,
-                     SccConfig config)
-    : network_(network), config_(config) {
-  config_.validate();
-}
-
-double SccPolicy::heading_sigma_deg(double speed_kmh) const noexcept {
-  const double s = std::max(0.0, speed_kmh);
-  return config_.heading_sigma_base_deg * config_.heading_reference_kmh /
-         (s + config_.heading_reference_kmh);
-}
-
-double SccPolicy::survival(double tau) const noexcept {
-  if (!config_.discount_survival) return 1.0;
-  return std::exp(-tau / config_.mean_holding_s);
-}
+SccPolicy::SccPolicy(const cellular::CellularNetwork& network)
+    : network_(network) {}
 
 double SccPolicy::cell_probability(const cellular::MobileState& state,
                                    const cellular::HexCoord& cell,
@@ -105,20 +89,17 @@ AdmissionDecision SccPolicy::decide(const AdmissionRequest& req,
   // shadow included.
   double worst_margin = 1.0;  // fraction of capacity left, worst case
   const auto cluster =
-      cellular::hex_disc(bs.coord(), config_.cluster_radius);
-  for (int k = 1; k <= config_.windows; ++k) {
-    const double tau = k * config_.window_s;
+      cellular::hex_disc(bs.coord(), kClusterRadius);
+  for (int k = 1; k <= kWindows; ++k) {
+    const double tau = k * kWindowS;
     const double surv = survival(tau);
     for (const cellular::HexCoord& cell : cluster) {
       const cellular::BaseStation* target = network_.station_at(cell);
       if (target == nullptr) continue;  // outside the modelled disc
       const double p_reach = cell_probability(req.mobile, cell, tau);
-      const double req_share =
-          config_.tentative_full_bandwidth
-              ? (p_reach > config_.reach_probability_min ? req.bandwidth
-                                                         : p_reach *
-                                                               req.bandwidth)
-              : p_reach * req.bandwidth * surv;
+      const double req_share = p_reach > kReachProbabilityMin
+                                   ? req.bandwidth
+                                   : p_reach * req.bandwidth;
       double demand = projected_demand(cell, tau) + req_share;
       // A handoff requester is still registered as an active mobile (its
       // source-cell release happens only after admission); subtract its
@@ -126,7 +107,7 @@ AdmissionDecision SccPolicy::decide(const AdmissionRequest& req,
       if (const auto it = actives_.find(req.id); it != actives_.end())
         demand -= cell_probability(it->second.state, cell, tau) *
                   it->second.bw * surv;
-      const double cap = config_.admit_threshold * target->capacity();
+      const double cap = kAdmitThreshold * target->capacity();
       const double margin = (cap - demand) / target->capacity();
       worst_margin = std::min(worst_margin, margin);
     }

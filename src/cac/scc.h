@@ -26,49 +26,37 @@
 
 namespace facsp::cac {
 
-/// SCC tuning parameters.
-struct SccConfig {
-  /// Number of future windows checked (t = window_s, 2*window_s, ...).
-  int windows = 3;
-  /// Window length in seconds.
-  double window_s = 60.0;
-  /// Future windows admit while projected demand <= admit_threshold *
-  /// capacity.  Levine et al. hold back a large margin so that predicted
-  /// handoffs always find room; the small default makes SCC deny
-  /// bandwidth-hungry calls even at light load (its hallmark
-  /// over-reservation), while the current instant is only checked
-  /// physically.
-  double admit_threshold = 0.22;
-  /// Mean call holding time used for survival discounting.
-  double mean_holding_s = 300.0;
-  /// When true (default), projected demand is discounted by the chance the
-  /// call ends before the window (exponential holding); false keeps the
-  /// fully pessimistic reservation for ablation.
-  bool discount_survival = true;
-  /// Cells around the target included in the admission check (the shadow
-  /// cluster's reach): 1 = target + direct neighbours.
-  int cluster_radius = 1;
-  /// Heading-uncertainty model (same shape as DirectionPredictor).
-  double heading_sigma_base_deg = 48.0;
-  double heading_reference_kmh = 18.0;
-  /// Tentative-cluster semantics (Levine Sec. III): every BS the new call
-  /// may reach must be able to support it, so the requester is counted at
-  /// FULL bandwidth in each cell whose reach probability exceeds
-  /// `reach_probability_min`.  Set false to probability-weight the
-  /// requester instead (optimistic variant, for ablation).
-  bool tentative_full_bandwidth = true;
-  double reach_probability_min = 0.05;
-
-  /// Throws facsp::ConfigError on invalid values.
-  void validate() const;
-};
-
 /// The SCC admission policy.
 class SccPolicy final : public AdmissionPolicy {
  public:
+  /// Number of future windows checked (t = kWindowS, 2*kWindowS, ...).
+  static constexpr int kWindows = 3;
+  /// Window length in seconds.
+  static constexpr double kWindowS = 60.0;
+  /// Future windows admit while projected demand <= kAdmitThreshold *
+  /// capacity.  Levine et al. hold back a large margin so that predicted
+  /// handoffs always find room; this small value makes SCC deny
+  /// bandwidth-hungry calls even at light load (its hallmark
+  /// over-reservation), while the current instant is only checked
+  /// physically.
+  static constexpr double kAdmitThreshold = 0.22;
+  /// Mean call holding time (s): projected demand is discounted by the
+  /// chance the call ends before the window (exponential holding).
+  static constexpr double kMeanHoldingS = 300.0;
+  /// Cells around the target included in the admission check (the shadow
+  /// cluster's reach): 1 = target + direct neighbours.
+  static constexpr int kClusterRadius = 1;
+  /// Heading-uncertainty model (same shape as DirectionPredictor).
+  static constexpr double kHeadingSigmaBaseDeg = 48.0;
+  static constexpr double kHeadingReferenceKmh = 18.0;
+  /// Tentative-cluster semantics (Levine Sec. III): every BS the new call
+  /// may reach must be able to support it, so the requester is counted at
+  /// full bandwidth in each cell whose reach probability exceeds this.
+  static constexpr double kReachProbabilityMin = 0.05;
+
   /// The network is used for cell geometry and neighbourhood lookups and
   /// must outlive the policy.
-  SccPolicy(const cellular::CellularNetwork& network, SccConfig config = {});
+  explicit SccPolicy(const cellular::CellularNetwork& network);
 
   std::string_view name() const noexcept override { return "SCC"; }
 
@@ -91,19 +79,13 @@ class SccPolicy final : public AdmissionPolicy {
 
   std::size_t active_count() const noexcept { return actives_.size(); }
 
-  const SccConfig& config() const noexcept { return config_; }
-
  private:
   struct Active {
     cellular::MobileState state;
     cellular::Bandwidth bw;
   };
 
-  double heading_sigma_deg(double speed_kmh) const noexcept;
-  double survival(double tau) const noexcept;
-
   const cellular::CellularNetwork& network_;
-  SccConfig config_;
   std::unordered_map<cellular::ConnectionId, Active> actives_;
 };
 

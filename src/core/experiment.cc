@@ -1,9 +1,6 @@
 #include "core/experiment.h"
 
-#include "cac/facs.h"
-#include "cac/facs_p.h"
 #include "cac/guard_channel.h"
-#include "cac/scc.h"
 #include "common/error.h"
 #include "common/expects.h"
 #include "core/multicell.h"
@@ -39,36 +36,27 @@ RunResult Experiment::run_single(int n, std::uint64_t replication) const {
   return engine.run(n).aggregate;
 }
 
-PolicyFactory make_facs_p_factory(cac::FacsPConfig config) {
-  return [config, flc1 = cac::make_facs_p_flc1(config),
-          flc2 = cac::make_facs_p_flc2(config)](
-             const cellular::CellularNetwork&, sim::RngFactory&) {
-    return std::make_unique<cac::FacsPPolicy>(config, flc1, flc2);
+PolicyFactory make_facs_p_factory(cac::PriorityWeights weights) {
+  return [weights](const cellular::CellularNetwork&, sim::RngFactory&) {
+    return std::make_unique<cac::FacsPPolicy>(weights);
   };
 }
 
-PolicyFactory make_facs_pr_factory(cac::FacsPrConfig config) {
-  return [config, flc1 = cac::make_facs_p_flc1(config.base),
-          flc2 = cac::make_facs_p_flc2(config.base)](
-             const cellular::CellularNetwork&, sim::RngFactory&) {
-    return std::make_unique<cac::FacsPrPolicy>(config, flc1, flc2);
+PolicyFactory make_facs_pr_factory(cac::PriorityWeights weights) {
+  return [weights](const cellular::CellularNetwork&, sim::RngFactory&) {
+    return std::make_unique<cac::FacsPrPolicy>(weights);
   };
 }
 
-PolicyFactory make_facs_factory(cac::FacsConfig config) {
-  return [config](const cellular::CellularNetwork& network,
-                  sim::RngFactory&) {
-    cac::FacsConfig cfg = config;
-    if (cfg.flc1.cell_radius_m <= 0.0)
-      cfg.flc1.cell_radius_m = network.layout().cell_radius();
-    return std::make_unique<cac::FacsPolicy>(cfg);
+PolicyFactory make_facs_factory() {
+  return [](const cellular::CellularNetwork& network, sim::RngFactory&) {
+    return std::make_unique<cac::FacsPolicy>(network);
   };
 }
 
-PolicyFactory make_scc_factory(cac::SccConfig config) {
-  return [config](const cellular::CellularNetwork& network,
-                  sim::RngFactory&) {
-    return std::make_unique<cac::SccPolicy>(network, config);
+PolicyFactory make_scc_factory() {
+  return [](const cellular::CellularNetwork& network, sim::RngFactory&) {
+    return std::make_unique<cac::SccPolicy>(network);
   };
 }
 
@@ -95,8 +83,9 @@ namespace {
 
 // Each registry entry's factory, built on its first lookup and then kept
 // for the life of the process (a thread-safe function-local static), so
-// every shard, cell and sweep that names a policy shares one factory — and
-// with it, for facs-p and facs-pr, one controller pair.
+// every shard, cell and sweep that names a policy shares one factory.  The
+// fuzzy controllers are shared one level down, per process
+// (cac/facs_flc.h), whichever factory makes the policy.
 template <auto Make>
 const PolicyFactory& built_once() {
   static const PolicyFactory factory = Make();

@@ -61,14 +61,14 @@ class Experiment {
 };
 
 // --- canonical policy factories ------------------------------------------
-// The FACS-P and FACS-PR factories build their config's FLC1/FLC2 pair once,
-// when the factory is made; every policy they return shares that pair, so
-// a call allocates only the policy object.
+// FACS-P and FACS-PR policies share the process's one FLC1/FLC2 pair and
+// FACS policies its FLC2 (cac/facs_flc.h), so a call allocates only the
+// policy object (and, for FACS, its radius-dependent FLC1-D).
 
-PolicyFactory make_facs_p_factory(cac::FacsPConfig config = {});
-PolicyFactory make_facs_pr_factory(cac::FacsPrConfig config = {});
-PolicyFactory make_facs_factory(cac::FacsConfig config = {});
-PolicyFactory make_scc_factory(cac::SccConfig config = {});
+PolicyFactory make_facs_p_factory(cac::PriorityWeights weights = {});
+PolicyFactory make_facs_pr_factory(cac::PriorityWeights weights = {});
+PolicyFactory make_facs_factory();
+PolicyFactory make_scc_factory();
 PolicyFactory make_guard_channel_factory(cellular::Bandwidth guard_bu);
 PolicyFactory make_fractional_guard_factory(cellular::Bandwidth guard_bu);
 PolicyFactory make_complete_sharing_factory();

@@ -73,11 +73,7 @@ TEST(Frb2, Has27RulesMatchingTable2) {
 }
 
 TEST(Frb1Distance, HasDeltasApplied) {
-  Flc1DistanceParams p;
-  p.near_delta = 1;
-  p.mid_delta = 0;
-  p.far_delta = -1;
-  const auto t = frb1_distance_consequents(p);
+  const auto t = frb1_distance_consequents();
   ASSERT_EQ(t.size(), 63u);
   // Sl B1 base is Cv3 (the voice column of Table 1).
   EXPECT_EQ(t[0], "Cv4");  // Near: +1
@@ -87,11 +83,8 @@ TEST(Frb1Distance, HasDeltasApplied) {
   EXPECT_EQ(t[9], "Cv9");  // Sl St Ne (9+1 clamped)
 }
 
-TEST(Frb1Distance, ClampsToValidLevels) {
-  Flc1DistanceParams p;
-  p.near_delta = 8;
-  p.far_delta = -8;
-  const auto t = frb1_distance_consequents(p);
+TEST(Frb1Distance, StaysInsideValidLevels) {
+  const auto t = frb1_distance_consequents();
   for (std::size_t i = 0; i < t.size(); ++i) {
     const int level = t[i].back() - '0';
     EXPECT_GE(level, 1);
@@ -178,13 +171,13 @@ TEST(Flc2Memberships, MatchFig6) {
 // --- controller behaviour ------------------------------------------------------
 
 TEST(Flc1, StraightFastGetsTopCorrection) {
-  const auto flc1 = make_flc1();
+  const auto flc1 = shared_flc1();
   // Fa St (any Sr) -> Cv9: crisp output near the top of [0,1].
   EXPECT_GT(flc1->evaluate({120.0, 0.0, 5.0}), 0.85);
 }
 
 TEST(Flc1, BackwardGetsBottomCorrection) {
-  const auto flc1 = make_flc1();
+  const auto flc1 = shared_flc1();
   EXPECT_LT(flc1->evaluate({120.0, 180.0, 1.0}), 0.2);
   EXPECT_LT(flc1->evaluate({60.0, -180.0, 1.0}), 0.2);
 }
@@ -192,13 +185,13 @@ TEST(Flc1, BackwardGetsBottomCorrection) {
 TEST(Flc1, MediumServiceBeatsSmallOffStraight) {
   // Table 1 gives Me higher consequents than Sm in the off-straight
   // columns (e.g. Sl L1: Cv4 vs Cv1).
-  const auto flc1 = make_flc1();
+  const auto flc1 = shared_flc1();
   EXPECT_GT(flc1->evaluate({30.0, -90.0, 5.0}),
             flc1->evaluate({30.0, -90.0, 1.0}));
 }
 
 TEST(Flc2, EmptyCellAcceptsEverything) {
-  const auto flc2 = make_flc2();
+  const auto flc2 = shared_flc2();
   for (double cv : {0.1, 0.5, 0.9})
     for (double rq : {1.0, 5.0, 10.0})
       EXPECT_GT(flc2->evaluate({cv, rq, 0.0}), 0.15)
@@ -206,13 +199,13 @@ TEST(Flc2, EmptyCellAcceptsEverything) {
 }
 
 TEST(Flc2, FullCellRejectsVideo) {
-  const auto flc2 = make_flc2();
+  const auto flc2 = shared_flc2();
   EXPECT_LT(flc2->evaluate({0.9, 10.0, 40.0}), -0.3);  // Go Vi Fu = R
   EXPECT_LT(flc2->evaluate({0.1, 10.0, 40.0}), 0.0);   // Bd Vi Fu = WR
 }
 
 TEST(Flc2, GoodCorrectionAcceptsDeeperIntoLoad) {
-  const auto flc2 = make_flc2();
+  const auto flc2 = shared_flc2();
   // At half load, a Good-Cv text call scores higher than a Bad-Cv one.
   EXPECT_GT(flc2->evaluate({0.95, 1.0, 20.0}),
             flc2->evaluate({0.05, 1.0, 20.0}));

@@ -5,6 +5,7 @@
 #include "cac/facs_p.h"
 #include "cac/facs_pr.h"
 #include "cellular/basestation.h"
+#include "cellular/network.h"
 #include "common/error.h"
 
 namespace facsp::cac {
@@ -37,10 +38,9 @@ AdmissionRequest request(cellular::ConnectionId id, ServiceClass svc,
 
 struct PolicyFixture : ::testing::Test {
   BaseStation bs{0, HexCoord{0, 0}, Point{0.0, 0.0}, 40.0};
-  FacsPConfig fp_cfg;
-  FacsConfig f_cfg;
-
-  PolicyFixture() { f_cfg.flc1.cell_radius_m = 1000.0; }
+  PriorityWeights weights;
+  /// FACS reads its 1000 m cell radius from here.
+  const cellular::CellularNetwork network{0, 1000.0, 40.0};
 
   /// Admit a request into the BS through the shared admission step.
   void admit(AdmissionPolicy& p, const AdmissionRequest& req) {
@@ -51,7 +51,7 @@ struct PolicyFixture : ::testing::Test {
 // --- shared cascade behaviour -------------------------------------------------
 
 TEST_F(PolicyFixture, EmptyCellAcceptsStraightUser) {
-  FacsPPolicy facsp(fp_cfg);
+  FacsPPolicy facsp(weights);
   const auto d = facsp.decide(request(1, ServiceClass::kVoice), bs);
   EXPECT_TRUE(d.admitted);
   EXPECT_GT(d.score, 0.3);
@@ -59,7 +59,7 @@ TEST_F(PolicyFixture, EmptyCellAcceptsStraightUser) {
 }
 
 TEST_F(PolicyFixture, PhysicallyFullCellNeverAdmits) {
-  FacsPPolicy facsp(fp_cfg);
+  FacsPPolicy facsp(weights);
   for (cellular::ConnectionId id = 1; id <= 4; ++id)
     admit(facsp, request(id, ServiceClass::kVideo));
   ASSERT_DOUBLE_EQ(bs.free(), 0.0);
@@ -68,7 +68,7 @@ TEST_F(PolicyFixture, PhysicallyFullCellNeverAdmits) {
 }
 
 TEST_F(PolicyFixture, CorrectionValueReflectsAngle) {
-  FacsPPolicy facsp(fp_cfg);
+  FacsPPolicy facsp(weights);
   const double straight = facsp.correction_value(request(1, ServiceClass::kVoice, 90.0, 0.0));
   const double away = facsp.correction_value(request(2, ServiceClass::kVoice, 90.0, 170.0));
   EXPECT_GT(straight, 0.8);
@@ -87,19 +87,19 @@ TEST_F(PolicyFixture, VerdictMapping) {
 // --- FACS-P specifics ----------------------------------------------------------
 
 TEST_F(PolicyFixture, FacsPCountersAreTheBaseStationLedger) {
-  FacsPPolicy facsp(fp_cfg);
+  FacsPPolicy facsp(weights);
   admit(facsp, request(1, ServiceClass::kVideo));
   admit(facsp, request(2, ServiceClass::kText));
   EXPECT_DOUBLE_EQ(bs.load().rt_used, 10.0);
   EXPECT_DOUBLE_EQ(bs.load().nrt_used, 1.0);
   // A FACS-P instance that saw none of those admissions scores a probe
   // exactly as the one that admitted them: Cs comes from the BS alone.
-  FacsPPolicy bystander(fp_cfg);
+  FacsPPolicy bystander(weights);
   const auto probe = request(10, ServiceClass::kVoice, 60.0, 30.0);
   EXPECT_EQ(bystander.decide(probe, bs).score, facsp.decide(probe, bs).score);
   // Releasing on the BS is all it takes to return to the empty-cell score.
   const double empty_score =
-      FacsPPolicy(fp_cfg)
+      FacsPPolicy(weights)
           .decide(probe, BaseStation{1, HexCoord{0, 0}, Point{0.0, 0.0}, 40.0})
           .score;
   bs.release(1, 0.0);
@@ -123,36 +123,32 @@ TEST(FacsPWeights, EffectiveOccupancyAppliesWeights) {
 }
 
 TEST_F(PolicyFixture, FacsPEffectiveOccupancyAtLeastPhysicalLoad) {
-  FacsPPolicy facsp(fp_cfg);  // default weights, all >= 1
+  FacsPPolicy facsp(weights);  // default weights, all >= 1
   admit(facsp, request(1, ServiceClass::kVoice));
   admit(facsp, request(2, ServiceClass::kText, 60.0, 0.0, 500.0,
                        RequestKind::kHandoff));
   EXPECT_DOUBLE_EQ(bs.load().nrt_handoff_used, 1.0);
-  EXPECT_GE(effective_occupancy(bs.load(), fp_cfg.weights), bs.used());
+  EXPECT_GE(effective_occupancy(bs.load(), weights), bs.used());
 }
 
 TEST(FacsPWeights, BelowOneRejectedWhenThePolicyIsBuilt) {
   for (double PriorityWeights::*field :
        {&PriorityWeights::real_time, &PriorityWeights::non_real_time,
         &PriorityWeights::handoff_bonus}) {
-    FacsPConfig cfg;
-    cfg.weights.*field = 0.9;
-    EXPECT_THROW(FacsPPolicy{cfg}, facsp::ConfigError);
-    FacsPrConfig pr;
-    pr.base = cfg;
-    EXPECT_THROW(FacsPrPolicy{pr}, facsp::ConfigError);
+    PriorityWeights w;
+    w.*field = 0.9;
+    EXPECT_THROW(FacsPPolicy{w}, facsp::ConfigError);
+    EXPECT_THROW(FacsPrPolicy{w}, facsp::ConfigError);
   }
-  FacsPConfig ones;
-  ones.weights = {1.0, 1.0, 1.0};
-  EXPECT_NO_THROW(FacsPPolicy{ones});
+  EXPECT_NO_THROW((FacsPPolicy{PriorityWeights{1.0, 1.0, 1.0}}));
 }
 
 TEST_F(PolicyFixture, FacsPPriorityMakesItStricterUnderRtLoad) {
   // With real-time on-going load, FACS-P's effective counter state exceeds
   // the physical occupancy, so its score for a new call is lower than
   // FACS's at the same physical load.
-  FacsPPolicy facsp(fp_cfg);
-  FacsPolicy facs(f_cfg);
+  FacsPPolicy facsp(weights);
+  FacsPolicy facs(network);
   for (cellular::ConnectionId id = 1; id <= 2; ++id)
     admit(facsp, request(id, ServiceClass::kVideo));
   // Physical load 20 BU, all real-time; FACS-P sees 32 (weight 1.6).
@@ -163,18 +159,18 @@ TEST_F(PolicyFixture, FacsPPriorityMakesItStricterUnderRtLoad) {
 }
 
 TEST_F(PolicyFixture, FacsPEffectiveCsSaturatesAtUniverse) {
-  fp_cfg.weights.real_time = 3.0;
-  FacsPPolicy facsp(fp_cfg);
+  weights.real_time = 3.0;
+  FacsPPolicy facsp(weights);
   for (cellular::ConnectionId id = 1; id <= 3; ++id)
     admit(facsp, request(id, ServiceClass::kVideo));
-  // Effective occupancy 90 saturates at cs_max = 40; decide() must still
+  // Effective occupancy 90 saturates at kCounterStateMax = 40; decide() must still
   // work and reject big new requests.
   const auto d = facsp.decide(request(9, ServiceClass::kVideo), bs);
   EXPECT_FALSE(d.admitted);
 }
 
 TEST_F(PolicyFixture, FacsPHandoffGetsPriorityOverNewCall) {
-  FacsPPolicy facsp(fp_cfg);
+  FacsPPolicy facsp(weights);
   for (cellular::ConnectionId id = 1; id <= 3; ++id)
     admit(facsp, request(id, ServiceClass::kVideo));
   // Same user, same conditions: handoff continuation scores higher.
@@ -188,14 +184,14 @@ TEST_F(PolicyFixture, FacsPHandoffGetsPriorityOverNewCall) {
 }
 
 TEST_F(PolicyFixture, FacsPName) {
-  EXPECT_EQ(FacsPPolicy(fp_cfg).name(), "FACS-P");
-  EXPECT_EQ(FacsPolicy(f_cfg).name(), "FACS");
+  EXPECT_EQ(FacsPPolicy(weights).name(), "FACS-P");
+  EXPECT_EQ(FacsPolicy(network).name(), "FACS");
 }
 
 // --- FACS specifics -------------------------------------------------------------
 
 TEST_F(PolicyFixture, FacsUsesDistanceNotServiceSize) {
-  FacsPolicy facs(f_cfg);
+  FacsPolicy facs(network);
   // Same service, same mobility, different distance: near scores higher.
   const double near_score =
       facs.decide(request(1, ServiceClass::kVoice, 60.0, 60.0, 100.0), bs)
@@ -207,8 +203,8 @@ TEST_F(PolicyFixture, FacsUsesDistanceNotServiceSize) {
 }
 
 TEST_F(PolicyFixture, FacsCounterStateIsPlainOccupancy) {
-  FacsPolicy facs(f_cfg);
-  FacsPolicy facs_fresh(f_cfg);
+  FacsPolicy facs(network);
+  FacsPolicy facs_fresh(network);
   // Fill with RT load *without* notifying FACS (it has no counters anyway).
   Connection c;
   c.id = 1;
@@ -222,7 +218,7 @@ TEST_F(PolicyFixture, FacsCounterStateIsPlainOccupancy) {
 }
 
 TEST_F(PolicyFixture, DecisionIsDeterministic) {
-  FacsPPolicy facsp(fp_cfg);
+  FacsPPolicy facsp(weights);
   const auto probe = request(1, ServiceClass::kVideo, 45.0, 30.0);
   const double s = facsp.decide(probe, bs).score;
   for (int i = 0; i < 5; ++i)

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "cellular/network.h"
-#include "common/error.h"
 
 namespace facsp::cac {
 namespace {
@@ -18,11 +17,6 @@ using cellular::ServiceClass;
 
 struct SccFixture : ::testing::Test {
   CellularNetwork net{2, 2000.0, 40.0};
-  SccConfig cfg;
-
-  SccFixture() {
-    cfg.mean_holding_s = 300.0;
-  }
 
   AdmissionRequest request(cellular::ConnectionId id, ServiceClass svc,
                            double speed = 60.0, double heading = 0.0,
@@ -39,7 +33,7 @@ struct SccFixture : ::testing::Test {
 };
 
 TEST_F(SccFixture, EmptyNetworkAcceptsTextAndVoice) {
-  SccPolicy scc(net, cfg);
+  SccPolicy scc(net);
   EXPECT_TRUE(scc.decide(request(1, ServiceClass::kText), net.center())
                   .admitted);
   EXPECT_TRUE(scc.decide(request(2, ServiceClass::kVoice), net.center())
@@ -47,7 +41,7 @@ TEST_F(SccFixture, EmptyNetworkAcceptsTextAndVoice) {
 }
 
 TEST_F(SccFixture, CellProbabilitySumsToAtMostOneAcrossCells) {
-  SccPolicy scc(net, cfg);
+  SccPolicy scc(net);
   const MobileState st{{0.0, 0.0}, 60.0, 30.0};
   for (double tau : {30.0, 60.0, 120.0, 180.0}) {
     double total = 0.0;
@@ -59,14 +53,14 @@ TEST_F(SccFixture, CellProbabilitySumsToAtMostOneAcrossCells) {
 }
 
 TEST_F(SccFixture, StationaryMobileStaysInItsCell) {
-  SccPolicy scc(net, cfg);
+  SccPolicy scc(net);
   const MobileState st{{0.0, 0.0}, 0.0, 0.0};
   EXPECT_NEAR(scc.cell_probability(st, {0, 0}, 60.0), 1.0, 1e-9);
   EXPECT_NEAR(scc.cell_probability(st, {1, 0}, 60.0), 0.0, 1e-9);
 }
 
 TEST_F(SccFixture, FastMobileShadowMovesToNextCell) {
-  SccPolicy scc(net, cfg);
+  SccPolicy scc(net);
   // 120 km/h heading east: after 120 s it has moved ~4 km = past the
   // eastern neighbour's centre (sqrt(3)*2000 ~ 3.46 km).
   const MobileState st{{0.0, 0.0}, 120.0, 0.0};
@@ -77,21 +71,18 @@ TEST_F(SccFixture, FastMobileShadowMovesToNextCell) {
 }
 
 TEST_F(SccFixture, ProjectedDemandAccumulatesActives) {
-  SccPolicy scc(net, cfg);
+  SccPolicy scc(net);
   EXPECT_DOUBLE_EQ(scc.projected_demand({0, 0}, 60.0), 0.0);
   auto req = request(1, ServiceClass::kVideo, 0.0);  // stationary video
   scc.on_admitted(req);
   EXPECT_EQ(scc.active_count(), 1u);
   const double d = scc.projected_demand({0, 0}, 60.0);
-  // Stationary -> stays; demand = bw, possibly survival-discounted.
-  const double surv = cfg.discount_survival
-                          ? std::exp(-60.0 / cfg.mean_holding_s)
-                          : 1.0;
-  EXPECT_NEAR(d, 10.0 * surv, 1e-6);
+  // Stationary -> stays; demand = bw, survival-discounted.
+  EXPECT_NEAR(d, 10.0 * std::exp(-60.0 / SccPolicy::kMeanHoldingS), 1e-6);
 }
 
 TEST_F(SccFixture, ReleasedActivesStopCastingShadows) {
-  SccPolicy scc(net, cfg);
+  SccPolicy scc(net);
   auto req = request(1, ServiceClass::kVideo, 0.0);
   scc.on_admitted(req);
   scc.on_released(1);
@@ -100,7 +91,7 @@ TEST_F(SccFixture, ReleasedActivesStopCastingShadows) {
 }
 
 TEST_F(SccFixture, MobilityUpdatesMoveTheShadow) {
-  SccPolicy scc(net, cfg);
+  SccPolicy scc(net);
   auto req = request(1, ServiceClass::kVideo, 0.0);
   scc.on_admitted(req);
   // Teleport the active into the eastern neighbour.
@@ -113,7 +104,7 @@ TEST_F(SccFixture, MobilityUpdatesMoveTheShadow) {
 TEST_F(SccFixture, ReservationRejectsVideoUnderLoad) {
   // With the default 0.22 threshold (8.8 BU future headroom), a video call
   // cannot get reservations once meaningful demand is projected.
-  SccPolicy scc(net, cfg);
+  SccPolicy scc(net);
   for (cellular::ConnectionId id = 1; id <= 1; ++id) {
     auto req = request(id, ServiceClass::kVoice, 0.0);
     // Physically allocate too, so decide() sees the BS load.
@@ -133,7 +124,7 @@ TEST_F(SccFixture, ReservationRejectsVideoUnderLoad) {
 }
 
 TEST_F(SccFixture, HandoffRequesterNotDoubleCounted) {
-  SccPolicy scc(net, cfg);
+  SccPolicy scc(net);
   auto req = request(1, ServiceClass::kVideo, 0.0);
   scc.on_admitted(req);
   // The same connection handing off into its own cell region must not be
@@ -148,7 +139,7 @@ TEST_F(SccFixture, HandoffRequesterNotDoubleCounted) {
 }
 
 TEST_F(SccFixture, PhysicallyFullCellRejects) {
-  SccPolicy scc(net, cfg);
+  SccPolicy scc(net);
   for (cellular::ConnectionId id = 1; id <= 4; ++id) {
     cellular::Connection c;
     c.id = id;
@@ -159,25 +150,6 @@ TEST_F(SccFixture, PhysicallyFullCellRejects) {
   const auto d = scc.decide(request(9, ServiceClass::kText), net.center());
   EXPECT_FALSE(d.admitted);
   EXPECT_EQ(d.verdict, Verdict::kReject);
-}
-
-TEST(SccConfig, Validation) {
-  CellularNetwork net(1, 1000.0, 40.0);
-  SccConfig bad;
-  bad.windows = 0;
-  EXPECT_THROW(SccPolicy(net, bad), facsp::ConfigError);
-  bad = {};
-  bad.window_s = 0.0;
-  EXPECT_THROW(SccPolicy(net, bad), facsp::ConfigError);
-  bad = {};
-  bad.admit_threshold = 0.0;
-  EXPECT_THROW(SccPolicy(net, bad), facsp::ConfigError);
-  bad = {};
-  bad.admit_threshold = 1.2;
-  EXPECT_THROW(SccPolicy(net, bad), facsp::ConfigError);
-  bad = {};
-  bad.cluster_radius = -1;
-  EXPECT_THROW(SccPolicy(net, bad), facsp::ConfigError);
 }
 
 }  // namespace

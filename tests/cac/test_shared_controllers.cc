@@ -1,13 +1,12 @@
-// One immutable FLC1/FLC2 pair per policy config, shared by every policy a
-// factory makes.
+// One immutable FLC1/FLC2 pair per process, shared by every fuzzy policy.
 //
-// The FACS-P and FACS-PR factories build their controllers once and hand
-// the same shared_ptr<const FuzzyController> pair to each policy; each
-// policy keeps only its own inference scratch.  These tests pin that the
-// pair really is shared (one factory, and repeated registry lookups), that
-// sharing changes no decision bit (against a policy that built a private
-// pair), and that policies on several threads may evaluate one pair at
-// once (the TSan CI job runs this suite).
+// cac::shared_flc1()/shared_flc2() build the paper's controllers on first
+// use and hand the same shared_ptr<const FuzzyController> to every
+// FACS-P and FACS-PR policy (FACS shares FLC2); each policy keeps only its
+// own inference scratch.  These tests pin that the pair really is shared
+// (across factories, registry lookups and policy kinds), that the factory's
+// priority weights reach the policy, and that policies on several threads
+// may evaluate the pair at once (the TSan CI job runs this suite).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -18,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include "cac/facs.h"
+#include "cac/facs_flc.h"
 #include "cac/facs_p.h"
 #include "cac/facs_pr.h"
 #include "cac/policy.h"
@@ -118,19 +119,26 @@ void expect_same_pair(const AdmissionPolicy& a, const AdmissionPolicy& b) {
   EXPECT_EQ(&pa->flc2(), &pb->flc2());
 }
 
-TEST_F(SharedControllers, PoliciesFromOneFactoryShareOnePair) {
+TEST_F(SharedControllers, EveryPolicyInTheProcessSharesOnePair) {
+  EXPECT_EQ(shared_flc1(), shared_flc1());
+  EXPECT_EQ(shared_flc2(), shared_flc2());
+
   const core::PolicyFactory facs_p = core::make_facs_p_factory();
   expect_same_pair<FacsPPolicy>(*make(facs_p), *make(facs_p));
   const core::PolicyFactory facs_pr = core::make_facs_pr_factory();
   expect_same_pair<FacsPrPolicy>(*make(facs_pr), *make(facs_pr));
 
-  // Two factories are two configs as far as sharing goes: each builds its
-  // own pair.
-  const core::PolicyFactory other = core::make_facs_p_factory();
+  // Two factories, even with different weights, still share the pair.
   const auto a = make(facs_p);
-  const auto b = make(other);
-  EXPECT_NE(&dynamic_cast<const FacsPPolicy&>(*a).flc1(),
-            &dynamic_cast<const FacsPPolicy&>(*b).flc1());
+  const auto b = make(core::make_facs_p_factory({1.5, 1.0, 1.2}));
+  expect_same_pair<FacsPPolicy>(*a, *b);
+  EXPECT_EQ(&dynamic_cast<const FacsPPolicy&>(*a).flc1(), shared_flc1().get());
+
+  // FACS shares FLC2 and builds only its radius-dependent FLC1-D.
+  const auto facs = make(core::make_facs_factory());
+  const auto& f = dynamic_cast<const FacsPolicy&>(*facs);
+  EXPECT_EQ(&f.flc2(), shared_flc2().get());
+  EXPECT_NE(&f.flc1(), shared_flc1().get());
 }
 
 TEST_F(SharedControllers, RegistryLookupsShareOnePair) {
@@ -149,26 +157,19 @@ TEST_F(SharedControllers, RegistryLookupsShareOnePair) {
   }
 }
 
-TEST_F(SharedControllers, SharedPairDecidesLikeAPrivatePairFacsP) {
-  FacsPConfig config;
-  config.weights.real_time = 1.5;  // not the default, so config reaches both
-  const auto shared = make(core::make_facs_p_factory(config));
-  FacsPPolicy own(config);
-  const Comparison c = compare(*shared, own);
+TEST_F(SharedControllers, FactoryWeightsReachThePolicy) {
+  const PriorityWeights weights{1.5, 1.0, 1.2};  // not the default
+  const auto from_factory = make(core::make_facs_p_factory(weights));
+  FacsPPolicy direct(weights);
+  Comparison c = compare(*from_factory, direct);
   EXPECT_EQ(c.differences, 0u);
   EXPECT_GT(c.admitted, 0u);
   EXPECT_LT(c.admitted, c.decisions);
-}
 
-TEST_F(SharedControllers, SharedPairDecidesLikeAPrivatePairFacsPr) {
-  FacsPrConfig config;
-  config.high_extra = -0.2;
-  const auto shared = make(core::make_facs_pr_factory(config));
-  FacsPrPolicy own(config);
-  const Comparison c = compare(*shared, own);
-  EXPECT_EQ(c.differences, 0u);
-  EXPECT_GT(c.admitted, 0u);
-  EXPECT_LT(c.admitted, c.decisions);
+  // ... and change decisions: the default weights decide differently.
+  FacsPPolicy plain;
+  c = compare(*from_factory, plain);
+  EXPECT_GT(c.differences, 0u);
 }
 
 TEST_F(SharedControllers, ConcurrentBatchesOnOnePairMatchASerialRun) {

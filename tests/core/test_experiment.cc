@@ -152,8 +152,14 @@ TEST(Experiment, PolicyRngConsumptionCannotPerturbWorkload) {
 }
 
 TEST(Experiment, FacsFactoryResolvesCellRadiusFromNetwork) {
-  // Default FacsConfig leaves cell_radius_m = 0 (auto); the factory must
-  // fill it from the scenario's network instead of failing.
+  // FACS builds its distance input for the network it is made for: the Di
+  // universe ends at 1.2 R.
+  const cellular::CellularNetwork network(0, 1234.0, 40.0);
+  sim::RngFactory rng(1);
+  const auto policy = make_facs_factory()(network, rng);
+  const auto& facs = dynamic_cast<const cac::FacsPolicy&>(*policy);
+  EXPECT_DOUBLE_EQ(facs.flc1().input(2).universe_hi(), 1.2 * 1234.0);
+
   auto scen = quick_scenario();
   scen.cell_radius_m = 1234.0;
   Experiment exp(scen, make_facs_factory());

@@ -75,12 +75,12 @@ void expect_batch_bitwise_identical(const FuzzyController& c,
 }
 
 TEST(BatchInference, Flc1MatchesScalarBitwise) {
-  const auto flc1 = cac::make_flc1();
+  const auto flc1 = cac::shared_flc1();
   expect_batch_bitwise_identical(*flc1, 101);
 }
 
 TEST(BatchInference, Flc2MatchesScalarBitwise) {
-  const auto flc2 = cac::make_flc2();
+  const auto flc2 = cac::shared_flc2();
   expect_batch_bitwise_identical(*flc2, 202);
 }
 
@@ -160,8 +160,9 @@ using LaneKernel = void (InferenceEngine::*)(std::span<const double>,
 /// bits (so a -0.0 where the scalar path has +0.0 fails too).
 void expect_width_bitwise_identical(LaneKernel kernel, std::uint64_t seed) {
   constexpr std::size_t W = InferenceEngine::kLanes;
-  std::unique_ptr<FuzzyController> controllers[] = {
-      cac::make_flc1(), cac::make_flc2(), make_weighted(), make_degenerate()};
+  const std::shared_ptr<const FuzzyController> controllers[] = {
+      cac::shared_flc1(), cac::shared_flc2(), make_weighted(),
+      make_degenerate()};
   std::mt19937_64 rng(seed);
   for (const auto& c : controllers) {
     const InferenceEngine engine(c->inputs(), c->output(), c->rules());
@@ -196,7 +197,7 @@ TEST(BatchInference, Width4KernelMatchesScalarInferBitwise) {
 }
 
 TEST(BatchInference, EmptyBatchIsANoOp) {
-  const auto flc2 = cac::make_flc2();
+  const auto flc2 = cac::shared_flc2();
   InferenceScratch scratch;
   flc2->evaluate_batch_with(scratch, {}, {});  // must not assert or touch out
 }

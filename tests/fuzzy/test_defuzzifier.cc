@@ -294,8 +294,8 @@ int expect_exact_centroids(const Defuzzifier& d,
 TEST(DefuzzAnalyticCentroid, PaperOutputsMatchAdaptiveExactReference) {
   // FLC1's 9-term Cv and FLC2's 5-term A/R through the controllers' own
   // defuzzifiers.
-  const auto flc1 = cac::make_flc1();
-  const auto flc2 = cac::make_flc2();
+  const auto flc1 = cac::shared_flc1();
+  const auto flc2 = cac::shared_flc2();
   ASSERT_EQ(flc1->output().term_count(), 9u);
   ASSERT_EQ(flc2->output().term_count(), 5u);
   EXPECT_GT(expect_exact_centroids(flc1->defuzzifier(), flc1->output(), 1e-12),

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "cac/facs_flc.h"
 #include "fuzzy/controller.h"
@@ -12,10 +13,6 @@
 namespace facsp::fuzzy {
 namespace {
 
-using cac::make_flc1;
-using cac::make_flc1_distance;
-using cac::make_flc2;
-
 enum class Which { kFlc1, kFlc1D, kFlc2 };
 
 struct ControllerCase {
@@ -23,17 +20,13 @@ struct ControllerCase {
   const char* label;
 };
 
-std::unique_ptr<FuzzyController> make(Which w) {
+std::shared_ptr<const FuzzyController> make(Which w) {
   switch (w) {
-    case Which::kFlc1: return make_flc1();
-    case Which::kFlc1D: {
-      cac::Flc1DistanceParams p;
-      p.cell_radius_m = 1000.0;
-      return make_flc1_distance(p);
-    }
-    case Which::kFlc2: return make_flc2();
+    case Which::kFlc1: return cac::shared_flc1();
+    case Which::kFlc1D: return cac::make_flc1_distance(1000.0);
+    case Which::kFlc2: return cac::shared_flc2();
   }
-  return make_flc1();
+  return cac::shared_flc1();
 }
 
 class PaperControllerProperty
@@ -130,7 +123,7 @@ class Flc2Monotonicity : public ::testing::TestWithParam<double> {};
 TEST_P(Flc2Monotonicity, ScoreNonIncreasingInCounterState) {
   // At any fixed (Cv, Rq), more occupied bandwidth must never make the
   // admission score larger (the paper's FLC2 is monotone: fuller -> reject).
-  const auto flc2 = make_flc2();
+  const auto flc2 = cac::shared_flc2();
   const double cv = GetParam();
   for (double rq : {1.0, 5.0, 10.0}) {
     double prev = 2.0;
@@ -149,7 +142,7 @@ TEST_P(Flc2Monotonicity, BetterCorrectionNeverHurtsBelowFull) {
   // "Full" region.  (Table 2 deliberately breaks this at Fu: a Good-Cv
   // video gets a hard Reject while a Normal-Cv one only gets NRNA, because
   // a well-predicted video will actually stay and occupy the full cell.)
-  const auto flc2 = make_flc2();
+  const auto flc2 = cac::shared_flc2();
   const double cs = GetParam() * 20.0;  // Sa..Md region only
   for (double rq : {1.0, 5.0, 10.0}) {
     double prev = -2.0;

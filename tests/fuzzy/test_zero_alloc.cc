@@ -51,7 +51,7 @@ TEST(ZeroAlloc, CounterObservesHeapAllocations) {
 }
 
 TEST(ZeroAlloc, SteadyStateInferIntoDoesNotAllocate) {
-  const auto flc1 = cac::make_flc1();
+  const auto flc1 = cac::shared_flc1();
   InferenceScratch scratch;
   const double inputs[3] = {60.0, 20.0, 5.0};
   // Warm-up sizes every scratch buffer to its steady state.
@@ -68,7 +68,7 @@ TEST(ZeroAlloc, SteadyStateInferIntoDoesNotAllocate) {
 }
 
 TEST(ZeroAlloc, SteadyStateEvaluateDoesNotAllocate) {
-  const auto flc2 = cac::make_flc2();
+  const auto flc2 = cac::shared_flc2();
   (void)flc2->evaluate({0.4, 5.0, 17.0});  // warm the thread-local scratch
 
   const std::size_t before = allocations();
@@ -80,7 +80,7 @@ TEST(ZeroAlloc, SteadyStateEvaluateDoesNotAllocate) {
 }
 
 TEST(ZeroAlloc, SteadyStateEvaluateBatchDoesNotAllocate) {
-  const auto flc1 = cac::make_flc1();
+  const auto flc1 = cac::shared_flc1();
   std::vector<double> inputs(64 * 3);
   std::vector<double> out(64);
   for (std::size_t r = 0; r < 64; ++r) {
@@ -100,7 +100,7 @@ TEST(ZeroAlloc, SteadyStateSoaBatchScratchDoesNotAllocate) {
   // (lane_inputs/lane_grades/lane_activations) must reach steady state on
   // the first batch and never touch the heap again — including for partial
   // tail blocks (rows not a multiple of kLanes).
-  const auto flc2 = cac::make_flc2();
+  const auto flc2 = cac::shared_flc2();
   InferenceScratch scratch;
   std::vector<double> inputs(37 * 3);
   std::vector<double> out(37);
@@ -198,10 +198,10 @@ TEST(ZeroAlloc, AdmissionAllocatesOnlyTheBaseStationLedgerNode) {
 }
 
 TEST(ZeroAlloc, PolicyFromAFactoryAllocatesOnlyThePolicy) {
-  // A FACS-P or FACS-PR factory builds its config's FLC1/FLC2 pair once,
-  // when it is made, and every policy it returns shares that pair: a call
-  // allocates exactly the policy object.  Building a private pair per
-  // policy cost 327 allocations.
+  // Every FACS-P or FACS-PR policy shares the process's FLC1/FLC2 pair,
+  // built on first use, so once warm a factory call allocates exactly the
+  // policy object.  Building a private pair per policy cost 327
+  // allocations.
   const cellular::CellularNetwork network(0, 500.0, 40.0);
   sim::RngFactory rng(42);
   const core::PolicyFactory facs_p = core::make_facs_p_factory();
