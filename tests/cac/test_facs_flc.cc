@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "common/error.h"
+
 namespace facsp::cac {
 namespace {
 
@@ -129,6 +133,16 @@ TEST(Flc1Memberships, ServiceRequestTermsMatchFig5c) {
   EXPECT_DOUBLE_EQ(sr.grade(sr.term_index("Bi"), 10.0), 1.0);
   EXPECT_DOUBLE_EQ(sr.grade(sr.term_index("Sm"), 5.0), 0.0);
   EXPECT_DOUBLE_EQ(sr.grade(sr.term_index("Bi"), 5.0), 0.0);
+}
+
+TEST(Flc1DistanceMemberships, ScaleWithTheCellRadius) {
+  const auto di = make_distance_variable(1000.0);
+  EXPECT_DOUBLE_EQ(di.universe_hi(), 1200.0);
+  EXPECT_DOUBLE_EQ(di.grade(di.term_index("Ne"), 200.0), 1.0);
+  EXPECT_DOUBLE_EQ(di.grade(di.term_index("Md"), 600.0), 1.0);
+  EXPECT_DOUBLE_EQ(di.grade(di.term_index("Fr"), 1000.0), 1.0);
+  for (double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_THROW(make_flc1_distance(bad), facsp::ConfigError) << bad;
 }
 
 TEST(Flc1Memberships, CorrectionOutputHas9UniformTerms) {
