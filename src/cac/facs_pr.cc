@@ -2,9 +2,6 @@
 
 namespace facsp::cac {
 
-FacsPrPolicy::FacsPrPolicy(const PriorityWeights& weights)
-    : inner_(weights) {}
-
 double FacsPrPolicy::threshold_for(cellular::UserPriority p) const noexcept {
   double extra = kNormalExtra;
   switch (p) {

@@ -30,9 +30,8 @@ class FacsPrPolicy final : public AdmissionPolicy {
   static_assert(kLowExtra >= kNormalExtra && kNormalExtra >= kHighExtra,
                 "higher priority must not face a stricter threshold");
 
-  /// The on-going-priority weights of the inner FACS-P.  Throws
-  /// facsp::ConfigError when one is below 1.
-  explicit FacsPrPolicy(const PriorityWeights& weights = {});
+  /// The inner FACS-P uses the default on-going-priority weights.
+  FacsPrPolicy() = default;
 
   std::string_view name() const noexcept override { return "FACS-PR"; }
 

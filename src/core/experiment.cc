@@ -42,9 +42,9 @@ PolicyFactory make_facs_p_factory(cac::PriorityWeights weights) {
   };
 }
 
-PolicyFactory make_facs_pr_factory(cac::PriorityWeights weights) {
-  return [weights](const cellular::CellularNetwork&, sim::RngFactory&) {
-    return std::make_unique<cac::FacsPrPolicy>(weights);
+PolicyFactory make_facs_pr_factory() {
+  return [](const cellular::CellularNetwork&, sim::RngFactory&) {
+    return std::make_unique<cac::FacsPrPolicy>();
   };
 }
 

@@ -66,7 +66,7 @@ class Experiment {
 // policy object (and, for FACS, its radius-dependent FLC1-D).
 
 PolicyFactory make_facs_p_factory(cac::PriorityWeights weights = {});
-PolicyFactory make_facs_pr_factory(cac::PriorityWeights weights = {});
+PolicyFactory make_facs_pr_factory();
 PolicyFactory make_facs_factory();
 PolicyFactory make_scc_factory();
 PolicyFactory make_guard_channel_factory(cellular::Bandwidth guard_bu);

@@ -1,7 +1,6 @@
 #include "workload/mix_schedule.h"
 
 #include <charconv>
-#include <cmath>
 #include <string_view>
 
 #include "common/error.h"
@@ -71,10 +70,6 @@ MixSchedule MixSchedule::from_string(const std::string& text) {
     double x[4];  // start, text, voice, video
     if (!parse_segment(token, x))
       throw ConfigError("mix_schedule: expected 'start:text/voice/video', got '" +
-                        token + "'");
-    if (!std::isfinite(x[0]) || !std::isfinite(x[1]) || !std::isfinite(x[2]) ||
-        !std::isfinite(x[3]))
-      throw ConfigError("mix_schedule: numbers must be finite, got '" +
                         token + "'");
     MixSegment seg;
     seg.start_s = x[0];

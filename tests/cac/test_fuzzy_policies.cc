@@ -138,7 +138,6 @@ TEST(FacsPWeights, BelowOneRejectedWhenThePolicyIsBuilt) {
     PriorityWeights w;
     w.*field = 0.9;
     EXPECT_THROW(FacsPPolicy{w}, facsp::ConfigError);
-    EXPECT_THROW(FacsPrPolicy{w}, facsp::ConfigError);
   }
   EXPECT_NO_THROW((FacsPPolicy{PriorityWeights{1.0, 1.0, 1.0}}));
 }

@@ -49,7 +49,10 @@ TEST(MixSchedule, FromStringRejectsMalformedInput) {
   for (const char* text :
        {" 1:0.7/0.2/0.1", "1: 0.7/0.2/0.1", "0x1p3:0.7/0.2/0.1",
         "1e-999:0.7/0.2/0.1", "1e999:0.7/0.2/0.1", "+1:0.7/0.2/0.1",
-        "1:0.7/0.2/0.1 ", "1:0.7/0.2/0.1/0", "1:0.7:0.2/0.1", ":0.7/0.2/0.1"})
+        "1:0.7/0.2/0.1 ", "1:0.7/0.2/0.1/0", "1:0.7:0.2/0.1", ":0.7/0.2/0.1",
+        // from_chars reads nan and inf; validate() refuses them.
+        "nan:0.7/0.2/0.1", "inf:0.7/0.2/0.1", "1:nan/0.2/0.1",
+        "1:0.7/inf/0.1", "1:0.7/0.2/-inf"})
     EXPECT_THROW(MixSchedule::from_string(text), facsp::ConfigError) << text;
   EXPECT_THROW(MixSchedule::from_string("0:0.7/0.2/0.1x"),
                facsp::ConfigError);
