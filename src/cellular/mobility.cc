@@ -13,7 +13,9 @@ double MobilityConfig::heading_sigma(double speed_kmh) const noexcept {
 }
 
 MobilityModel::MobilityModel(MobilityConfig config, sim::RandomStream rng)
-    : config_(config), rng_(rng) {}
+    : config_(config), rng_(rng) {
+  FACSP_EXPECTS(config_.update_interval_s > 0.0);
+}
 
 void MobilityModel::advance(MobileState& state, sim::SimTime dt) {
   FACSP_EXPECTS(dt >= 0.0);
@@ -24,10 +26,7 @@ void MobilityModel::advance(MobileState& state, sim::SimTime dt) {
 
   // Scale the per-update volatility by sqrt(dt / update_interval) so that
   // using a finer event granularity does not change the diffusion rate.
-  const double scale =
-      config_.update_interval_s > 0.0
-          ? std::sqrt(dt / config_.update_interval_s)
-          : 1.0;
+  const double scale = std::sqrt(dt / config_.update_interval_s);
   const double sigma = config_.heading_sigma(state.speed_kmh) * scale;
   if (sigma > 0.0)
     state.heading_deg = wrap_angle_deg(

@@ -38,7 +38,7 @@ struct MobileState {
 struct MobilityConfig {
   double base_sigma_deg = 48.0;   ///< heading volatility scale
   double reference_kmh = 18.0;    ///< speed at which volatility halves
-  double update_interval_s = 5.0; ///< mobility update period
+  double update_interval_s = 5.0; ///< mobility update period (> 0)
   double min_speed_kmh = 0.0;     ///< clamp for speed jitter
   double max_speed_kmh = 120.0;   ///< paper: speeds up to 120 km/h
   double speed_sigma_kmh = 0.0;   ///< optional speed jitter per update
@@ -50,6 +50,8 @@ struct MobilityConfig {
 /// Advances mobile terminals with the smooth random-walk model.
 class MobilityModel {
  public:
+  /// Precondition: config.update_interval_s > 0 (ScenarioConfig::validate()
+  /// refuses anything else).
   MobilityModel(MobilityConfig config, sim::RandomStream rng);
 
   const MobilityConfig& config() const noexcept { return config_; }

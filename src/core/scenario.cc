@@ -34,6 +34,20 @@ void ScenarioConfig::validate() const {
   if (mobility_update_s <= 0.0)
     throw ConfigError("scenario: mobility update period must be > 0");
   if (horizon_s <= 0.0) throw ConfigError("scenario: horizon must be > 0");
+  // Both volatility formulas divide by (speed + reference_kmh): a zero
+  // reference at speed 0 is 0/0, a NaN stddev for the direction draws.
+  if (mobility.reference_kmh <= 0.0 || predictor.reference_kmh <= 0.0)
+    throw ConfigError("scenario: mobility/predictor reference_kmh must be > 0");
+  if (mobility.base_sigma_deg < 0.0 || predictor.base_sigma_deg < 0.0)
+    throw ConfigError(
+        "scenario: mobility/predictor base_sigma_deg must be >= 0");
+  if (mobility.update_interval_s <= 0.0)
+    throw ConfigError("scenario: mobility.update_interval_s must be > 0");
+  if (mobility.speed_sigma_kmh < 0.0)
+    throw ConfigError("scenario: mobility.speed_sigma_kmh must be >= 0");
+  if (mobility.min_speed_kmh > mobility.max_speed_kmh)
+    throw ConfigError(
+        "scenario: mobility.min_speed_kmh must be <= max_speed_kmh");
 }
 
 }  // namespace facsp::core

@@ -14,8 +14,7 @@
 #include "fuzzy/defuzzifier.h"  // analytic centroid
 #include "fuzzy/inference.h"    // min-max Mamdani inference engine
 #include "fuzzy/membership.h"   // triangular / trapezoidal / shoulders
-#include "fuzzy/rule_parser.h"  // textual IF-THEN rules
-#include "fuzzy/rulebase.h"     // validated rule sets
+#include "fuzzy/rulebase.h"     // complete rule tables
 #include "fuzzy/variable.h"     // linguistic variables
 
 // Discrete-event simulation

@@ -2,8 +2,6 @@
 
 #include "common/error.h"
 #include "common/math_util.h"
-#include "fuzzy/rule_parser.h"
-#include "fuzzy/rulebase.h"
 
 namespace facsp::fuzzy {
 
@@ -96,55 +94,20 @@ ControllerBuilder& ControllerBuilder::output(LinguisticVariable v) {
   return *this;
 }
 
-ControllerBuilder& ControllerBuilder::rule(const std::string& text) {
-  if (output_.empty())
-    throw ConfigError("controller '" + name_ +
-                      "': declare output before rules");
-  rules_.push_back(parse_rule(text, inputs_, output_.front()));
-  return *this;
-}
-
-ControllerBuilder& ControllerBuilder::rule(
-    const std::vector<std::string>& antecedent_terms,
-    const std::string& consequent_term, double weight) {
-  if (output_.empty())
-    throw ConfigError("controller '" + name_ +
-                      "': declare output before rules");
-  if (antecedent_terms.size() != inputs_.size())
-    throw ConfigError("controller '" + name_ + "': rule arity mismatch");
-  FuzzyRule r;
-  r.weight = weight;
-  r.antecedents.reserve(inputs_.size());
-  for (std::size_t i = 0; i < inputs_.size(); ++i) {
-    r.antecedents.push_back(antecedent_terms[i] == "*"
-                                ? FuzzyRule::kAny
-                                : inputs_[i].term_index(antecedent_terms[i]));
-  }
-  r.consequent = output_.front().term_index(consequent_term);
-  rules_.push_back(std::move(r));
-  return *this;
-}
-
 ControllerBuilder& ControllerBuilder::rule_table(
-    const std::vector<std::string>& consequents) {
-  pending_table_ = consequents;
+    std::vector<std::string> consequents) {
+  consequents_ = std::move(consequents);
   return *this;
 }
 
 std::unique_ptr<FuzzyController> ControllerBuilder::build() {
   if (output_.empty())
     throw ConfigError("controller '" + name_ + "': no output variable");
-  if (!pending_table_.empty()) {
-    RuleBase rb =
-        RuleBase::from_table(inputs_, output_.front(), pending_table_);
-    for (const auto& r : rb.rules()) rules_.push_back(r);
-    pending_table_.clear();
-  }
-  if (rules_.empty())
-    throw ConfigError("controller '" + name_ + "': no rules");
+  if (consequents_.empty())
+    throw ConfigError("controller '" + name_ + "': no rule table");
   return std::make_unique<FuzzyController>(name_, std::move(inputs_),
                                            std::move(output_.front()),
-                                           std::move(rules_));
+                                           consequents_);
 }
 
 }  // namespace facsp::fuzzy

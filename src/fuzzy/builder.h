@@ -9,9 +9,8 @@
 //   auto flc = ControllerBuilder("demo")
 //                  .input(speed).input(angle).input(service)
 //                  .output(correction)
-//                  .rule("IF Sp is Sl AND An is B1 AND Sr is Sm THEN Cv is Cv1")
-//                  ...
-//                  .build();
+//                  .rule_table({"Cv1", "Cv1", ...})  // 63 consequents, as
+//                  .build();                         // in paper Table 1
 #pragma once
 
 #include <memory>
@@ -67,30 +66,22 @@ class ControllerBuilder {
   ControllerBuilder& input(LinguisticVariable v);
   ControllerBuilder& output(LinguisticVariable v);
 
-  /// Add one rule in textual form (see rule_parser.h for the grammar).
-  ControllerBuilder& rule(const std::string& text);
-
-  /// Add one rule by explicit term names, one per input in declaration
-  /// order; "*" is the wildcard.
-  ControllerBuilder& rule(const std::vector<std::string>& antecedent_terms,
-                          const std::string& consequent_term,
-                          double weight = 1.0);
-
-  /// Add a complete tabular rule base (last input varies fastest), as the
-  /// paper's Table 1 / Table 2 are printed.
-  ControllerBuilder& rule_table(const std::vector<std::string>& consequents);
+  /// Set the complete rule table: one output term name per combination of
+  /// input terms, last input varying fastest, as the paper's Table 1 /
+  /// Table 2 are printed (see RuleBase).
+  ControllerBuilder& rule_table(std::vector<std::string> consequents);
 
   /// Validates and constructs the controller (throws facsp::ConfigError if
-  /// no output was set, no rules were added, or validation fails — the
-  /// output's terms included, see Defuzzifier).
+  /// no output or rule table was set, or validation fails — the table's
+  /// size and names, the inference bounds and the output's terms, see
+  /// RuleBase, InferenceEngine and Defuzzifier).
   std::unique_ptr<FuzzyController> build();
 
  private:
   std::string name_;
   std::vector<LinguisticVariable> inputs_;
   std::vector<LinguisticVariable> output_;  // 0 or 1 elements
-  std::vector<FuzzyRule> rules_;
-  std::vector<std::string> pending_table_;
+  std::vector<std::string> consequents_;
 };
 
 }  // namespace facsp::fuzzy

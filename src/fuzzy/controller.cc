@@ -4,18 +4,17 @@
 #include <utility>
 
 #include "common/expects.h"
-#include "fuzzy/rule.h"
 
 namespace facsp::fuzzy {
 
 FuzzyController::FuzzyController(std::string name,
                                  std::vector<LinguisticVariable> inputs,
                                  LinguisticVariable output,
-                                 std::vector<FuzzyRule> rules)
+                                 const std::vector<std::string>& consequents)
     : name_(std::move(name)),
       inputs_(std::move(inputs)),
       output_(std::move(output)),
-      rules_(std::move(rules), inputs_, output_),
+      rules_(inputs_, output_, consequents),
       defuzz_(output_),
       engine_(std::make_unique<InferenceEngine>(inputs_, output_, rules_)) {}
 

@@ -31,11 +31,15 @@ struct Explanation {
 /// for concurrent evaluate() calls.
 class FuzzyController {
  public:
-  /// Throws facsp::ConfigError when the rule base does not match the
-  /// variables (arity/term indices) — see RuleBase — or when the output's
-  /// terms do not admit the analytic centroid — see Defuzzifier.
+  /// `consequents` is the complete rule table, one output term name per
+  /// combination of input terms (last input fastest).  Throws
+  /// facsp::ConfigError when the table does not match the variables — see
+  /// RuleBase — when the inputs exceed the inference bounds — see
+  /// InferenceEngine — or when the output's terms do not admit the analytic
+  /// centroid — see Defuzzifier.
   FuzzyController(std::string name, std::vector<LinguisticVariable> inputs,
-                  LinguisticVariable output, std::vector<FuzzyRule> rules);
+                  LinguisticVariable output,
+                  const std::vector<std::string>& consequents);
 
   FuzzyController(const FuzzyController&) = delete;
   FuzzyController& operator=(const FuzzyController&) = delete;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/error.h"
 #include "common/expects.h"
 #include "common/math_util.h"
 
@@ -15,71 +16,29 @@ InferenceEngine::InferenceEngine(const std::vector<LinguisticVariable>& inputs,
   FACSP_EXPECTS(!inputs_.empty());
   FACSP_EXPECTS(rules_.input_count() == inputs_.size());
   FACSP_EXPECTS(rules_.output_term_count() == output_.term_count());
+  if (inputs_.size() > kMaxInputs)
+    throw ConfigError("inference: " + std::to_string(inputs_.size()) +
+                      " inputs, more than " + std::to_string(kMaxInputs));
+  for (const auto& in : inputs_)
+    if (in.term_count() > kMaxTerms)
+      throw ConfigError("inference: input '" + in.name() + "' has " +
+                        std::to_string(in.term_count()) +
+                        " terms, more than " + std::to_string(kMaxTerms));
   grade_offsets_.reserve(inputs_.size());
   for (const auto& in : inputs_) {
     grade_offsets_.push_back(total_grades_);
     total_grades_ += in.term_count();
   }
 
-  // Flatten the rule base: the hot loops then walk two contiguous arrays
-  // instead of chasing one std::vector per rule.  Wildcard antecedents are
-  // dropped here, preserving the remaining antecedents' relative order, so
-  // the fold over grades is the exact sequence run() always performed.
-  flat_rules_.reserve(rules_.size());
+  // Each rule's antecedent grade slots, in input order: the lane kernel
+  // folds grades through these instead of decoding every rule index.
+  rule_slots_.reserve(rules_.size() * inputs_.size());
   for (std::size_t r = 0; r < rules_.size(); ++r) {
-    const FuzzyRule& rule = rules_.rule(r);
-    FlatRule fr;
-    fr.first = static_cast<std::uint32_t>(rule_slots_.size());
-    for (std::size_t i = 0; i < rule.antecedents.size(); ++i) {
-      const std::size_t a = rule.antecedents[i];
-      if (a == FuzzyRule::kAny) continue;
-      rule_slots_.push_back(static_cast<std::uint32_t>(grade_offsets_[i] + a));
-    }
-    fr.count = static_cast<std::uint32_t>(rule_slots_.size()) - fr.first;
-    fr.consequent = static_cast<std::uint32_t>(rule.consequent);
-    fr.weight = rule.weight;
-    flat_rules_.push_back(fr);
+    const FuzzyRule rule = rules_.rule(r);
+    for (std::size_t i = 0; i < rule.antecedents.size(); ++i)
+      rule_slots_.push_back(
+          static_cast<std::uint32_t>(grade_offsets_[i] + rule.antecedents[i]));
   }
-
-  // Sparse-fire fast path: with a wildcard-free, duplicate-free rule table,
-  // run() can enumerate only the antecedent-term combinations whose grades
-  // are all non-zero and look each rule up in a dense tuple-indexed table.
-  // Adjacent-overlap partitions (every paper variable) activate at most two
-  // terms per input, so e.g. FRB1 fires at most 8 of its 63 rules per
-  // evaluation.  This is bit-identical to the linear scan: max aggregation
-  // is exactly order-independent, and a rule with any zero antecedent grade
-  // has exactly zero strength under min, so skipping it cannot change an
-  // activation.
-  std::size_t tuple_count = 1;
-  dense_ok_ = inputs_.size() <= kMaxDenseInputs;
-  for (const auto& in : inputs_) {
-    dense_ok_ = dense_ok_ && in.term_count() <= kMaxDenseTerms;
-    tuple_count *= in.term_count();
-  }
-  if (dense_ok_ && tuple_count <= 4096) {
-    dense_rules_.assign(tuple_count, DenseRule{});
-    for (std::size_t r = 0; r < rules_.size() && dense_ok_; ++r) {
-      const FuzzyRule& rule = rules_.rule(r);
-      std::size_t idx = 0;
-      for (std::size_t i = 0; i < rule.antecedents.size(); ++i) {
-        if (rule.antecedents[i] == FuzzyRule::kAny) {
-          dense_ok_ = false;
-          break;
-        }
-        idx = idx * inputs_[i].term_count() + rule.antecedents[i];
-      }
-      if (!dense_ok_) break;
-      if (dense_rules_[idx].consequent >= 0) {
-        dense_ok_ = false;  // duplicate tuple: scan preserves both firings
-        break;
-      }
-      dense_rules_[idx].consequent = static_cast<std::int32_t>(rule.consequent);
-      dense_rules_[idx].weight = rule.weight;
-    }
-  } else {
-    dense_ok_ = false;
-  }
-  if (!dense_ok_) dense_rules_.clear();
 
   // Snapshot per-term geometry for the lane fuzzifier.  ba/dc are the exact
   // doubles grade() divides by, so the lane kernels perform bit-identical
@@ -127,59 +86,45 @@ void InferenceEngine::run(std::span<const double> crisp_inputs,
   scratch.activations.assign(output_.term_count(), 0.0);
   if (fired != nullptr) fired->clear();
 
-  // Sparse-fire fast path (see ctor): enumerate only the cross product of
-  // non-zero-grade terms per input and index the dense rule table.  The
-  // traced path keeps the scan so fired-rule order stays stable.
-  if (dense_ok_ && fired == nullptr) {
-    std::uint32_t nz[kMaxDenseInputs][kMaxDenseTerms];
-    std::uint32_t nz_count[kMaxDenseInputs];
-    const std::size_t n = inputs_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* const g = grades + grade_offsets_[i];
-      std::uint32_t c = 0;
-      for (std::size_t t = 0; t < inputs_[i].term_count(); ++t)
-        if (g[t] > 0.0) nz[i][c++] = static_cast<std::uint32_t>(t);
-      if (c == 0) return;  // an all-zero input: no wildcard-free rule fires
-      nz_count[i] = c;
-    }
-    std::uint32_t pos[kMaxDenseInputs] = {};
-    for (;;) {
-      std::size_t idx = 0;
-      double strength = 1.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t t = nz[i][pos[i]];
-        idx = idx * inputs_[i].term_count() + t;
-        strength = std::min(strength, grades[grade_offsets_[i] + t]);
-      }
-      const DenseRule& dr = dense_rules_[idx];
-      if (dr.consequent >= 0) {
-        strength *= dr.weight;
-        if (strength > 0.0) {
-          double& acc =
-              scratch.activations[static_cast<std::size_t>(dr.consequent)];
-          acc = acc > strength ? acc : strength;
-        }
-      }
-      std::size_t i = n - 1;
-      while (++pos[i] == nz_count[i]) {
-        pos[i] = 0;
-        if (i == 0) return;
-        --i;
-      }
-    }
+  // Sparse-fire enumeration: a rule fires only when every antecedent grade
+  // is non-zero (its strength is their min), so walk just the cross product
+  // of each input's non-zero terms, in table order (last input fastest).
+  // Adjacent-overlap partitions (every paper variable) activate at most two
+  // terms per input, so FRB1 evaluates at most 8 of its 63 rules.  Skipping
+  // a rule with a zero grade cannot change an activation: its strength is
+  // exactly 0 and max aggregation ignores it.
+  std::uint32_t nz[kMaxInputs][kMaxTerms];
+  std::uint32_t nz_count[kMaxInputs];
+  const std::size_t n = inputs_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* const g = grades + grade_offsets_[i];
+    std::uint32_t c = 0;
+    for (std::size_t t = 0; t < inputs_[i].term_count(); ++t)
+      if (g[t] > 0.0) nz[i][c++] = static_cast<std::uint32_t>(t);
+    if (c == 0) return;  // an all-zero input: no rule fires
+    nz_count[i] = c;
   }
-
-  const std::uint32_t* const slots = rule_slots_.data();
-  for (std::size_t r = 0; r < flat_rules_.size(); ++r) {
-    const FlatRule& rule = flat_rules_[r];
+  const std::span<const std::size_t> consequents = rules_.consequents();
+  std::uint32_t pos[kMaxInputs] = {};
+  for (bool more = true; more;) {
+    std::size_t idx = 0;
     double strength = 1.0;
-    for (std::uint32_t i = 0; i < rule.count && strength > 0.0; ++i)
-      strength = std::min(strength, grades[slots[rule.first + i]]);
-    strength *= rule.weight;
-    if (strength <= 0.0) continue;
-    if (fired != nullptr) fired->push_back({r, strength});
-    double& acc = scratch.activations[rule.consequent];
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t t = nz[i][pos[i]];
+      idx = idx * inputs_[i].term_count() + t;
+      strength = std::min(strength, grades[grade_offsets_[i] + t]);
+    }
+    double& acc = scratch.activations[consequents[idx]];
     acc = acc > strength ? acc : strength;
+    if (fired != nullptr) fired->push_back({idx, strength});
+    more = false;
+    for (std::size_t i = n; i-- > 0;) {
+      if (++pos[i] < nz_count[i]) {
+        more = true;
+        break;
+      }
+      pos[i] = 0;
+    }
   }
 
   if (fired != nullptr)

@@ -2,11 +2,11 @@
 //
 // Pipeline (paper Fig. 2): fuzzifier -> inference engine (+FRB) -> defuzzifier.
 // This header implements the middle stage with the paper's operators: each
-// rule's firing strength is the min of its antecedent grades times the rule
-// weight, and the strengths of rules sharing a consequent aggregate by max.
-// The result is one activation level per output term; the defuzzifier clips
-// each output term at its activation (min implication) and turns the max
-// envelope into a crisp value.
+// rule's firing strength is the min of its antecedent grades, and the
+// strengths of rules sharing a consequent aggregate by max.  The result is
+// one activation level per output term; the defuzzifier clips each output
+// term at its activation (min implication) and turns the max envelope into a
+// crisp value.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,7 @@ bool lane_simd_available() noexcept;
 /// Per-rule firing record, for explanation/tracing (rule_explorer example).
 struct FiredRule {
   std::size_t rule_index = 0;
-  double strength = 0.0;  ///< min of antecedent grades times rule weight
+  double strength = 0.0;  ///< min of the rule's antecedent grades
 };
 
 /// Reusable evaluation arena for the allocation-free inference fast path.
@@ -63,8 +63,15 @@ class InferenceEngine {
   /// Decisions processed per structure-of-arrays block by the batched path.
   static constexpr std::size_t kLanes = 8;
 
+  /// Stack bounds of the scalar path's non-zero-term enumeration: at most
+  /// kMaxInputs inputs of at most kMaxTerms terms each.  The paper's
+  /// controllers have 3 inputs of at most 7 terms.
+  static constexpr std::size_t kMaxInputs = 8;
+  static constexpr std::size_t kMaxTerms = 16;
+
   /// The referenced variables and rule base must outlive the engine; the
-  /// FuzzyController owns all of them and the engine internally.
+  /// FuzzyController owns all of them and the engine internally.  Throws
+  /// facsp::ConfigError when the inputs exceed kMaxInputs/kMaxTerms.
   InferenceEngine(const std::vector<LinguisticVariable>& inputs,
                   const LinguisticVariable& output, const RuleBase& rules);
 
@@ -87,8 +94,8 @@ class InferenceEngine {
   /// row-major; scratch.lane_activations receives every output term's
   /// activation per lane ([term * kLanes + lane]; lanes >= rows are padding
   /// and must be ignored).  Per lane the result is bit-identical to
-  /// infer_into() on that lane's row (the kernel uses only min/max/and/mul/
-  /// sub/div lane ops, never FMA, in the scalar evaluation order).  Runs
+  /// infer_into() on that lane's row (the kernel uses only min/max/and/sub/
+  /// div lane ops, never FMA, in the scalar evaluation order).  Runs
   /// infer_batch_w4() when lane_simd_available(), else infer_batch_w2().
   /// Zero heap allocations once scratch is warm.
   void infer_batch_into(std::span<const double> crisp_inputs,
@@ -103,16 +110,6 @@ class InferenceEngine {
                       InferenceScratch& scratch) const;
 
  private:
-  /// One rule flattened for the hot loops: a window into rule_slots_ (the
-  /// grade-arena indices of its non-wildcard antecedents, in antecedent
-  /// order) plus weight and consequent term.
-  struct FlatRule {
-    std::uint32_t first = 0;
-    std::uint32_t count = 0;
-    std::uint32_t consequent = 0;
-    double weight = 1.0;
-  };
-
   /// Per grade slot: the term geometry the branchless lane fuzzifier needs.
   /// `ba`/`dc` are the exact denominators (b - a, d - c) the scalar grade()
   /// divides by, precomputed so the lane kernel performs the identical
@@ -126,20 +123,6 @@ class InferenceEngine {
     bool fast = false;
     const MembershipFunction* mf = nullptr;
   };
-
-  /// Dense antecedent-indexed rule table for the sparse-fire scalar fast
-  /// path: entry [t0 * n1 * n2 + t1 * n2 + t2] holds the consequent and
-  /// weight of the rule whose antecedents are exactly (t0, t1, t2), or
-  /// consequent -1 where no rule exists.  Built only for wildcard-free,
-  /// duplicate-free rule bases (see ctor).
-  struct DenseRule {
-    std::int32_t consequent = -1;
-    double weight = 1.0;
-  };
-  /// Stack bounds for the sparse-fire enumeration in run(); rule bases
-  /// exceeding them simply keep the linear scan.
-  static constexpr std::size_t kMaxDenseInputs = 8;
-  static constexpr std::size_t kMaxDenseTerms = 16;
 
   /// Shared core of all evaluation entry points; collects fired rules only
   /// when `fired` is non-null (the untraced path skips that work entirely).
@@ -156,10 +139,9 @@ class InferenceEngine {
   const RuleBase& rules_;
   std::vector<std::size_t> grade_offsets_;  ///< input i's offset in grades
   std::size_t total_grades_ = 0;
-  std::vector<FlatRule> flat_rules_;
+  /// Grade slot of each rule's antecedents, input_count() per rule in
+  /// table order: the lane kernel's rule fold reads grades through it.
   std::vector<std::uint32_t> rule_slots_;
-  std::vector<DenseRule> dense_rules_;  ///< antecedent-tuple indexed
-  bool dense_ok_ = false;
   std::vector<LaneTerm> lane_terms_;  ///< one per grade slot
 };
 

@@ -17,12 +17,12 @@
 //    ties and NaN); a NaN input is masked to +0 by an ordered compare,
 //    matching grade()'s isnan guard.  Degenerate shapes (singletons,
 //    zero-width edges) take a scalar per-lane fallback through grade().
-//  * rules: the strength min-folds antecedent grades in antecedent order and
-//    multiplies the weight last, exactly like the scalar loop, then
-//    max-aggregates into its consequent.  The scalar loop early-exits once
-//    the strength hits 0; evaluating on is value-identical because
-//    min(0, g) == 0, 0 * w == 0 and max(acc, 0) == acc for acc in [0, 1].
-//  * only min/max/and/sub/mul/div lane ops are used — never FMA — so both
+//  * rules: every rule of the table, in table order, min-folds its
+//    antecedent grades in input order, exactly like the scalar path, then
+//    max-aggregates into its consequent.  The scalar path skips rules with
+//    a zero grade; evaluating them is value-identical because min(0, g) ==
+//    0 and max(acc, 0) == acc for acc in [0, 1].
+//  * only min/max/and/sub/div lane ops are used — never FMA — so both
 //    widths round exactly like the scalar code.
 #include <cstdint>
 #include <cstring>
@@ -113,27 +113,27 @@ template <std::size_t N>
     }
   }
 
-  const std::uint32_t* const slots = rule_slots_.data();
-  for (const FlatRule& rule : flat_rules_) {
+  // Locals, not member reads: the stores below may alias the rule base.
+  const std::uint32_t* slots = rule_slots_.data();
+  for (const std::size_t consequent : rules_.consequents()) {
     V st[H];
     for (std::size_t h = 0; h < H; ++h) st[h] = ones;
-    for (std::uint32_t i = 0; i < rule.count; ++i) {
-      const double* const gr = grades + slots[rule.first + i] * W;
+    for (std::size_t i = 0; i < ni; ++i) {
+      const double* const gr = grades + slots[i] * W;
       for (std::size_t h = 0; h < H; ++h) {
         V gv;
         std::memcpy(&gv, gr + h * N, sizeof gv);
         st[h] = gv < st[h] ? gv : st[h];
       }
     }
-    double* const out = acts + rule.consequent * W;
-    const double weight = rule.weight;  // read once: `out` may alias it
+    double* const out = acts + consequent * W;
     for (std::size_t h = 0; h < H; ++h) {
-      st[h] *= weight;
       V acc;
       std::memcpy(&acc, out + h * N, sizeof acc);
       acc = acc > st[h] ? acc : st[h];
       std::memcpy(out + h * N, &acc, sizeof acc);
     }
+    slots += ni;
   }
 }
 

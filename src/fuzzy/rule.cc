@@ -13,18 +13,13 @@ std::string to_string(const FuzzyRule& rule,
   FACSP_EXPECTS(rule.antecedents.size() == inputs.size());
   std::ostringstream os;
   os << "IF ";
-  bool first = true;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    if (rule.antecedents[i] == FuzzyRule::kAny) continue;
-    if (!first) os << " AND ";
+    if (i > 0) os << " AND ";
     os << inputs[i].name() << " is "
        << inputs[i].term(rule.antecedents[i]).name;
-    first = false;
   }
-  if (first) os << "TRUE";  // all-wildcard antecedent
   os << " THEN " << output.name() << " is "
      << output.term(rule.consequent).name;
-  if (rule.weight != 1.0) os << " [" << rule.weight << "]";
   return os.str();
 }
 

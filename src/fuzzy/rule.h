@@ -1,12 +1,11 @@
 // Fuzzy IF-THEN rules.
 //
-// A rule pairs one antecedent term index per input variable (or kAny as a
-// wildcard) with a consequent term index on the output variable, e.g. paper
-// Table 1 rule 0:  IF Sp is Sl AND An is B1 AND Sr is Sm THEN Cv is Cv1.
+// A rule pairs one antecedent term index per input variable with a
+// consequent term index on the output variable, e.g. paper Table 1 rule 0:
+// IF Sp is Sl AND An is B1 AND Sr is Sm THEN Cv is Cv1.
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -14,19 +13,12 @@ namespace facsp::fuzzy {
 
 class LinguisticVariable;
 
-/// One conjunctive (AND) fuzzy rule.
+/// One conjunctive (AND) fuzzy rule of a complete rule table.
 struct FuzzyRule {
-  /// Wildcard antecedent: the input variable does not constrain this rule.
-  static constexpr std::size_t kAny = std::numeric_limits<std::size_t>::max();
-
-  /// Term index into the i-th input variable's term list, or kAny.
+  /// Term index into the i-th input variable's term list.
   std::vector<std::size_t> antecedents;
   /// Term index into the output variable's term list.
   std::size_t consequent = 0;
-  /// Rule weight in (0, 1]; scales the firing strength (1.0 = paper default).
-  double weight = 1.0;
-
-  friend bool operator==(const FuzzyRule&, const FuzzyRule&) = default;
 };
 
 /// Render a rule as "IF Sp is Sl AND An is B1 AND Sr is Sm THEN Cv is Cv1".

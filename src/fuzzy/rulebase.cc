@@ -1,123 +1,42 @@
 #include "fuzzy/rulebase.h"
 
-#include <algorithm>
-#include <numeric>
-
 #include "common/error.h"
 #include "common/expects.h"
 
 namespace facsp::fuzzy {
 
-RuleBase::RuleBase(std::vector<FuzzyRule> rules,
-                   const std::vector<LinguisticVariable>& inputs,
-                   const LinguisticVariable& output)
-    : rules_(std::move(rules)), output_term_count_(output.term_count()) {
+RuleBase::RuleBase(const std::vector<LinguisticVariable>& inputs,
+                   const LinguisticVariable& output,
+                   const std::vector<std::string>& consequent_names)
+    : output_term_count_(output.term_count()) {
   if (inputs.empty())
     throw ConfigError("rule base: at least one input variable required");
-  input_term_counts_.reserve(inputs.size());
-  for (const auto& v : inputs) input_term_counts_.push_back(v.term_count());
-
-  for (std::size_t r = 0; r < rules_.size(); ++r) {
-    const FuzzyRule& rule = rules_[r];
-    if (rule.antecedents.size() != inputs.size())
-      throw ConfigError("rule base: rule " + std::to_string(r) + " has " +
-                        std::to_string(rule.antecedents.size()) +
-                        " antecedents, expected " +
-                        std::to_string(inputs.size()));
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      const std::size_t a = rule.antecedents[i];
-      if (a != FuzzyRule::kAny && a >= input_term_counts_[i])
-        throw ConfigError("rule base: rule " + std::to_string(r) +
-                          ": antecedent term index " + std::to_string(a) +
-                          " out of range for variable '" + inputs[i].name() +
-                          "'");
-    }
-    if (rule.consequent >= output_term_count_)
-      throw ConfigError("rule base: rule " + std::to_string(r) +
-                        ": consequent term index out of range for variable '" +
-                        output.name() + "'");
-    if (!(rule.weight > 0.0 && rule.weight <= 1.0))
-      throw ConfigError("rule base: rule " + std::to_string(r) +
-                        ": weight must be in (0, 1]");
-  }
-}
-
-const FuzzyRule& RuleBase::rule(std::size_t i) const {
-  FACSP_EXPECTS(i < rules_.size());
-  return rules_[i];
-}
-
-std::size_t RuleBase::combination_count() const noexcept {
-  return std::accumulate(input_term_counts_.begin(), input_term_counts_.end(),
-                         std::size_t{1}, std::multiplies<>());
-}
-
-bool RuleBase::is_complete() const {
-  // Enumerate every combination (mixed-radix counter) and check that at
-  // least one rule matches it.  FRB sizes in this domain are tiny (<= 63),
-  // so the O(combinations * rules) scan is instantaneous.
-  std::vector<std::size_t> combo(input_term_counts_.size(), 0);
-  const std::size_t total = combination_count();
-  for (std::size_t n = 0; n < total; ++n) {
-    bool matched = false;
-    for (const auto& rule : rules_) {
-      bool ok = true;
-      for (std::size_t i = 0; i < combo.size(); ++i) {
-        if (rule.antecedents[i] != FuzzyRule::kAny &&
-            rule.antecedents[i] != combo[i]) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) {
-        matched = true;
-        break;
-      }
-    }
-    if (!matched) return false;
-    // increment mixed-radix counter (last digit fastest)
-    for (std::size_t i = combo.size(); i-- > 0;) {
-      if (++combo[i] < input_term_counts_[i]) break;
-      combo[i] = 0;
-    }
-  }
-  return true;
-}
-
-std::vector<std::pair<std::size_t, std::size_t>> RuleBase::conflicts() const {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  for (std::size_t i = 0; i < rules_.size(); ++i)
-    for (std::size_t j = i + 1; j < rules_.size(); ++j)
-      if (rules_[i].antecedents == rules_[j].antecedents &&
-          rules_[i].consequent != rules_[j].consequent)
-        out.emplace_back(i, j);
-  return out;
-}
-
-RuleBase RuleBase::from_table(const std::vector<LinguisticVariable>& inputs,
-                              const LinguisticVariable& output,
-                              const std::vector<std::string>& consequent_names) {
   std::size_t total = 1;
-  for (const auto& v : inputs) total *= v.term_count();
+  term_counts_.reserve(inputs.size());
+  for (const auto& v : inputs) {
+    term_counts_.push_back(v.term_count());
+    total *= v.term_count();
+  }
   if (consequent_names.size() != total)
     throw ConfigError("rule base table: expected " + std::to_string(total) +
                       " consequents, got " +
                       std::to_string(consequent_names.size()));
+  consequents_.reserve(total);
+  for (const auto& name : consequent_names)
+    consequents_.push_back(output.term_index(name));
+}
 
-  std::vector<FuzzyRule> rules;
-  rules.reserve(total);
-  std::vector<std::size_t> combo(inputs.size(), 0);
-  for (std::size_t n = 0; n < total; ++n) {
-    FuzzyRule r;
-    r.antecedents = combo;
-    r.consequent = output.term_index(consequent_names[n]);
-    rules.push_back(std::move(r));
-    for (std::size_t i = combo.size(); i-- > 0;) {
-      if (++combo[i] < inputs[i].term_count()) break;
-      combo[i] = 0;
-    }
+FuzzyRule RuleBase::rule(std::size_t i) const {
+  FACSP_EXPECTS(i < consequents_.size());
+  FuzzyRule r;
+  r.consequent = consequents_[i];
+  r.antecedents.resize(term_counts_.size());
+  // Mixed-radix digits of i, last input fastest.
+  for (std::size_t k = term_counts_.size(); k-- > 0;) {
+    r.antecedents[k] = i % term_counts_[k];
+    i /= term_counts_[k];
   }
-  return RuleBase(std::move(rules), inputs, output);
+  return r;
 }
 
 }  // namespace facsp::fuzzy

@@ -1,13 +1,15 @@
-// Fuzzy Rule Base (FRB): the validated rule set of one controller.
+// Fuzzy Rule Base (FRB): the complete rule table of one controller.
 //
 // Paper Sec. 3.1: "The FRB forms a fuzzy set of dimensions
-// |T(Sp)| x |T(An)| x |T(Sr)|" — i.e. a complete table with one rule per
-// combination of input terms.  RuleBase supports both complete tabular rule
-// bases (FRB1: 63 rules, FRB2: 27 rules) and sparse ones, and can check
-// completeness and detect conflicting duplicates.
+// |T(Sp)| x |T(An)| x |T(Sr)|" — a complete table with one rule per
+// combination of input terms (FRB1: 63 rules, FRB2: 27 rules).  That is the
+// only form a RuleBase takes: rule i is the i-th combination with the last
+// input varying fastest, so the table stores one consequent per rule and is
+// complete and conflict-free by construction.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,52 +18,36 @@
 
 namespace facsp::fuzzy {
 
-/// Immutable, validated collection of fuzzy rules tied to a fixed set of
-/// input variables and one output variable (held by the controller; the rule
-/// base stores only shapes and indices).
+/// Immutable complete rule table tied to a fixed set of input variables and
+/// one output variable (held by the controller; the rule base stores only
+/// term counts and consequent indices).
 class RuleBase {
  public:
-  /// Validates every rule against the given variables:
-  ///  - antecedent arity must equal inputs.size(),
-  ///  - every non-wildcard antecedent index must be in range,
-  ///  - consequent index must be in range,
-  ///  - weight must be in (0, 1].
-  /// Throws facsp::ConfigError on violation.
-  RuleBase(std::vector<FuzzyRule> rules,
-           const std::vector<LinguisticVariable>& inputs,
-           const LinguisticVariable& output);
+  /// Builds the table from one output term name per combination of input
+  /// terms, last input varying fastest — exactly the row order of the
+  /// paper's Table 1/Table 2.  Throws facsp::ConfigError when there is no
+  /// input, when the name count is not the product of the inputs' term
+  /// counts, or when a name is not a term of `output`.
+  RuleBase(const std::vector<LinguisticVariable>& inputs,
+           const LinguisticVariable& output,
+           const std::vector<std::string>& consequent_names);
 
-  std::size_t size() const noexcept { return rules_.size(); }
-  bool empty() const noexcept { return rules_.empty(); }
-  const FuzzyRule& rule(std::size_t i) const;
-  const std::vector<FuzzyRule>& rules() const noexcept { return rules_; }
-
-  std::size_t input_count() const noexcept { return input_term_counts_.size(); }
+  /// Number of rules: the product of the inputs' term counts.
+  std::size_t size() const noexcept { return consequents_.size(); }
+  std::size_t input_count() const noexcept { return term_counts_.size(); }
   std::size_t output_term_count() const noexcept { return output_term_count_; }
 
-  /// True when every combination of input terms is matched by at least one
-  /// rule (wildcards match everything).  FRB1 and FRB2 are complete.
-  bool is_complete() const;
+  /// Output term index of every rule, in table order.
+  std::span<const std::size_t> consequents() const noexcept {
+    return consequents_;
+  }
 
-  /// Indices of rule pairs with identical (after wildcard expansion —
-  /// compared structurally, not expanded) antecedents but different
-  /// consequents.  An empty result means the rule base is conflict-free.
-  std::vector<std::pair<std::size_t, std::size_t>> conflicts() const;
-
-  /// Number of distinct input-term combinations (product of term counts).
-  std::size_t combination_count() const noexcept;
-
-  /// Build a complete tabular rule base from a flat consequent table laid out
-  /// with the *last* input varying fastest (exactly the row order of the
-  /// paper's Table 1/Table 2).  `consequent_names` has
-  /// combination_count() entries, each naming a term of `output`.
-  static RuleBase from_table(const std::vector<LinguisticVariable>& inputs,
-                             const LinguisticVariable& output,
-                             const std::vector<std::string>& consequent_names);
+  /// Rule i, its antecedents decoded from the table index.
+  FuzzyRule rule(std::size_t i) const;
 
  private:
-  std::vector<FuzzyRule> rules_;
-  std::vector<std::size_t> input_term_counts_;
+  std::vector<std::size_t> term_counts_;
+  std::vector<std::size_t> consequents_;
   std::size_t output_term_count_;
 };
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <limits>
 #include <string>
@@ -155,6 +156,51 @@ TEST(ConfigIo, SemanticValidationApplies) {
   // Parses fine, but the mix does not sum to 1 -> ConfigError from
   // validate().
   EXPECT_THROW(scenario_from_string("traffic.mix.text = 0.9\n"), ConfigError);
+}
+
+TEST(ConfigIo, DegenerateMobilityFileIsAConfigErrorAtLoad) {
+  // predictor.reference_kmh = 0 makes the angle-error sigma 0/0 for a
+  // stationary user; it must fail at load, not as a NaN stddev mid-run.
+  const std::string path = "/tmp/facsp_degenerate_mobility.cfg";
+  {
+    std::ofstream out(path);
+    out << "predictor.reference_kmh = 0\ntraffic.fixed_speed_kmh = 0\n";
+  }
+  EXPECT_THROW(load_scenario_file(path), ConfigError);
+  std::remove(path.c_str());
+}
+
+TEST(ConfigIo, ValidateRefusesDegenerateMobility) {
+  using Set = void (*)(ScenarioConfig&);
+  const std::pair<const char*, Set> cases[] = {
+      {"mobility.reference_kmh = 0",
+       [](ScenarioConfig& s) { s.mobility.reference_kmh = 0.0; }},
+      {"predictor.reference_kmh = -1",
+       [](ScenarioConfig& s) { s.predictor.reference_kmh = -1.0; }},
+      {"mobility.base_sigma_deg = -1",
+       [](ScenarioConfig& s) { s.mobility.base_sigma_deg = -1.0; }},
+      {"predictor.base_sigma_deg = -1",
+       [](ScenarioConfig& s) { s.predictor.base_sigma_deg = -1.0; }},
+      {"mobility.update_interval_s = 0",
+       [](ScenarioConfig& s) { s.mobility.update_interval_s = 0.0; }},
+      {"mobility.speed_sigma_kmh = -1",
+       [](ScenarioConfig& s) { s.mobility.speed_sigma_kmh = -1.0; }},
+      {"mobility.min_speed_kmh > max_speed_kmh",
+       [](ScenarioConfig& s) {
+         s.mobility.min_speed_kmh = 50.0;
+         s.mobility.max_speed_kmh = 10.0;
+       }},
+  };
+  for (const auto& [name, set] : cases) {
+    ScenarioConfig s;
+    set(s);
+    EXPECT_THROW(s.validate(), ConfigError) << name;
+  }
+  // Zero volatility is a valid (noise-free) model.
+  ScenarioConfig still;
+  still.mobility.base_sigma_deg = 0.0;
+  still.predictor.base_sigma_deg = 0.0;
+  EXPECT_NO_THROW(still.validate());
 }
 
 TEST(ConfigIo, FileRoundTrip) {

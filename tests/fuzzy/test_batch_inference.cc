@@ -84,32 +84,6 @@ TEST(BatchInference, Flc2MatchesScalarBitwise) {
   expect_batch_bitwise_identical(*flc2, 202);
 }
 
-/// Rule weights below 1 and wildcard antecedents — rule shapes the paper's
-/// complete, unit-weight tables never use.
-std::unique_ptr<FuzzyController> make_weighted() {
-  return ControllerBuilder("weights")
-      .input(VariableBuilder("x", 0.0, 10.0)
-                 .triangular("lo", 0.0, 5.0, 5.0)
-                 .triangular("mid", 5.0, 5.0, 5.0)
-                 .right_shoulder("hi", 10.0, 5.0)
-                 .build())
-      .input(VariableBuilder("y", -1.0, 1.0)
-                 .left_shoulder("neg", -0.5, 0.5)
-                 .triangular("zero", 0.0, 0.5, 0.5)
-                 .right_shoulder("pos", 0.5, 0.5)
-                 .build())
-      .output(VariableBuilder("z", 0.0, 1.0).uniform_partition("Z", 5).build())
-      .rule({"lo", "neg"}, "Z1", 0.7)
-      .rule({"lo", "zero"}, "Z2")
-      .rule({"lo", "pos"}, "Z3", 0.4)
-      .rule({"mid", "*"}, "Z3")
-      .rule({"hi", "neg"}, "Z2", 1.0)
-      .rule({"hi", "zero"}, "Z4", 0.9)
-      .rule({"hi", "pos"}, "Z5")
-      .rule({"*", "pos"}, "Z4", 0.2)
-      .build();
-}
-
 /// Singleton and zero-width-edge terms, which the lane kernel grades per
 /// lane through MembershipFunction::grade() itself.
 std::unique_ptr<FuzzyController> make_degenerate() {
@@ -121,14 +95,8 @@ std::unique_ptr<FuzzyController> make_degenerate() {
                  .triangular("tri", 0.5, 0.5, 0.5)
                  .build())
       .output(VariableBuilder("z", 0.0, 1.0).uniform_partition("Z", 3).build())
-      .rule({"spike"}, "Z3")
-      .rule({"step"}, "Z2")
-      .rule({"tri"}, "Z1")
+      .rule_table({"Z3", "Z2", "Z1"})
       .build();
-}
-
-TEST(BatchInference, WeightsAndWildcardsMatchScalarBitwise) {
-  expect_batch_bitwise_identical(*make_weighted(), 404, 17);
 }
 
 TEST(BatchInference, DegenerateTermsTakeTheScalarFallbackBitwise) {
@@ -161,8 +129,7 @@ using LaneKernel = void (InferenceEngine::*)(std::span<const double>,
 void expect_width_bitwise_identical(LaneKernel kernel, std::uint64_t seed) {
   constexpr std::size_t W = InferenceEngine::kLanes;
   const std::shared_ptr<const FuzzyController> controllers[] = {
-      cac::shared_flc1(), cac::shared_flc2(), make_weighted(),
-      make_degenerate()};
+      cac::shared_flc1(), cac::shared_flc2(), make_degenerate()};
   std::mt19937_64 rng(seed);
   for (const auto& c : controllers) {
     const InferenceEngine engine(c->inputs(), c->output(), c->rules());

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.h"
 
 namespace facsp::fuzzy {
@@ -66,25 +69,6 @@ TEST(VariableBuilder, PropagatesValidationErrors) {
                ConfigError);
 }
 
-TEST(ControllerBuilder, MixedRuleSourcesCompose) {
-  // rule_table() plus extra textual rules in one controller.
-  auto flc = ControllerBuilder("mixed")
-                 .input(VariableBuilder("x", 0.0, 1.0)
-                            .left_shoulder("lo", 0.0, 1.0)
-                            .right_shoulder("hi", 1.0, 1.0)
-                            .build())
-                 .output(VariableBuilder("y", 0.0, 1.0)
-                             .left_shoulder("s", 0.0, 1.0)
-                             .right_shoulder("l", 1.0, 1.0)
-                             .build())
-                 .rule("IF x is lo THEN y is s [0.9]")
-                 .rule_table({"s", "l"})
-                 .build();
-  EXPECT_EQ(flc->rules().size(), 3u);
-  EXPECT_LT(flc->evaluate({0.0}), 0.5);
-  EXPECT_GT(flc->evaluate({1.0}), 0.5);
-}
-
 TEST(ControllerBuilder, RuleTableValidatedAtBuild) {
   ControllerBuilder b("bad");
   b.input(VariableBuilder("x", 0.0, 1.0)
@@ -97,6 +81,37 @@ TEST(ControllerBuilder, RuleTableValidatedAtBuild) {
                .build());
   b.rule_table({"s"});  // wrong size: 2 combinations expected
   EXPECT_THROW(b.build(), ConfigError);
+}
+
+/// A controller of `inputs` copies of a `terms`-term input, with the
+/// complete rule table every consequent of which is "s".
+std::unique_ptr<FuzzyController> build_grid(std::size_t inputs, int terms) {
+  ControllerBuilder b("grid");
+  std::size_t rules = 1;
+  for (std::size_t i = 0; i < inputs; ++i) {
+    b.input(VariableBuilder("x" + std::to_string(i), 0.0, 1.0)
+                .uniform_partition("t", terms)
+                .build());
+    rules *= static_cast<std::size_t>(terms);
+  }
+  b.output(VariableBuilder("y", 0.0, 1.0)
+               .left_shoulder("s", 0.0, 1.0)
+               .right_shoulder("l", 1.0, 1.0)
+               .build());
+  b.rule_table(std::vector<std::string>(rules, "s"));
+  return b.build();
+}
+
+TEST(ControllerBuilder, InferenceBoundsCheckedAtBuild) {
+  // The scalar path enumerates fired rules in fixed-size stack arrays; a
+  // controller beyond them is refused when it is built, not at evaluation.
+  constexpr std::size_t kInputs = InferenceEngine::kMaxInputs;
+  constexpr int kTerms = static_cast<int>(InferenceEngine::kMaxTerms);
+  EXPECT_NO_THROW(build_grid(kInputs, 2)->evaluate(
+      std::vector<double>(kInputs, 0.3)));
+  EXPECT_NO_THROW(build_grid(1, kTerms)->evaluate({0.3}));
+  EXPECT_THROW(build_grid(kInputs + 1, 2), ConfigError);
+  EXPECT_THROW(build_grid(1, kTerms + 1), ConfigError);
 }
 
 }  // namespace

@@ -31,10 +31,9 @@ std::unique_ptr<FuzzyController> tip_controller() {
                   .triangular("medium", 0.15, 0.10, 0.10)
                   .right_shoulder("high", 0.25, 0.10)
                   .build())
-      .rule("IF service is poor THEN tip is low")
-      .rule("IF service is good THEN tip is medium")
-      .rule("IF service is excellent AND food is tasty THEN tip is high")
-      .rule("IF service is excellent AND food is bad THEN tip is medium")
+      // service x food, food fastest: poor service tips low whatever the
+      // food; excellent service tips high only with tasty food.
+      .rule_table({"low", "low", "medium", "medium", "medium", "high"})
       .build();
 }
 
@@ -80,7 +79,7 @@ TEST(Controller, AccessorsExposeStructure) {
   EXPECT_EQ(flc->input_count(), 2u);
   EXPECT_EQ(flc->input(0).name(), "service");
   EXPECT_EQ(flc->output().name(), "tip");
-  EXPECT_EQ(flc->rules().size(), 4u);
+  EXPECT_EQ(flc->rules().size(), 6u);
   EXPECT_THROW(flc->input(2), ContractViolation);
 }
 
@@ -106,15 +105,6 @@ TEST(Controller, BuilderRejectsNoRules) {
   EXPECT_THROW(b.build(), ConfigError);
 }
 
-TEST(Controller, BuilderRejectsRuleBeforeOutput) {
-  ControllerBuilder b("broken");
-  b.input(VariableBuilder("x", 0.0, 1.0)
-              .left_shoulder("lo", 0.0, 1.0)
-              .right_shoulder("hi", 1.0, 1.0)
-              .build());
-  EXPECT_THROW(b.rule("IF x is lo THEN z is s"), ConfigError);
-}
-
 TEST(Controller, BuilderRejectsSecondOutput) {
   ControllerBuilder b("broken");
   auto out = VariableBuilder("z", 0.0, 1.0)
@@ -123,23 +113,6 @@ TEST(Controller, BuilderRejectsSecondOutput) {
                  .build();
   b.output(out);
   EXPECT_THROW(b.output(out), ConfigError);
-}
-
-TEST(Controller, ExplicitTermNameRules) {
-  auto flc = ControllerBuilder("vec")
-                 .input(VariableBuilder("x", 0.0, 1.0)
-                            .left_shoulder("lo", 0.0, 1.0)
-                            .right_shoulder("hi", 1.0, 1.0)
-                            .build())
-                 .output(VariableBuilder("z", 0.0, 1.0)
-                             .left_shoulder("s", 0.0, 1.0)
-                             .right_shoulder("l", 1.0, 1.0)
-                             .build())
-                 .rule({"lo"}, "s")
-                 .rule({"hi"}, "l", 0.9)
-                 .build();
-  EXPECT_LT(flc->evaluate({0.0}), 0.5);
-  EXPECT_GT(flc->evaluate({1.0}), 0.5);
 }
 
 TEST(Controller, EvaluateIsDeterministic) {

@@ -2,10 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.h"
 
 #include "fuzzy/builder.h"
-#include "fuzzy/rule_parser.h"
 
 namespace facsp::fuzzy {
 namespace {
@@ -29,10 +30,9 @@ struct InferenceFixture : ::testing::Test {
                          .build());
   }
 
-  std::vector<FuzzyRule> rules(const std::vector<std::string>& texts) {
-    std::vector<FuzzyRule> out;
-    for (const auto& t : texts) out.push_back(parse_rule(t, inputs, output));
-    return out;
+  /// Complete table over (x, y): rows (lo,lo), (lo,hi), (hi,lo), (hi,hi).
+  RuleBase table(const std::vector<std::string>& consequents) const {
+    return RuleBase(inputs, output, consequents);
   }
 
   /// Activations of one untraced evaluation.
@@ -45,91 +45,55 @@ struct InferenceFixture : ::testing::Test {
 };
 
 TEST_F(InferenceFixture, MinTNormFiringStrength) {
-  const auto rs = rules({"IF x is lo AND y is lo THEN z is small"});
-  const RuleBase rb(rs, inputs, output);
+  const RuleBase rb = table({"small", "mid", "large", "large"});
   const InferenceEngine engine(inputs, output, rb);
-  // x=2 -> mu_lo = 0.8; y=5 -> mu_lo = 0.5; min = 0.5.
-  const auto acts = activations_at(engine, {2.0, 5.0});
-  EXPECT_DOUBLE_EQ(acts[0], 0.5);
-  EXPECT_DOUBLE_EQ(acts[1], 0.0);
-  EXPECT_DOUBLE_EQ(acts[2], 0.0);
+  // x=2 -> lo 0.8, hi 0.2; y=4 -> lo 0.6, hi 0.4.  Each rule fires at the
+  // min of its two grades: (lo,lo) 0.6, (lo,hi) 0.4, (hi,*) 0.2.
+  const auto acts = activations_at(engine, {2.0, 4.0});
+  EXPECT_DOUBLE_EQ(acts[0], 0.6);
+  EXPECT_DOUBLE_EQ(acts[1], 0.4);
+  EXPECT_DOUBLE_EQ(acts[2], 0.2);
 }
 
 TEST_F(InferenceFixture, MaxSNormAggregatesSameConsequent) {
-  const auto rs = rules({"IF x is lo THEN z is small",
-                         "IF y is lo THEN z is small"});
-  const RuleBase rb(rs, inputs, output);
+  const RuleBase rb = table({"small", "small", "mid", "large"});
   const InferenceEngine engine(inputs, output, rb);
-  // mu_lo(x=2)=0.8, mu_lo(y=6)=0.4 -> max 0.8.
-  EXPECT_DOUBLE_EQ(activations_at(engine, {2.0, 6.0})[0], 0.8);
-}
-
-TEST_F(InferenceFixture, RuleWeightScalesStrength) {
-  auto rs = rules({"IF x is lo THEN z is small [0.5]"});
-  const RuleBase rb(rs, inputs, output);
-  const InferenceEngine engine(inputs, output, rb);
-  EXPECT_DOUBLE_EQ(activations_at(engine, {0.0, 0.0})[0], 0.5);
-}
-
-TEST_F(InferenceFixture, WildcardIgnoresThatInput) {
-  const auto rs = rules({"IF y is hi THEN z is large"});
-  const RuleBase rb(rs, inputs, output);
-  const InferenceEngine engine(inputs, output, rb);
-  for (double x : {0.0, 5.0, 10.0})
-    EXPECT_DOUBLE_EQ(activations_at(engine, {x, 10.0})[2], 1.0) << "x=" << x;
+  // (lo,lo) = min(0.8, 0.4) = 0.4 and (lo,hi) = min(0.8, 0.6) = 0.6 share
+  // "small": max 0.6.
+  EXPECT_DOUBLE_EQ(activations_at(engine, {2.0, 6.0})[0], 0.6);
 }
 
 TEST_F(InferenceFixture, NoRuleFiresGivesEmptySet) {
-  const auto rs = rules({"IF x is hi AND y is hi THEN z is large"});
-  const RuleBase rb(rs, inputs, output);
+  // A NaN input grades 0 on every term, so no rule of the table fires.
+  const RuleBase rb = table({"small", "mid", "large", "large"});
   const InferenceEngine engine(inputs, output, rb);
-  EXPECT_EQ(activations_at(engine, {0.0, 0.0}), std::vector<double>(3, 0.0));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(activations_at(engine, {nan, 5.0}), std::vector<double>(3, 0.0));
+  EXPECT_EQ(activations_at(engine, {5.0, nan}), std::vector<double>(3, 0.0));
 }
 
 TEST_F(InferenceFixture, TracedReportsFiredRulesDescending) {
-  const auto rs = rules({"IF x is lo THEN z is small",
-                         "IF y is lo THEN z is mid",
-                         "IF x is hi THEN z is large"});
-  const RuleBase rb(rs, inputs, output);
+  const RuleBase rb = table({"small", "mid", "large", "large"});
   const InferenceEngine engine(inputs, output, rb);
   InferenceScratch scratch;
   engine.infer_traced_into(std::vector<double>{2.0, 4.0}, scratch);
   const std::vector<FiredRule>& fired = scratch.fired;
-  // x=2: lo=0.8, hi=0.2; y=4: lo=0.6.
-  ASSERT_EQ(fired.size(), 3u);
+  // x=2: lo=0.8, hi=0.2; y=4: lo=0.6, hi=0.4.
+  ASSERT_EQ(fired.size(), 4u);
   EXPECT_EQ(fired[0].rule_index, 0u);
-  EXPECT_DOUBLE_EQ(fired[0].strength, 0.8);
+  EXPECT_DOUBLE_EQ(fired[0].strength, 0.6);
   EXPECT_EQ(fired[1].rule_index, 1u);
-  EXPECT_DOUBLE_EQ(fired[1].strength, 0.6);
-  EXPECT_EQ(fired[2].rule_index, 2u);
+  EXPECT_DOUBLE_EQ(fired[1].strength, 0.4);
+  // Rules 2 and 3 tie at 0.2 (their order is pinned against the reference
+  // fold in test_rule_fold_oracle.cc).
+  EXPECT_EQ(fired[2].rule_index + fired[3].rule_index, 5u);
   EXPECT_DOUBLE_EQ(fired[2].strength, 0.2);
-}
-
-TEST_F(InferenceFixture, InferIntoMatchesTracedScan) {
-  // Wildcard-free and duplicate-free, so infer_into() takes the dense
-  // sparse-fire path while infer_traced_into() keeps the linear scan.
-  const auto rs = rules({"IF x is lo AND y is lo THEN z is small",
-                         "IF x is hi AND y is hi THEN z is large",
-                         "IF x is lo AND y is hi THEN z is mid"});
-  const RuleBase rb(rs, inputs, output);
-  const InferenceEngine engine(inputs, output, rb);
-  InferenceScratch dense, traced;
-  for (double x = 0.0; x <= 10.0; x += 2.5) {
-    for (double y = 0.0; y <= 10.0; y += 2.5) {
-      const std::vector<double> in = {x, y};
-      engine.infer_into(in, dense);
-      engine.infer_traced_into(in, traced);
-      EXPECT_EQ(dense.activations, traced.activations)
-          << "x=" << x << " y=" << y;
-    }
-  }
+  EXPECT_DOUBLE_EQ(fired[3].strength, 0.2);
+  EXPECT_EQ(scratch.activations, activations_at(engine, {2.0, 4.0}));
 }
 
 TEST_F(InferenceFixture, TracedIntoRefillsFiredRules) {
-  const auto rs = rules({"IF x is lo THEN z is small",
-                         "IF x is hi THEN z is large",
-                         "IF y is hi THEN z is mid"});
-  const RuleBase rb(rs, inputs, output);
+  const RuleBase rb = table({"small", "mid", "large", "mid"});
   const InferenceEngine engine(inputs, output, rb);
   InferenceScratch fresh, reused;
   const std::vector<double> in = {3.0, 8.0};
@@ -147,13 +111,11 @@ TEST_F(InferenceFixture, TracedIntoRefillsFiredRules) {
 TEST_F(InferenceFixture, ScratchIsReusableAcrossEngines) {
   // A scratch sized by a wide engine must still work for a narrow one and
   // vice versa — buffers are resized logically per call.
-  const auto rs1 = rules({"IF x is lo THEN z is small"});
-  const RuleBase rb1(rs1, inputs, output);
+  const RuleBase rb1 = table({"small", "small", "mid", "large"});
   const InferenceEngine wide(inputs, output, rb1);
 
   std::vector<LinguisticVariable> one_input = {inputs[0]};
-  const auto r2 = parse_rule("IF x is lo THEN z is large", one_input, output);
-  const RuleBase rb2({r2}, one_input, output);
+  const RuleBase rb2(one_input, output, {"large", "small"});
   const InferenceEngine narrow(one_input, output, rb2);
 
   InferenceScratch scratch;
@@ -165,8 +127,7 @@ TEST_F(InferenceFixture, ScratchIsReusableAcrossEngines) {
 }
 
 TEST_F(InferenceFixture, WrongInputArityThrows) {
-  const auto rs = rules({"IF x is lo THEN z is small"});
-  const RuleBase rb(rs, inputs, output);
+  const RuleBase rb = table({"small", "mid", "large", "large"});
   const InferenceEngine engine(inputs, output, rb);
   EXPECT_THROW(activations_at(engine, {1.0}), facsp::ContractViolation);
   EXPECT_THROW(activations_at(engine, {1.0, 2.0, 3.0}),

@@ -29,130 +29,55 @@ LinguisticVariable out_var() {
       .build();
 }
 
-FuzzyRule rule(std::vector<std::size_t> ants, std::size_t cons,
-               double w = 1.0) {
-  FuzzyRule r;
-  r.antecedents = std::move(ants);
-  r.consequent = cons;
-  r.weight = w;
-  return r;
-}
-
-TEST(RuleBase, ValidatesArity) {
+TEST(RuleBase, SizeIsTheProductOfTermCounts) {
   const auto inputs = two_inputs();
-  EXPECT_THROW(RuleBase({rule({0}, 0)}, inputs, out_var()), ConfigError);
-  EXPECT_NO_THROW(RuleBase({rule({0, 1}, 0)}, inputs, out_var()));
+  const RuleBase rb(inputs, out_var(),
+                    {"small", "small", "large", "small", "large", "large"});
+  EXPECT_EQ(rb.size(), 6u);  // 2 * 3
+  EXPECT_EQ(rb.input_count(), 2u);
+  EXPECT_EQ(rb.output_term_count(), 2u);
 }
 
-TEST(RuleBase, ValidatesTermIndices) {
-  const auto inputs = two_inputs();
-  EXPECT_THROW(RuleBase({rule({2, 0}, 0)}, inputs, out_var()), ConfigError);
-  EXPECT_THROW(RuleBase({rule({0, 3}, 0)}, inputs, out_var()), ConfigError);
-  EXPECT_THROW(RuleBase({rule({0, 0}, 2)}, inputs, out_var()), ConfigError);
-}
-
-TEST(RuleBase, ValidatesWeight) {
-  const auto inputs = two_inputs();
-  EXPECT_THROW(RuleBase({rule({0, 0}, 0, 0.0)}, inputs, out_var()),
-               ConfigError);
-  EXPECT_THROW(RuleBase({rule({0, 0}, 0, 1.5)}, inputs, out_var()),
-               ConfigError);
-  EXPECT_NO_THROW(RuleBase({rule({0, 0}, 0, 0.5)}, inputs, out_var()));
-}
-
-TEST(RuleBase, WildcardAntecedentAllowed) {
-  const auto inputs = two_inputs();
-  EXPECT_NO_THROW(
-      RuleBase({rule({FuzzyRule::kAny, 1}, 0)}, inputs, out_var()));
-}
-
-TEST(RuleBase, CombinationCount) {
-  const auto inputs = two_inputs();
-  const RuleBase rb({rule({0, 0}, 0)}, inputs, out_var());
-  EXPECT_EQ(rb.combination_count(), 6u);  // 2 * 3
-}
-
-TEST(RuleBase, CompletenessDetection) {
-  const auto inputs = two_inputs();
-  std::vector<FuzzyRule> all;
-  for (std::size_t a = 0; a < 2; ++a)
-    for (std::size_t b = 0; b < 3; ++b) all.push_back(rule({a, b}, 0));
-  EXPECT_TRUE(RuleBase(all, inputs, out_var()).is_complete());
-
-  all.pop_back();
-  EXPECT_FALSE(RuleBase(all, inputs, out_var()).is_complete());
-}
-
-TEST(RuleBase, WildcardMakesComplete) {
-  const auto inputs = two_inputs();
-  // One rule per x-term with wildcard y covers everything.
-  const RuleBase rb({rule({0, FuzzyRule::kAny}, 0),
-                     rule({1, FuzzyRule::kAny}, 1)},
-                    inputs, out_var());
-  EXPECT_TRUE(rb.is_complete());
-}
-
-TEST(RuleBase, ConflictDetection) {
-  const auto inputs = two_inputs();
-  const RuleBase clean({rule({0, 0}, 0), rule({0, 1}, 1)}, inputs, out_var());
-  EXPECT_TRUE(clean.conflicts().empty());
-
-  const RuleBase dirty({rule({0, 0}, 0), rule({0, 0}, 1)}, inputs, out_var());
-  const auto conflicts = dirty.conflicts();
-  ASSERT_EQ(conflicts.size(), 1u);
-  EXPECT_EQ(conflicts[0], (std::pair<std::size_t, std::size_t>{0, 1}));
-}
-
-TEST(RuleBase, DuplicateSameConsequentIsNotConflict) {
-  const auto inputs = two_inputs();
-  const RuleBase rb({rule({0, 0}, 1), rule({0, 0}, 1)}, inputs, out_var());
-  EXPECT_TRUE(rb.conflicts().empty());
-}
-
-TEST(RuleBase, FromTableBuildsLastInputFastest) {
+TEST(RuleBase, TableBuildsLastInputFastest) {
   const auto inputs = two_inputs();
   const auto output = out_var();
   // 6 combos: (x=lo,y=lo), (lo,mid), (lo,hi), (hi,lo), (hi,mid), (hi,hi).
-  const RuleBase rb = RuleBase::from_table(
-      inputs, output, {"small", "small", "large", "small", "large", "large"});
+  const RuleBase rb(inputs, output,
+                    {"small", "small", "large", "small", "large", "large"});
   ASSERT_EQ(rb.size(), 6u);
-  EXPECT_TRUE(rb.is_complete());
-  EXPECT_TRUE(rb.conflicts().empty());
   // Row 2 is (x=lo, y=hi) -> large.
   EXPECT_EQ(rb.rule(2).antecedents, (std::vector<std::size_t>{0, 2}));
   EXPECT_EQ(rb.rule(2).consequent, output.term_index("large"));
+  EXPECT_EQ(rb.consequents()[2], output.term_index("large"));
   // Row 3 is (x=hi, y=lo) -> small.
   EXPECT_EQ(rb.rule(3).antecedents, (std::vector<std::size_t>{1, 0}));
   EXPECT_EQ(rb.rule(3).consequent, output.term_index("small"));
+  EXPECT_THROW(rb.rule(6), ContractViolation);
 }
 
-TEST(RuleBase, FromTableRejectsWrongSize) {
+TEST(RuleBase, TableRejectsWrongSize) {
   const auto inputs = two_inputs();
-  EXPECT_THROW(RuleBase::from_table(inputs, out_var(), {"small"}),
+  EXPECT_THROW(RuleBase(inputs, out_var(), {"small"}), ConfigError);
+  EXPECT_THROW(RuleBase(inputs, out_var(), {}), ConfigError);
+}
+
+TEST(RuleBase, TableRejectsUnknownTerm) {
+  const auto inputs = two_inputs();
+  EXPECT_THROW(RuleBase(inputs, out_var(),
+                        {"small", "small", "nope", "small", "large", "large"}),
                ConfigError);
 }
 
-TEST(RuleBase, FromTableRejectsUnknownTerm) {
-  const auto inputs = two_inputs();
-  EXPECT_THROW(
-      RuleBase::from_table(inputs, out_var(),
-                           {"small", "small", "nope", "small", "large",
-                            "large"}),
-      ConfigError);
+TEST(RuleBase, TableRejectsNoInputs) {
+  EXPECT_THROW(RuleBase({}, out_var(), {"small"}), ConfigError);
 }
 
 TEST(RuleToString, RendersReadableForm) {
   const auto inputs = two_inputs();
   const auto output = out_var();
-  const std::string s = to_string(rule({0, 2}, 1), inputs, output);
-  EXPECT_EQ(s, "IF x is lo AND y is hi THEN z is large");
-
-  const std::string with_wildcard =
-      to_string(rule({FuzzyRule::kAny, 1}, 0), inputs, output);
-  EXPECT_EQ(with_wildcard, "IF y is mid THEN z is small");
-
-  const std::string weighted = to_string(rule({0, 0}, 0, 0.5), inputs, output);
-  EXPECT_NE(weighted.find("[0.5]"), std::string::npos);
+  const FuzzyRule rule{{0, 2}, 1};
+  EXPECT_EQ(to_string(rule, inputs, output),
+            "IF x is lo AND y is hi THEN z is large");
 }
 
 }  // namespace
