@@ -66,9 +66,9 @@ InferenceEngine::InferenceEngine(const std::vector<LinguisticVariable>& inputs,
   }
 }
 
+template <bool kTraced>
 void InferenceEngine::run(std::span<const double> crisp_inputs,
-                          InferenceScratch& scratch,
-                          std::vector<FiredRule>* fired) const {
+                          InferenceScratch& scratch) const {
   FACSP_EXPECTS_MSG(crisp_inputs.size() == inputs_.size(),
                     "expected " << inputs_.size() << " inputs, got "
                                 << crisp_inputs.size());
@@ -84,7 +84,7 @@ void InferenceEngine::run(std::span<const double> crisp_inputs,
                           inputs_[i].term_count()));
 
   scratch.activations.assign(output_.term_count(), 0.0);
-  if (fired != nullptr) fired->clear();
+  if constexpr (kTraced) scratch.fired.clear();
 
   // Sparse-fire enumeration: a rule fires only when every antecedent grade
   // is non-zero (its strength is their min), so walk just the cross product
@@ -106,7 +106,7 @@ void InferenceEngine::run(std::span<const double> crisp_inputs,
   }
   const std::span<const std::size_t> consequents = rules_.consequents();
   std::uint32_t pos[kMaxInputs] = {};
-  for (bool more = true; more;) {
+  for (;;) {
     std::size_t idx = 0;
     double strength = 1.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -116,32 +116,28 @@ void InferenceEngine::run(std::span<const double> crisp_inputs,
     }
     double& acc = scratch.activations[consequents[idx]];
     acc = acc > strength ? acc : strength;
-    if (fired != nullptr) fired->push_back({idx, strength});
-    more = false;
-    for (std::size_t i = n; i-- > 0;) {
-      if (++pos[i] < nz_count[i]) {
-        more = true;
-        break;
-      }
+    if constexpr (kTraced) scratch.fired.push_back({idx, strength});
+    std::size_t i = n - 1;
+    while (++pos[i] == nz_count[i]) {
       pos[i] = 0;
+      if (i == 0) return;
+      --i;
     }
   }
-
-  if (fired != nullptr)
-    std::sort(fired->begin(), fired->end(),
-              [](const FiredRule& a, const FiredRule& b) {
-                return a.strength > b.strength;
-              });
 }
 
 void InferenceEngine::infer_into(std::span<const double> crisp_inputs,
                                  InferenceScratch& scratch) const {
-  run(crisp_inputs, scratch, nullptr);
+  run<false>(crisp_inputs, scratch);
 }
 
 void InferenceEngine::infer_traced_into(std::span<const double> crisp_inputs,
                                         InferenceScratch& scratch) const {
-  run(crisp_inputs, scratch, &scratch.fired);
+  run<true>(crisp_inputs, scratch);
+  std::sort(scratch.fired.begin(), scratch.fired.end(),
+            [](const FiredRule& a, const FiredRule& b) {
+              return a.strength > b.strength;
+            });
 }
 
 }  // namespace facsp::fuzzy

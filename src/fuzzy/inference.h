@@ -124,10 +124,12 @@ class InferenceEngine {
     const MembershipFunction* mf = nullptr;
   };
 
-  /// Shared core of all evaluation entry points; collects fired rules only
-  /// when `fired` is non-null (the untraced path skips that work entirely).
-  void run(std::span<const double> crisp_inputs, InferenceScratch& scratch,
-           std::vector<FiredRule>* fired) const;
+  /// Shared core of the scalar entry points.  Only the traced instantiation
+  /// collects fired rules (in table order) into scratch.fired, so the
+  /// untraced loop makes no call that could force its loads to repeat.
+  template <bool kTraced>
+  void run(std::span<const double> crisp_inputs,
+           InferenceScratch& scratch) const;
 
   /// The lane kernel, N doubles per vector operation (inference_batch.cc).
   template <std::size_t N>
